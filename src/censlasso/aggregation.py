@@ -160,7 +160,8 @@ def fit_aggregated(
     """Split, fit each group (pilot then adaptive LASSO), vote, aggregate.
 
     With per_group_tuning each group scans its own BIC grid; otherwise every
-    group uses config.lam.  A failing group aborts the whole fit.  Group fits
+    group uses config.lam.  A failing group, one whose fit did not converge
+    included, aborts the whole fit.  Group fits
     are independent and may run on a thread pool; the reduction is ordered by
     group index, so the result does not depend on completion order.
     """

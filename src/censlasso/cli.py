@@ -29,6 +29,7 @@ from .errors import (
     MissingColumn,
     NoConvergence,
     NonBinaryDelta,
+    NonFiniteCovariate,
     NonPositiveTime,
     RaggedRow,
     SolverError,
@@ -56,6 +57,7 @@ EXIT_CONFIG = 4
 _PARSE_ERRORS = (
     MissingColumn,
     NonBinaryDelta,
+    NonFiniteCovariate,
     NonPositiveTime,
     RaggedRow,
     FileNotFoundError,
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_threads(p):
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker threads/processes (1 = fully serial)")
 
@@ -369,13 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="one adaptive-LASSO fit on a CSV dataset")
     add_fit_flags(p_fit)
     p_fit.add_argument("--output", required=True, help="result JSON path")
-    add_common(p_fit)
     p_fit.set_defaults(func=cmd_fit, needs_lambda_choice=True)
 
     p_km = sub.add_parser("km", help="censoring survival curve as CSV")
     p_km.add_argument("--data", required=True)
     p_km.add_argument("--output", required=True)
-    add_common(p_km)
     p_km.set_defaults(func=cmd_km, needs_lambda_choice=False)
 
     p_tune = sub.add_parser("tune", help="BIC path over the default lambda grid")
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--penalty-mode", default="log_n_over_n",
                         choices=["log_n_over_n", "log_nu_over_nu"])
     p_tune.add_argument("--output", required=True, help="path CSV")
-    add_common(p_tune)
     p_tune.set_defaults(func=cmd_tune, needs_lambda_choice=False)
 
     p_agg = sub.add_parser("aggregate", help="interleaved-group aggregated fit")
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--km-scope", default="per_group",
                        choices=["per_group", "global"])
     p_agg.add_argument("--output", required=True)
-    add_common(p_agg)
+    add_threads(p_agg)
     p_agg.set_defaults(func=cmd_aggregate, needs_lambda_choice=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study from a config file")
@@ -404,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-    add_common(p_sim)
+    add_threads(p_sim)
     p_sim.set_defaults(func=cmd_simulate, needs_lambda_choice=False)
 
     p_bench = sub.add_parser("bench", help="timing benchmark from a config file")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--output", required=True, help="timings CSV")
     p_bench.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    add_common(p_bench)
+    add_threads(p_bench)
     p_bench.set_defaults(func=cmd_bench, needs_lambda_choice=False)
 
     return parser

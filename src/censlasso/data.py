@@ -19,6 +19,7 @@ from .errors import (
     MissingColumn,
     NoConvergence,
     NonBinaryDelta,
+    NonFiniteCovariate,
     NonPositiveTime,
     RaggedRow,
 )
@@ -62,7 +63,7 @@ class SurvivalDataset:
         if len(y) < 1:
             raise ValueError("a dataset needs at least one observation")
         if not np.all(np.isfinite(x)):
-            raise ValueError("covariates must be finite")
+            raise NonFiniteCovariate("covariates must be finite")
         if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
             raise NonPositiveTime("all follow-up times must be finite and > 0")
         if not np.all((delta == 0) | (delta == 1)):

@@ -23,6 +23,10 @@ class RaggedRow(CensLassoError):
     """A CSV row has the wrong number of fields."""
 
 
+class NonFiniteCovariate(CensLassoError):
+    """A covariate is NaN or infinite."""
+
+
 class NoConvergence(CensLassoError):
     """An iterative procedure exhausted its iteration budget."""
 

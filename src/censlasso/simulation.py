@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -291,6 +291,19 @@ def _fit_config(spec: SimulationSpec, loss: LossKind, lam: float) -> FitConfig:
     )
 
 
+def _plan_as_run(
+    spec: SimulationSpec, plan: AggregationPlan, n: int
+) -> tuple[AggregationPlan, float]:
+    """The plan as fitted under the study's lambda rule, with its lambda.
+
+    The BIC rule scans a grid in every group (lambda unused, 0); the fixed
+    rule takes grid point j at the group size n // K.
+    """
+    tuned = spec.lambda_rule.kind == LambdaRule.BIC_GRID
+    lam = 0.0 if tuned else fixed_lambda(n // plan.K, spec.lambda_rule.j)
+    return replace(plan, per_group_tuning=tuned), lam
+
+
 def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
     """All fits for one replication; returns per-(method, plan) records."""
     gen = spec.generation.with_seed(replication_seed(spec.master_seed, index))
@@ -328,25 +341,15 @@ def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
                 "bic_indices": [] if bic_index is None else [bic_index],
             }
         for plan in spec.plans:
-            group_n = dataset.n // plan.K
-            if spec.lambda_rule.kind == LambdaRule.BIC_GRID:
-                run_plan = AggregationPlan(
-                    K=plan.K, w=plan.w, per_group_tuning=True, km_scope=plan.km_scope
-                )
-                lam = 0.0
-            else:
-                run_plan = AggregationPlan(
-                    K=plan.K, w=plan.w, per_group_tuning=False, km_scope=plan.km_scope
-                )
-                lam = fixed_lambda(group_n, spec.lambda_rule.j)
+            run_plan, lam = _plan_as_run(spec, plan, dataset.n)
             t0 = time.perf_counter()
             agg = fit_aggregated(
                 dataset, run_plan, _fit_config(spec, loss, lam), bic_config=bic_config
             )
             seconds = time.perf_counter() - t0
             bic_indices = []
-            if spec.lambda_rule.kind == LambdaRule.BIC_GRID:
-                grid = lambda_grid(group_n)
+            if run_plan.per_group_tuning:
+                grid = lambda_grid(dataset.n // plan.K)
                 for lam_k in agg.group_lambdas:
                     bic_indices.append(int(np.argmin(np.abs(grid - lam_k))) + 1)
             records[(method.label(), plan.label())] = {
@@ -463,20 +466,9 @@ def timing_benchmark(spec: SimulationSpec, n_jobs: int = 1) -> list[dict]:
         t0 = time.perf_counter()
         dataset, latents = generate_with_latents(gen_m, bound=bound)
         rows.append({"K": plan.K, "phase": "generate", "seconds": time.perf_counter() - t0})
+        run_plan, lam = _plan_as_run(spec, plan, dataset.n)
         for method in spec.methods:
             loss = method.resolve(latents.errors)
-            group_n = dataset.n // plan.K
-            lam = (
-                fixed_lambda(group_n, spec.lambda_rule.j)
-                if spec.lambda_rule.kind == LambdaRule.FIXED
-                else 0.0
-            )
-            run_plan = AggregationPlan(
-                K=plan.K,
-                w=plan.w,
-                per_group_tuning=spec.lambda_rule.kind == LambdaRule.BIC_GRID,
-                km_scope=plan.km_scope,
-            )
             t0 = time.perf_counter()
             fit_aggregated(
                 dataset,

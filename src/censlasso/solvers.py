@@ -9,9 +9,13 @@ multiplied by its IPCW weight.  Two solver routes:
   dramatically faster at large n, and the coefficients are read back off the
   constraint marginals.  Strong duality is checked on every solve.
 
-* expectile / least squares: cyclic coordinate descent with exact
-  minimization of the piecewise-quadratic coordinate objective plus
-  soft-thresholding.  Exact zeros come out of the thresholding itself.
+* expectile / least squares: Newton steps on the residual-sign pattern.
+  The loss is piecewise quadratic, so with the signs frozen the fit is a
+  penalized least-squares problem in the p x p Gram matrix: solved directly
+  without a penalty, by cyclic coordinate descent with soft-thresholding
+  (exact zeros) with one.  A backtracking step on the true objective follows,
+  and the fit is exact once the signs repeat.  Pilot and penalized fits,
+  with or without an intercept, all take this one route.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .data import SurvivalDataset
-from .errors import DegenerateWeights, DimensionMismatch, SolverError
+from .errors import DegenerateWeights, DimensionMismatch, NoConvergence, SolverError
 from .kaplan_meier import IpcwWeights
 from .losses import LossKind, expectile_grad, pointwise_loss, check_loss
 
@@ -187,138 +191,79 @@ def _lp_loss_value(x, z, w, loss: LossKind, beta, intercepts):
     return total
 
 
-# --- expectile / least-squares coordinate descent -------------------------
+# --- expectile / least squares: Newton on the frozen sign pattern ----------
 
-def _exact_coordinate_min(t, slope0, dslope, target):
-    """Root of the increasing piecewise-linear loss derivative at `target`.
+def _gram_lasso(gram, lin, lam_w, beta, tol, max_sweeps):
+    """Minimize b'Gb - 2c'b + sum_j lam_w_j |b_j| from the start beta.
 
-    t are the residual sign-flip breakpoints, slope0/dslope the per-term slope
-    left of the flip and its change at the flip.
+    Without a penalty this is the linear system Gb = c.  Otherwise cyclic
+    coordinate descent with soft-thresholding runs on G itself, O(p^2) per
+    sweep whatever n is; it has converged once no coordinate moves by tol.
     """
-    order = np.argsort(t)
-    ts = t[order]
-    ds = dslope[order]
-    s1 = np.concatenate(([slope0.sum()], slope0.sum() + np.cumsum(ds)))
-    s2_init = float(slope0 @ t)
-    s2 = np.concatenate(([s2_init], s2_init + np.cumsum(ds * ts)))
-    # psi value at each breakpoint (continuous across the flip)
-    vals = s1[:-1] * ts - s2[:-1]
-    k = int(np.searchsorted(vals, target))
-    slope = s1[k]
-    inter = s2[k]
-    if slope <= 0.0:
-        # flat piece: any point works; land on the nearest breakpoint
-        return ts[min(k, len(ts) - 1)] if len(ts) else 0.0
-    return (target + inter) / slope
-
-
-def _cd_coordinate_update(xj, r0, w, tau, lw):
-    """Exact minimizer of sum_i w_i rho_tau(r0_i - xj_i*b) + lw*|b| over b.
-
-    A frozen-sign quadratic solve handles the common case; if the candidate
-    crosses a residual sign flip, the exact piecewise-linear subgradient scan
-    takes over.
-    """
-    a = np.where(r0 >= 0.0, tau, 1.0 - tau)
-    wax = 2.0 * w * a * xj
-    s = float(wax @ xj)
-    g = float(wax @ r0)
-    # derivative of the loss part at b = 0 is exactly -g
-    if abs(g) <= lw:
-        return 0.0
-    shrink = lw if g > 0 else -lw
-    cand = (g - shrink) / s if s > 0.0 else 0.0
-    if not np.any(((r0 - xj * cand) >= 0.0) != (r0 >= 0.0)):
-        return cand
-    nz = xj != 0.0
-    xnz = xj[nz]
-    c2 = 2.0 * w[nz] * xnz * xnz
-    slope0 = c2 * np.where(xnz > 0.0, tau, 1.0 - tau)
-    dslope = c2 * np.where(xnz > 0.0, 1.0 - 2.0 * tau, 2.0 * tau - 1.0)
-    target = -lw if -g < -lw else lw
-    return _exact_coordinate_min(r0[nz] / xnz, slope0, dslope, target)
-
-
-def _expectile_cd(x, z, w, tau, lam_w, fit_intercept, tol, max_iter,
-                  beta_start=None, intercept_start=0.0):
-    """Cyclic coordinate descent for the weighted expectile lasso.
-
-    The objective is checked to be non-increasing across sweeps; convergence
-    is declared when the largest coordinate move falls below tol.
-    """
-    n, p = x.shape
-    beta = np.zeros(p) if beta_start is None else np.array(beta_start, dtype=float)
-    b0 = float(intercept_start)
-    ones = np.ones(n)
-    r = z - x @ beta - (b0 if fit_intercept else 0.0)
-
-    def objective():
-        asym = np.where(r >= 0.0, tau, 1.0 - tau)
-        return float(w @ (asym * r * r) + lam_w @ np.abs(beta))
-
-    prev_obj = objective()
-    iterations = 0
-    converged = False
-    for sweep in range(int(max_iter)):
-        iterations = sweep + 1
-        max_delta = 0.0
-
-        if fit_intercept:
-            b_new = _cd_coordinate_update(ones, r + b0, w, tau, 0.0)
-            max_delta = abs(b_new - b0)
-            r += b0 - b_new
-            b0 = b_new
-
-        for j in range(p):
-            xj = x[:, j]
-            old = beta[j]
-            new = _cd_coordinate_update(xj, r + xj * old, w, tau, lam_w[j])
-            if new != old:
-                r += xj * (old - new)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-
-        obj = objective()
-        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
-            raise SolverError(
-                f"coordinate descent objective increased: {prev_obj} -> {obj}"
-            )
-        prev_obj = obj
-        if max_delta < tol:
-            converged = True
-            break
-
-    return beta, b0, iterations, converged
-
-
-def _ls_start(x, z, w):
-    sw = np.sqrt(w)
-    sol, *_ = np.linalg.lstsq(x * sw[:, None], z * sw, rcond=None)
-    return sol
-
-
-def _irls_expectile(x, z, w, tau, max_iter=100, tol=1e-12):
-    """Unpenalized expectile fit by iteratively reweighted least squares.
-
-    The loss is piecewise quadratic, so refitting the normal equations with
-    the residual-sign weights is exact Newton: once the sign pattern repeats,
-    the iterate is the exact minimizer.  Cyclic coordinate descent is far too
-    slow here when covariates share a common mean component.
-    """
-    beta = _ls_start(x, z, w)
-    for it in range(1, max_iter + 1):
-        r = z - x @ beta
-        wa = w * np.where(r >= 0.0, tau, 1.0 - tau)
-        xwa = x * wa[:, None]
+    if not np.any(lam_w > 0.0):
         try:
-            beta_new = np.linalg.solve(x.T @ xwa, xwa.T @ z)
+            return np.linalg.solve(gram, lin), True
         except np.linalg.LinAlgError:
-            beta_new, *_ = np.linalg.lstsq(x.T @ xwa, xwa.T @ z, rcond=None)
-        delta = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        if delta < tol:
-            return beta, it
-    return beta, max_iter
+            return np.linalg.lstsq(gram, lin, rcond=None)[0], True
+    b = np.array(beta, dtype=float)
+    slack = lin - gram @ b
+    diag = np.diag(gram)
+    for _ in range(int(max_sweeps)):
+        max_delta = 0.0
+        for j in range(len(b)):
+            old = b[j]
+            rho = slack[j] + diag[j] * old
+            new = 0.0
+            if diag[j] > 0.0 and abs(rho) > 0.5 * lam_w[j]:
+                new = (rho - np.copysign(0.5 * lam_w[j], rho)) / diag[j]
+            if new != old:
+                slack -= gram[:, j] * (new - old)
+                b[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta < tol:
+            return b, True
+    return b, False
+
+
+def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
+    """Weighted expectile (adaptive) lasso by Newton steps on sign patterns.
+
+    The loss w_i |tau - 1{r_i < 0}| r_i^2 is quadratic while the residual
+    signs stay put, so each step freezes them, minimizes the resulting
+    penalized quadratic exactly (`_gram_lasso`), and backtracks on the true
+    objective.  Once the signs at the step's target equal the frozen ones,
+    the frozen problem's optimality conditions are the true ones and the
+    target is the exact minimizer.  Returns (beta, steps, converged); a step
+    that cannot lower the objective ends the fit unconverged and is not taken.
+    """
+
+    def objective(b):
+        r = z - x @ b
+        asym = np.where(r < 0.0, 1.0 - tau, tau)
+        return float(w @ (asym * r * r) + lam_w @ np.abs(b)), r
+
+    beta = np.array(beta, dtype=float)
+    obj, r = objective(beta)
+    for step in range(1, int(max_iter) + 1):
+        negative = r < 0.0
+        xa = x * (w * np.where(negative, 1.0 - tau, tau))[:, None]
+        target, descended = _gram_lasso(xa.T @ x, xa.T @ z, lam_w, beta, tol, max_iter)
+        new_obj, new_r = objective(target)
+        if np.array_equal(new_r < 0.0, negative):
+            # the frozen quadratic is exact on the segment: no backtracking
+            beta, obj, r = target, new_obj, new_r
+            if descended:
+                return beta, step, True
+            continue
+        direction, t = target - beta, 1.0
+        while new_obj >= obj:
+            t *= 0.5
+            trial = beta + t * direction
+            if np.array_equal(trial, beta):
+                return beta, step, False
+            new_obj, new_r = objective(trial)
+        beta, obj, r = beta + t * direction, new_obj, new_r
+    return beta, int(max_iter), False
 
 
 # --- public fitting API ----------------------------------------------------
@@ -365,52 +310,38 @@ def fit_adaptive_lasso(
 
 
 def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
+    gap = None
     if loss.is_lp_family:
-        beta, intercepts, nit, ok, dual_obj = _solve_lp_family(
+        beta, intercepts, steps, converged, dual_obj = _solve_lp_family(
             x, z, w, loss, lam_w, config.fit_intercept
         )
-        primal = _lp_loss_value(x, z, w, loss, beta, intercepts)
-        objective = primal + float(lam_w @ np.abs(beta))
+        objective = _lp_loss_value(x, z, w, loss, beta, intercepts)
+        objective += float(lam_w @ np.abs(beta))
         gap = abs(objective - dual_obj)
-        if ok and gap > 1e-6 * max(1.0, abs(objective)):
-            raise SolverError(f"primal-dual objective mismatch: gap={gap}")
-        return EstimatorResult(
-            beta=beta,
-            intercepts=intercepts,
-            objective=objective,
-            iterations=nit,
-            converged=ok,
-            duality_gap=gap,
+    else:
+        # an intercept is one more column, never penalized
+        k = int(config.fit_intercept)
+        start = np.zeros(x.shape[1]) if beta_start is None else beta_start
+        if k:
+            x = np.column_stack([np.ones(len(z)), x])
+            lam_w = np.concatenate(([0.0], lam_w))
+            start = np.concatenate(([0.0], start))
+        coef, steps, converged = _expectile_newton(
+            x, z, w, loss.tau, lam_w, start, config.tol, config.max_iter
         )
-
-    tau = loss.tau
-    irls_iters = 0
-    b_start = 0.0
-    if not np.any(lam_w > 0.0):
-        # unpenalized: IRLS gets (essentially) to the optimum, coordinate
-        # descent polishes and certifies monotone descent from there
-        cols = np.column_stack([np.ones(len(z)), x]) if config.fit_intercept else x
-        start, irls_iters = _irls_expectile(cols, z, w, tau)
-        if config.fit_intercept:
-            b_start, beta_start = float(start[0]), start[1:]
-        else:
-            beta_start = start
-    elif beta_start is None:
-        beta_start = _ls_start(x, z, w)
-    beta, b0, iters, converged = _expectile_cd(
-        x, z, w, tau, lam_w, config.fit_intercept, config.tol, config.max_iter,
-        beta_start=beta_start, intercept_start=b_start,
-    )
-    iters += irls_iters
-    intercepts = np.array([b0]) if config.fit_intercept else np.zeros(0)
-    fitted = x @ beta + (b0 if config.fit_intercept else 0.0)
-    objective = float(w @ pointwise_loss(loss, z - fitted) + lam_w @ np.abs(beta))
+        objective = float(w @ pointwise_loss(loss, z - x @ coef) + lam_w @ np.abs(coef))
+        beta, intercepts = coef[k:], coef[:k]
+    if not converged:
+        raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
+    if gap is not None and gap > 1e-6 * max(1.0, abs(objective)):
+        raise SolverError(f"primal-dual objective mismatch: gap={gap}")
     return EstimatorResult(
         beta=beta,
         intercepts=intercepts,
         objective=objective,
-        iterations=iters,
-        converged=converged,
+        iterations=steps,
+        converged=True,
+        duality_gap=gap,
     )
 
 

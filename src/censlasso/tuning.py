@@ -98,6 +98,12 @@ def _penalty_count(dataset: SurvivalDataset, mode: str) -> int:
     return dataset.n if mode == "log_n_over_n" else dataset.n_events
 
 
+def _loss_at(dataset, weights, loss: LossKind, fit: EstimatorResult) -> float:
+    return objective_value(
+        dataset, weights, loss, 0.0, np.zeros(dataset.p), fit.beta, fit.intercepts
+    )
+
+
 def bic_score(
     dataset: SurvivalDataset,
     weights: IpcwWeights,
@@ -105,19 +111,20 @@ def bic_score(
     unpenalized: EstimatorResult,
     loss: LossKind,
     config: BicConfig,
+    normalizer: float | None = None,
 ) -> float:
-    """Normalized-loss BIC: loss(result)/loss(unpenalized) + |support|*log(m)/m."""
-    zeros = np.zeros(dataset.p)
-    bic0 = objective_value(
-        dataset, weights, loss, 0.0, zeros, unpenalized.beta, unpenalized.intercepts
-    )
-    if bic0 == 0.0:
+    """Normalized-loss BIC: loss(result)/loss(unpenalized) + |support|*log(m)/m.
+
+    normalizer is loss(unpenalized) when the caller has it already, as
+    `select_lambda` does: it computes it once per path.
+    """
+    if normalizer is None:
+        normalizer = _loss_at(dataset, weights, loss, unpenalized)
+    if normalizer == 0.0:
         raise ZeroNormalizer("unpenalized loss is zero; BIC ratio undefined")
-    numer = objective_value(
-        dataset, weights, loss, 0.0, zeros, result.beta, result.intercepts
-    )
     m = _penalty_count(dataset, config.penalty_mode)
-    return numer / bic0 + len(result.support) * math.log(m) / m
+    numer = _loss_at(dataset, weights, loss, result)
+    return numer / normalizer + len(result.support) * math.log(m) / m
 
 
 def composite_tang_bic_score(
@@ -155,8 +162,9 @@ def select_lambda(
 ) -> BicPath:
     """Fit the pilot once, then one adaptive-LASSO fit per grid value.
 
-    Grid points whose fit fails are recorded with their error and skipped;
-    ties in the score resolve to the smallest lambda.
+    Grid points whose fit fails (a solver error, or a fit that did not
+    converge) are recorded with their error and skipped; ties in the score
+    resolve to the smallest lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -164,13 +172,14 @@ def select_lambda(
     if fit_config is None:
         fit_config = FitConfig(loss=loss)
     pilot = fit_unpenalized(dataset, weights, loss, fit_config.replace(lam=0.0))
+    normalizer = _loss_at(dataset, weights, loss, pilot)
     entries = []
     for lam in grid:
         try:
             result = fit_adaptive_lasso(
                 dataset, weights, fit_config.replace(loss=loss, lam=lam), pilot.beta
             )
-            score = bic_score(dataset, weights, result, pilot, loss, config)
+            score = bic_score(dataset, weights, result, pilot, loss, config, normalizer)
             entries.append(
                 BicPathEntry(lam, score, len(result.support), result)
             )

@@ -14,7 +14,7 @@ from censlasso.aggregation import (
     vote_support,
 )
 from censlasso.data import GenerationSpec, SurvivalDataset, generate_dataset
-from censlasso.errors import DegenerateWeights, DimensionMismatch, InvalidK
+from censlasso.errors import DegenerateWeights, DimensionMismatch, InvalidK, NoConvergence
 from censlasso.kaplan_meier import fit_censoring_km, ipcw_weights
 from censlasso.losses import LossKind
 from censlasso.solvers import (
@@ -230,6 +230,14 @@ def test_fit_aggregated_degenerate_group_aborts():
     loss = LossKind("expectile", tau=0.5)
     with pytest.raises(DegenerateWeights):
         fit_aggregated(ds, AggregationPlan(K=2, w=1), FitConfig(loss=loss, lam=1.0))
+
+
+def test_fit_aggregated_never_votes_unconverged_groups():
+    # one Newton step cannot finish either group's pilot
+    ds = generate_dataset(GenerationSpec(n=2000, p=10, beta0=(1.0, -2.0) + (0.0,) * 8, seed=0))
+    config = FitConfig(loss=LossKind("expectile", tau=0.3), lam=5.0, max_iter=1)
+    with pytest.raises(NoConvergence):
+        fit_aggregated(ds, AggregationPlan(K=2, w=1), config)
 
 
 def test_group_event_fractions_close_to_global():

@@ -107,6 +107,28 @@ def test_km_hand_example(tmp_path):
     assert lines[2] == "2,0.5"
 
 
+def test_km_nan_covariate_is_input_error(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text("y,delta,x1\n1.5,1,0.25\n2.5,0,nan\n0.5,1,1.0\n")
+    code = main(["km", "--data", str(data), "--output", str(tmp_path / "curve.csv")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "median", "--lambda", "1.0"],
+    ["km"],
+    ["tune", "--method", "median"],
+])
+def test_serial_commands_take_no_threads_flag(command, dataset_csv, tmp_path, capsys):
+    argv = command + ["--data", dataset_csv, "--output", str(tmp_path / "o"),
+                      "--threads", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_tune_emits_twenty_row_path(dataset_csv, tmp_path):
     out = tmp_path / "path.csv"
     code = main([

@@ -16,6 +16,7 @@ from censlasso.data import (
 from censlasso.errors import (
     MissingColumn,
     NonBinaryDelta,
+    NonFiniteCovariate,
     NonPositiveTime,
     RaggedRow,
 )
@@ -192,6 +193,9 @@ def test_dataset_validation():
         SurvivalDataset(np.array([1.0, -1.0]), np.array([1, 0]), np.ones((2, 1)))
     with pytest.raises(NonBinaryDelta):
         SurvivalDataset(np.array([1.0, 1.0]), np.array([1, 2]), np.ones((2, 1)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteCovariate):
+            SurvivalDataset(np.array([1.0, 2.0]), np.array([1, 0]), np.array([[0.5], [bad]]))
 
 
 def test_dataset_immutable():

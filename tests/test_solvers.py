@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import censlasso.solvers as solvers
 from censlasso.data import GenerationSpec, generate_dataset
-from censlasso.errors import DegenerateWeights, DimensionMismatch
+from censlasso.errors import DegenerateWeights, DimensionMismatch, NoConvergence
 from censlasso.kaplan_meier import IpcwWeights, fit_censoring_km, ipcw_weights
 from censlasso.losses import LossKind
 from censlasso.solvers import (
@@ -56,12 +57,14 @@ def test_median_intercept_only_even_count_lands_in_optimal_interval():
 
 def test_least_squares_matches_normal_equations():
     ds, w = random_problem(5, n=200, p=5)
-    cfg = FitConfig(loss=LossKind("least_squares"), tol=1e-12)
-    res = fit_unpenalized(ds, w, config=cfg)
     sw = np.sqrt(w.w)
     z = np.log(ds.y)
-    oracle, *_ = np.linalg.lstsq(ds.x * sw[:, None], z * sw, rcond=None)
-    assert np.allclose(res.beta, oracle, atol=1e-8)
+    for fit_intercept in (False, True):
+        cfg = FitConfig(loss=LossKind("least_squares"), tol=1e-12, fit_intercept=fit_intercept)
+        res = fit_unpenalized(ds, w, config=cfg)
+        cols = np.column_stack([np.ones(ds.n), ds.x]) if fit_intercept else ds.x
+        oracle, *_ = np.linalg.lstsq(cols * sw[:, None], z * sw, rcond=None)
+        assert np.allclose(np.concatenate([res.intercepts, res.beta]), oracle, atol=1e-8)
 
 
 def test_composite_j1_equals_median_with_free_intercept():
@@ -82,6 +85,27 @@ def test_expectile_unpenalized_kkt():
         assert res.converged
         resid = kkt_residual(ds, w, loss, 0.0, np.zeros(ds.p), res)
         assert resid <= 1e-6 * ds.n
+
+
+def test_expectile_out_of_iterations_raises():
+    ds, w = random_problem(15, n=150, p=4)
+    loss = LossKind("expectile", tau=0.3)
+    with pytest.raises(NoConvergence):
+        fit_unpenalized(ds, w, loss, FitConfig(loss=loss, max_iter=1))
+
+
+def test_lp_stopped_short_raises(monkeypatch):
+    real = solvers.linprog
+
+    def stopped(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status = 1  # HiGHS: iteration limit reached
+        return res
+
+    monkeypatch.setattr(solvers, "linprog", stopped)
+    ds, w = random_problem(16, n=60, p=3)
+    with pytest.raises(NoConvergence):
+        fit_unpenalized(ds, w, LossKind("median"))
 
 
 # --- adaptive lasso ---------------------------------------------------------
@@ -150,9 +174,10 @@ def test_expectile_lasso_kkt_random_instances():
         ds, w = random_problem(trial + 40, n=90, p=4)
         tau = rng.uniform(0.2, 0.8)
         loss = LossKind("expectile", tau=tau)
-        cfg = FitConfig(loss=loss, lam=90 ** 0.4)
+        cfg = FitConfig(loss=loss, lam=90 ** 0.4, fit_intercept=bool(trial % 2))
         pilot = fit_unpenalized(ds, w, loss, cfg.replace(lam=0.0))
         res = fit_adaptive_lasso(ds, w, cfg, pilot.beta)
+        assert len(res.intercepts) == trial % 2
         omega = adaptive_weights(pilot.beta)
         assert kkt_residual(ds, w, loss, cfg.lam, omega, res) <= 1e-6 * ds.n
 

@@ -206,6 +206,39 @@ def test_select_lambda_records_failures(monkeypatch):
     assert path.best is not path.entries[1]
 
 
+def test_select_lambda_records_unconverged_grid_point():
+    ds, w = problem(seed=0)
+    loss = LossKind("expectile", tau=0.4)
+    steps = fit_unpenalized(ds, w, loss).iterations
+    # the pilot converges within its own step count and lambda = 0 restarts
+    # at the pilot's optimum; the penalized descent needs more sweeps
+    path = select_lambda(ds, w, loss, [0.0, 5.0], BicConfig(),
+                         FitConfig(loss=loss, max_iter=steps))
+    assert not path.entries[0].failed
+    assert path.entries[1].failed
+    assert "did not converge" in path.entries[1].error
+    assert path.best_index == 0
+
+
+def test_select_lambda_normalizes_once_per_path(monkeypatch):
+    ds, w = problem(seed=2, n=100, p=3)
+    loss = LossKind("expectile", tau=0.4)
+    grid = lambda_grid(ds.n)
+    real = tuning.objective_value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "objective_value", counted)
+    path = select_lambda(ds, w, loss, grid, BicConfig())
+    assert len(calls) == 1 + len(grid)
+    pilot = fit_unpenalized(ds, w, loss)
+    for e in path.entries:
+        assert e.score == bic_score(ds, w, e.result, pilot, loss, BicConfig())
+
+
 def test_bic_path_csv(tmp_path):
     ds, w = problem(seed=1, n=100, p=3)
     loss = LossKind("expectile", tau=0.4)
