@@ -20,7 +20,6 @@ from .aggregation import (
 )
 from .data import (
     GenerationSpec,
-    Observation,
     SurvivalDataset,
     calibrate_censoring_bound,
     generate_dataset,
@@ -87,7 +86,6 @@ __all__ = [
     "LambdaRule",
     "LossKind",
     "MethodSpec",
-    "Observation",
     "SimulationReport",
     "SimulationSpec",
     "SurvivalDataset",

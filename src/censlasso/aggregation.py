@@ -119,16 +119,14 @@ def interleaved_split(n: int, K: int) -> GroupAssignment:
     return GroupAssignment(groups=groups, n_used=n_used, n_dropped=n - n_used)
 
 
-def vote_support(group_supports, w: int) -> frozenset[int]:
-    """Coordinates selected by at least w of the group supports."""
-    supports = list(group_supports)
-    if not 1 <= w <= len(supports):
+def vote_support(vote_counts, w: int, K: int) -> frozenset[int]:
+    """Coordinates selected by at least w of the K groups.
+
+    vote_counts[j] is the number of group supports that contain j.
+    """
+    if not 1 <= w <= K:
         raise ValueError("w must satisfy 1 <= w <= K")
-    counts: dict[int, int] = {}
-    for support in supports:
-        for j in support:
-            counts[j] = counts.get(j, 0) + 1
-    return frozenset(j for j, c in counts.items() if c >= w)
+    return frozenset(int(j) for j in np.flatnonzero(np.asarray(vote_counts) >= w))
 
 
 def aggregate(group_results, voted_support, K: int) -> np.ndarray:
@@ -178,7 +176,8 @@ def fit_aggregated(
         global_curve = fit_censoring_km(used)
 
     def fit_group(k: int) -> tuple[EstimatorResult, float]:
-        sub = dataset.subset(assignment.groups[k])
+        # one group is the whole dataset, which is immutable: no copy
+        sub = dataset if plan.K == 1 else dataset.subset(assignment.groups[k])
         curve = global_curve if global_curve is not None else fit_censoring_km(sub)
         weights = ipcw_weights(sub, curve, floor=config.weight_floor)
         if plan.per_group_tuning:
@@ -199,12 +198,10 @@ def fit_aggregated(
 
     results = tuple(r for r, _ in fitted)
     lambdas = tuple(l for _, l in fitted)
-    p = dataset.p
-    vote_counts = np.zeros(p, dtype=np.int64)
+    vote_counts = np.zeros(dataset.p, dtype=np.int64)
     for r in results:
-        for j in r.support:
-            vote_counts[j] += 1
-    voted = vote_support([r.support for r in results], plan.resolved_w)
+        vote_counts[r.beta != 0.0] += 1
+    voted = vote_support(vote_counts, plan.resolved_w, plan.K)
     beta_check = aggregate(results, voted, plan.K)
     return AggregatedResult(
         voted_support=voted,

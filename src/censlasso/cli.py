@@ -18,24 +18,7 @@ import numpy as np
 from . import __version__
 from .aggregation import AggregationPlan, fit_aggregated
 from .data import GenerationSpec, load_csv
-from .errors import (
-    CensLassoError,
-    DegenerateSample,
-    DegenerateWeights,
-    DimensionMismatch,
-    EmptyActiveSet,
-    FullActiveSet,
-    InvalidK,
-    MissingColumn,
-    NoConvergence,
-    NonBinaryDelta,
-    NonFiniteCovariate,
-    NonPositiveTime,
-    RaggedRow,
-    SolverError,
-    TooFewSamples,
-    ZeroNormalizer,
-)
+from .errors import CensLassoError, ConfigError, InputError
 from .kaplan_meier import fit_censoring_km, ipcw_weights
 from .losses import LossKind
 from .simulation import (
@@ -46,39 +29,14 @@ from .simulation import (
     timing_benchmark,
     timing_rows_to_csv,
 )
-from .solvers import FitConfig, fit_adaptive_lasso, fit_unpenalized
+from .solvers import FitConfig
 from .tuning import BicConfig, lambda_grid, select_lambda
 
+# These run inside fit_aggregated.  They stay bound here because the traced
+# benchmark run (perfbench/spans.py) wraps them under this module's name.
+from .solvers import fit_adaptive_lasso, fit_unpenalized  # noqa: F401
+
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_SOLVER = 3
-EXIT_CONFIG = 4
-
-_PARSE_ERRORS = (
-    MissingColumn,
-    NonBinaryDelta,
-    NonFiniteCovariate,
-    NonPositiveTime,
-    RaggedRow,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
-_SOLVER_ERRORS = (
-    SolverError,
-    NoConvergence,
-    DegenerateWeights,
-    DegenerateSample,
-    ZeroNormalizer,
-    EmptyActiveSet,
-    FullActiveSet,
-    TooFewSamples,
-)
-_CONFIG_ERRORS = (ValueError, KeyError, InvalidK, DimensionMismatch)
-
-
-class ConfigError(Exception):
-    pass
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -110,31 +68,27 @@ def _choose_lambda_args(args) -> None:
         raise ConfigError("choose a penalty level with --lambda or --bic")
 
 
-def _fit_full(dataset, method, args):
-    loss = _loss_for_fit(method)
-    curve = fit_censoring_km(dataset)
-    weights = ipcw_weights(dataset, curve)
-    config = FitConfig(
+def _fit_config(args, loss) -> FitConfig:
+    return FitConfig(
         loss=loss,
         lam=0.0 if args.lam is None else args.lam,
         gamma=args.gamma,
         fit_intercept=args.fit_intercept,
     )
-    if args.bic:
-        path = select_lambda(
-            dataset, weights, loss, lambda_grid(dataset.n),
-            BicConfig(penalty_mode=args.penalty_mode), fit_config=config,
-        )
-        return path.best.result, path.best.lam, path
-    pilot = fit_unpenalized(dataset, weights, loss, config.replace(lam=0.0))
-    result = fit_adaptive_lasso(dataset, weights, config, pilot.beta)
-    return result, args.lam, None
 
 
 def cmd_fit(args) -> int:
     dataset = load_csv(args.data)
     method = parse_method(args.method)
-    result, lam, _ = _fit_full(dataset, method, args)
+    loss = _loss_for_fit(method)
+    # the full-data fit is the aggregated fit with one group
+    agg = fit_aggregated(
+        dataset,
+        AggregationPlan(K=1, w=1, per_group_tuning=args.bic),
+        _fit_config(args, loss),
+        bic_config=BicConfig(penalty_mode=args.penalty_mode),
+    )
+    result, lam = agg.group_results[0], agg.group_lambdas[0]
     payload = result.to_dict()
     payload["lambda"] = lam
     payload["method"] = method.label()
@@ -183,14 +137,8 @@ def cmd_aggregate(args) -> int:
     plan = AggregationPlan(
         K=args.K, w=w, per_group_tuning=args.bic, km_scope=args.km_scope
     )
-    config = FitConfig(
-        loss=loss,
-        lam=0.0 if args.lam is None else args.lam,
-        gamma=args.gamma,
-        fit_intercept=args.fit_intercept,
-    )
     agg = fit_aggregated(
-        dataset, plan, config,
+        dataset, plan, _fit_config(args, loss),
         bic_config=BicConfig(penalty_mode=args.penalty_mode),
         n_jobs=args.threads,
     )
@@ -423,19 +371,14 @@ def main(argv=None) -> int:
         if getattr(args, "needs_lambda_choice", False):
             _choose_lambda_args(args)
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(f"censlasso: input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _SOLVER_ERRORS as exc:
-        print(f"censlasso: solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ConfigError, *_CONFIG_ERRORS) as exc:
-        print(f"censlasso: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CensLassoError as exc:
-        print(f"censlasso: error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+        error, group = exc, type(exc)
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        error, group = exc, InputError
+    except (ValueError, KeyError) as exc:
+        error, group = exc, ConfigError
+    print(f"censlasso: {group.prefix}: {error}", file=sys.stderr)
+    return group.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

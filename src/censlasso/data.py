@@ -31,15 +31,6 @@ _CALIBRATION_TOL = 1e-3
 ERROR_FAMILIES = ("standard_gumbel",)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One observed triple (follow-up time, event indicator, covariates)."""
-
-    y: float
-    delta: int
-    x: np.ndarray
-
-
 class SurvivalDataset:
     """Immutable column-oriented container of n right-censored observations.
 
@@ -88,14 +79,6 @@ class SurvivalDataset:
     @property
     def n_events(self) -> int:
         return int(self.delta.sum())
-
-    @property
-    def observations(self) -> list[Observation]:
-        """Row view; built on demand, intended for small datasets."""
-        return [
-            Observation(float(self.y[i]), int(self.delta[i]), self.x[i])
-            for i in range(self.n)
-        ]
 
     def subset(self, indices) -> "SurvivalDataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -301,7 +284,7 @@ def load_csv(path) -> SurvivalDataset:
             raise MissingColumn(
                 f"{path}: header must be y,delta,x1,...,xp; got {','.join(header)}"
             )
-        ys, deltas, rows = [], [], []
+        ys, deltas, rows, linenos = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -322,9 +305,15 @@ def load_csv(path) -> SurvivalDataset:
             ys.append(y)
             deltas.append(int(d))
             rows.append(xs)
+            linenos.append(lineno)
     if not ys:
         raise RaggedRow(f"{path}: no data rows")
-    return SurvivalDataset(np.array(ys), np.array(deltas), np.array(rows))
+    x = np.array(rows)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise NonFiniteCovariate(f"{path}:{lineno}: covariates must be finite")
+    return SurvivalDataset(np.array(ys), np.array(deltas), x)
 
 
 def write_csv(dataset: SurvivalDataset, path) -> None:

@@ -28,10 +28,15 @@ from .errors import (
     FullActiveSet,
     TooFewSamples,
 )
-from .kaplan_meier import fit_censoring_km, ipcw_weights
 from .losses import LossKind, estimate_expectile_index, estimate_quantile_index
-from .solvers import FitConfig, fit_adaptive_lasso, fit_unpenalized
-from .tuning import BicConfig, GRID_SIZE, fixed_lambda, lambda_grid, select_lambda
+from .solvers import FitConfig
+from .tuning import BicConfig, GRID_SIZE, fixed_lambda, lambda_grid
+
+# These run inside fit_aggregated.  They stay bound here because the traced
+# benchmark run (perfbench/spans.py) wraps them under this module's name.
+from .kaplan_meier import fit_censoring_km, ipcw_weights  # noqa: F401
+from .solvers import fit_adaptive_lasso, fit_unpenalized  # noqa: F401
+from .tuning import select_lambda  # noqa: F401
 
 FULL_DATA_LABEL = "full"
 
@@ -304,43 +309,22 @@ def _plan_as_run(
     return replace(plan, per_group_tuning=tuned), lam
 
 
+def _labelled_plans(spec: SimulationSpec) -> list[tuple[str, AggregationPlan]]:
+    """The study's plans under their report labels; the full-data fit, when
+    compared, is the one-group plan under its own label."""
+    full = [(FULL_DATA_LABEL, AggregationPlan(K=1, w=1))] if spec.compare_full_data else []
+    return full + [(plan.label(), plan) for plan in spec.plans]
+
+
 def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
     """All fits for one replication; returns per-(method, plan) records."""
     gen = spec.generation.with_seed(replication_seed(spec.master_seed, index))
     dataset, latents = generate_with_latents(gen, bound=bound)
     bic_config = BicConfig(penalty_mode=spec.penalty_mode)
     records: dict[tuple[str, str], dict] = {}
-
-    full_curve = None
-    full_weights = None
     for method in spec.methods:
         loss = method.resolve(latents.errors)
-        if spec.compare_full_data:
-            if full_curve is None:
-                full_curve = fit_censoring_km(dataset)
-                full_weights = ipcw_weights(dataset, full_curve)
-            t0 = time.perf_counter()
-            bic_index = None
-            if spec.lambda_rule.kind == LambdaRule.BIC_GRID:
-                path = select_lambda(
-                    dataset, full_weights, loss, lambda_grid(dataset.n),
-                    bic_config, fit_config=_fit_config(spec, loss, 0.0),
-                )
-                result = path.best.result
-                bic_index = path.best_index + 1
-            else:
-                lam = fixed_lambda(dataset.n, spec.lambda_rule.j)
-                config = _fit_config(spec, loss, lam)
-                pilot = fit_unpenalized(dataset, full_weights, loss,
-                                        config.replace(lam=0.0))
-                result = fit_adaptive_lasso(dataset, full_weights, config, pilot.beta)
-            seconds = time.perf_counter() - t0
-            records[(method.label(), FULL_DATA_LABEL)] = {
-                "beta": result.beta.tolist(),
-                "seconds": seconds,
-                "bic_indices": [] if bic_index is None else [bic_index],
-            }
-        for plan in spec.plans:
+        for label, plan in _labelled_plans(spec):
             run_plan, lam = _plan_as_run(spec, plan, dataset.n)
             t0 = time.perf_counter()
             agg = fit_aggregated(
@@ -352,7 +336,7 @@ def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
                 grid = lambda_grid(dataset.n // plan.K)
                 for lam_k in agg.group_lambdas:
                     bic_indices.append(int(np.argmin(np.abs(grid - lam_k))) + 1)
-            records[(method.label(), plan.label())] = {
+            records[(method.label(), label)] = {
                 "beta": agg.beta_check.tolist(),
                 "seconds": seconds,
                 "bic_indices": bic_indices,
@@ -395,12 +379,8 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     ]
     successes = [(idx, rec) for idx, rec, err in raw if err is None]
 
-    keys: list[tuple[str, str]] = []
-    for method in spec.methods:
-        if spec.compare_full_data:
-            keys.append((method.label(), FULL_DATA_LABEL))
-        for plan in spec.plans:
-            keys.append((method.label(), plan.label()))
+    keys = [(method.label(), label)
+            for method in spec.methods for label, _ in _labelled_plans(spec)]
 
     active = sorted(gen.active_set)
     beta0 = gen.beta0_array

@@ -1,13 +1,20 @@
 """Weighted unpenalized and adaptive-LASSO estimation for all loss families.
 
 Responses are always log follow-up times; each observation's loss term is
-multiplied by its IPCW weight.  Two solver routes:
+multiplied by its IPCW weight.  Every loss is a sum over levels, each a
+(tau, scale, intercept) triple (`loss_levels`): median is twice the check
+loss at 1/2, quantile and expectile have one level at their tau, composite
+quantile has one level per tau_j with its own intercept.  The fits'
+objectives, `objective_value`, the BIC scores and the `kkt_residual`
+certificate all evaluate the loss level by level through it.  Two solver
+routes:
 
 * median / quantile / composite quantile: linear programming.  The primal
   splits residuals and penalized coefficients into nonnegative parts; what is
-  actually handed to HiGHS is the LP dual (n variables, ~2p rows), which is
-  dramatically faster at large n, and the coefficients are read back off the
-  constraint marginals.  Strong duality is checked on every solve.
+  actually handed to HiGHS is the LP dual (n variables per level, ~2p rows),
+  which is dramatically faster at large n, and the coefficients are read
+  back off the constraint marginals.  Strong duality is checked on every
+  solve.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -92,6 +99,7 @@ class EstimatorResult:
             "objective": float(self.objective),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "duality_gap": None if self.duality_gap is None else float(self.duality_gap),
         }
 
 
@@ -112,15 +120,72 @@ def _active_rows(dataset: SurvivalDataset, weights: IpcwWeights):
     return dataset.x[keep], z, w[keep]
 
 
-def _lp_levels(loss: LossKind):
-    """(taus, loss scale, number of intercepts fitted by the LP itself)."""
-    if loss.family == LossKind.MEDIAN:
-        return np.array([0.5]), 2.0, 0
-    if loss.family == LossKind.QUANTILE:
-        return np.array([loss.tau]), 1.0, 0
+@dataclass(frozen=True)
+class LossLevel:
+    """One level of a loss: scale * rho_tau(z - intercept - x'beta) per row.
+
+    rho_tau is the check function, or for an expectile loss the asymmetric
+    square |tau - 1{u < 0}| u^2.
+    """
+
+    loss: LossKind
+    tau: float
+    scale: float
+    intercept: float
+
+    def residuals(self, z, fitted) -> np.ndarray:
+        return z - self.intercept - fitted
+
+    def values(self, resid) -> np.ndarray:
+        """Each row's loss at its residual."""
+        if self.loss.family == LossKind.EXPECTILE:
+            return pointwise_loss(self.loss, resid)
+        return self.scale * check_loss(self.tau, resid)
+
+    def slopes(self, resid, zero_tol: float):
+        """Derivative of each row's loss in its fitted value, as [lo, hi].
+
+        A check loss has the point value away from its kink and the whole
+        interval scale * [-tau, 1 - tau] at residuals within zero_tol of 0;
+        the expectile loss is differentiable, so lo = hi.
+        """
+        if self.loss.family == LossKind.EXPECTILE:
+            g = expectile_grad(self.tau, resid)
+            return g, g
+        point = np.where(resid < 0.0, 1.0 - self.tau, -self.tau)
+        at_zero = np.abs(resid) <= zero_tol
+        lo = np.where(at_zero, -self.tau, point)
+        hi = np.where(at_zero, 1.0 - self.tau, point)
+        return self.scale * lo, self.scale * hi
+
+
+def loss_levels(loss: LossKind, intercepts=None) -> list[LossLevel]:
+    """How a loss splits into levels, with their intercepts.
+
+    Median is one level (tau 1/2, scale 2), quantile and expectile one at
+    their tau, composite quantile one per tau_j, each with its own
+    intercept.  Without intercepts (None, or an empty sequence for the
+    single-level losses) every level's intercept is 0.
+    """
     if loss.family == LossKind.COMPOSITE_QUANTILE:
-        return loss.taus, 1.0, loss.n_levels
-    raise ValueError(f"{loss.family} is not an LP-family loss")
+        if intercepts is None:
+            intercepts = np.zeros(loss.n_levels)
+        if len(intercepts) != loss.n_levels:
+            raise DimensionMismatch("composite quantile needs one intercept per level")
+        return [LossLevel(loss, float(t), 1.0, float(b))
+                for t, b in zip(loss.taus, intercepts)]
+    b = float(intercepts[0]) if intercepts is not None and len(intercepts) else 0.0
+    if loss.family == LossKind.MEDIAN:
+        return [LossLevel(loss, 0.5, 2.0, b)]
+    return [LossLevel(loss, loss.tau, 1.0, b)]
+
+
+def weighted_loss(loss: LossKind, w, z, fitted, intercepts=None) -> float:
+    """Sum over levels and rows of w_i times the loss at z_i - b - fitted_i."""
+    total = 0.0
+    for level in loss_levels(loss, intercepts):
+        total += float(w @ level.values(level.residuals(z, fitted)))
+    return total
 
 
 def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool):
@@ -132,16 +197,16 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool):
     (equalities when the penalty vanishes).  The coefficient vector is the
     (negated) marginal vector of those rows.
     """
-    taus, scale, n_lp_intercepts = _lp_levels(loss)
-    if fit_intercept and n_lp_intercepts == 0:
-        n_lp_intercepts = 1
+    levels = loss_levels(loss)
+    n_levels = len(levels)
+    has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
+    n_lp_intercepts = n_levels if has_intercepts else 0
     n, p = x.shape
-    n_levels = len(taus)
     lam_w = np.asarray(lam_w, dtype=float)
     penalized = bool(np.any(lam_w > 0.0))
 
-    lo = np.concatenate([-scale * w * (1.0 - t) for t in taus])
-    hi = np.concatenate([scale * w * t for t in taus])
+    lo = np.concatenate([-lv.scale * w * (1.0 - lv.tau) for lv in levels])
+    hi = np.concatenate([lv.scale * w * lv.tau for lv in levels])
     bounds = np.column_stack([lo, hi])
     c = -np.tile(z, n_levels)
 
@@ -176,19 +241,6 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool):
     beta = np.where(np.abs(beta) <= LP_ZERO_THRESHOLD, 0.0, beta)
     dual_objective = -res.fun
     return beta, np.asarray(intercepts, dtype=float), int(res.nit), res.status == 0, dual_objective
-
-
-def _lp_loss_value(x, z, w, loss: LossKind, beta, intercepts):
-    taus, scale, _ = _lp_levels(loss)
-    fitted = x @ beta
-    total = 0.0
-    if loss.family == LossKind.COMPOSITE_QUANTILE:
-        for t, b in zip(taus, intercepts):
-            total += float(w @ check_loss(t, z - b - fitted))
-    else:
-        b = intercepts[0] if len(intercepts) else 0.0
-        total = float(w @ (scale * check_loss(taus[0], z - b - fitted)))
-    return total
 
 
 # --- expectile / least squares: Newton on the frozen sign pattern ----------
@@ -315,7 +367,7 @@ def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
         beta, intercepts, steps, converged, dual_obj = _solve_lp_family(
             x, z, w, loss, lam_w, config.fit_intercept
         )
-        objective = _lp_loss_value(x, z, w, loss, beta, intercepts)
+        objective = weighted_loss(loss, w, z, x @ beta, intercepts)
         objective += float(lam_w @ np.abs(beta))
         gap = abs(objective - dual_obj)
     else:
@@ -329,7 +381,8 @@ def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
         coef, steps, converged = _expectile_newton(
             x, z, w, loss.tau, lam_w, start, config.tol, config.max_iter
         )
-        objective = float(w @ pointwise_loss(loss, z - x @ coef) + lam_w @ np.abs(coef))
+        # the intercept, if any, is inside x @ coef
+        objective = weighted_loss(loss, w, z, x @ coef) + float(lam_w @ np.abs(coef))
         beta, intercepts = coef[k:], coef[:k]
     if not converged:
         raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
@@ -362,18 +415,7 @@ def objective_value(
     w = np.asarray(weights.w, dtype=float)
     if len(w) != dataset.n:
         raise DimensionMismatch("weights and dataset disagree on n")
-    intercepts = np.asarray(intercepts, dtype=float)
-    z = np.log(dataset.y)
-    fitted = dataset.x @ beta
-    if loss.family == LossKind.COMPOSITE_QUANTILE:
-        if len(intercepts) != loss.n_levels:
-            raise DimensionMismatch("composite quantile needs one intercept per level")
-        total = 0.0
-        for t, b in zip(loss.taus, intercepts):
-            total += float(w @ check_loss(t, z - b - fitted))
-    else:
-        b = float(intercepts[0]) if len(intercepts) else 0.0
-        total = float(w @ pointwise_loss(loss, z - b - fitted))
+    total = weighted_loss(loss, w, np.log(dataset.y), dataset.x @ beta, intercepts)
     return total + float(lam * (omega @ np.abs(beta)))
 
 
@@ -388,68 +430,32 @@ def kkt_residual(
 ) -> float:
     """Max over coordinates of the distance of 0 from the subdifferential.
 
-    For expectile losses the loss gradient is single-valued; for the check
-    losses residuals within zero_tol of 0 contribute their full subgradient
-    interval.  Intercept coordinates are included without penalty.
+    Each level contributes its rows' derivative intervals (`LossLevel.slopes`:
+    check-loss residuals within zero_tol of 0 take their whole interval),
+    summed per column.  Intercept coordinates are included without penalty.
     """
     x, z, w = _active_rows(dataset, weights)
-    beta = result.beta
-    omega = np.asarray(adaptive_weights_vec, dtype=float)
-    fitted = x @ beta
-
-    def interval_for(tau, resid, col):
-        point = np.where(np.abs(resid) > zero_tol, tau - (resid < 0.0), 0.0)
-        base = float(-(w * col) @ point)
-        at_zero = np.abs(resid) <= zero_tol
-        lo_c = -(w * col)[at_zero]
-        contrib_lo = np.minimum(lo_c * tau, lo_c * (tau - 1.0)).sum()
-        contrib_hi = np.maximum(lo_c * tau, lo_c * (tau - 1.0)).sum()
-        return base + contrib_lo, base + contrib_hi
-
-    worst = 0.0
-    if loss.family == LossKind.EXPECTILE:
-        resid = z - fitted - (result.intercepts[0] if len(result.intercepts) else 0.0)
-        g = expectile_grad(loss.tau, resid)
-        for j in range(x.shape[1]):
-            gj = float((w * x[:, j]) @ g)
-            lw = lam * omega[j]
-            if beta[j] == 0.0:
-                viol = max(0.0, abs(gj) - lw)
-            else:
-                viol = abs(gj + lw * np.sign(beta[j]))
-            worst = max(worst, viol)
-        if len(result.intercepts):
-            worst = max(worst, abs(float(w @ g)))
-        return worst
-
-    taus, scale, _ = _lp_levels(loss)
-    n_int = len(result.intercepts)
-    residuals = []
-    for lvl, tau in enumerate(taus):
-        b = result.intercepts[lvl] if n_int else 0.0
-        residuals.append(z - b - fitted)
-    for j in range(x.shape[1]):
-        lo = hi = 0.0
-        for tau, resid in zip(taus, residuals):
-            l, h = interval_for(tau, resid, x[:, j])
-            lo += scale * l
-            hi += scale * h
-        lw = lam * omega[j]
-        if beta[j] == 0.0:
-            lo -= lw
-            hi += lw
-        else:
-            lo += lw * np.sign(beta[j])
-            hi += lw * np.sign(beta[j])
-        if lo > 0.0:
-            worst = max(worst, lo)
-        elif hi < 0.0:
-            worst = max(worst, -hi)
-    for lvl, (tau, resid) in enumerate(zip(taus, residuals)):
-        if lvl < n_int:
-            l, h = interval_for(tau, resid, np.ones(len(resid)))
-            if scale * l > 0.0:
-                worst = max(worst, scale * l)
-            elif scale * h < 0.0:
-                worst = max(worst, -scale * h)
-    return worst
+    p, n_int = x.shape[1], len(result.intercepts)
+    levels = loss_levels(loss, result.intercepts)
+    # every level's columns: x, then its own intercept column
+    cols = np.column_stack([x, np.ones(len(z))])
+    pos, neg = np.maximum(cols, 0.0), np.minimum(cols, 0.0)
+    lo = np.zeros(p + len(levels))
+    hi = np.zeros(p + len(levels))
+    fitted = x @ result.beta
+    for k, level in enumerate(levels):
+        d_lo, d_hi = level.slopes(level.residuals(z, fitted), zero_tol)
+        d_lo, d_hi = w * d_lo, w * d_hi
+        # sum_i c_i [d_lo_i, d_hi_i]: a negative c_i swaps the ends
+        at = np.r_[:p, p + k]
+        lo[at] += pos.T @ d_lo + neg.T @ d_hi
+        hi[at] += pos.T @ d_hi + neg.T @ d_lo
+    lo, hi = lo[:p + n_int], hi[:p + n_int]
+    coef = np.concatenate([result.beta, result.intercepts])
+    lam_w = np.concatenate([lam * np.asarray(adaptive_weights_vec, dtype=float),
+                            np.zeros(n_int)])
+    # the penalty's subdifferential: lam_w * sign(b), or [-lam_w, lam_w] at 0
+    at_zero = coef == 0.0
+    lo += np.where(at_zero, -lam_w, lam_w * np.sign(coef))
+    hi += np.where(at_zero, lam_w, lam_w * np.sign(coef))
+    return float(max(lo.max(initial=0.0), -hi.min(initial=0.0)))

@@ -24,6 +24,7 @@ from .solvers import (
     fit_adaptive_lasso,
     fit_unpenalized,
     objective_value,
+    weighted_loss,
 )
 
 PENALTY_MODES = ("log_n_over_n", "log_nu_over_nu")
@@ -135,16 +136,16 @@ def composite_tang_bic_score(
 ) -> float:
     """Alternative composite-quantile criterion: log of the mean weighted
     absolute residual across levels, plus the same support penalty."""
-    z = np.log(dataset.y)
-    fitted = dataset.x @ result.beta
-    w = weights.w
-    n = dataset.n
     levels = len(result.intercepts)
     if levels == 0:
         raise ValueError("composite criterion needs level intercepts")
+    z = np.log(dataset.y)
+    fitted = dataset.x @ result.beta
+    # a level's weighted absolute residual is the median loss at its intercept
+    median = LossKind(LossKind.MEDIAN)
     avg = 0.0
     for b in result.intercepts:
-        avg += float(w @ np.abs(z - b - fitted)) / n
+        avg += weighted_loss(median, weights.w, z, fitted, (b,)) / dataset.n
     avg /= levels
     if avg <= 0.0:
         raise ZeroNormalizer("mean absolute residual is zero; log undefined")

@@ -89,18 +89,19 @@ def test_interleaved_split_partitions(n, K):
 # --- voting and averaging ----------------------------------------------------
 
 def test_vote_support_thresholds():
-    supports = [{0, 1}, {1}, {1, 2}, {1}, {0}]
-    assert vote_support(supports, 2) == {0, 1}
-    assert vote_support(supports, 1) == {0, 1, 2}
-    assert vote_support(supports, 5) == set()
-    assert 2 not in vote_support(supports, 2)  # selected once, w=2
+    # the supports {0, 1}, {1}, {1, 2}, {1}, {0} of K = 5 groups
+    counts = np.array([2, 4, 1])
+    assert vote_support(counts, 2, 5) == {0, 1}
+    assert vote_support(counts, 1, 5) == {0, 1, 2}
+    assert vote_support(counts, 5, 5) == set()
+    assert 2 not in vote_support(counts, 2, 5)  # selected once, w=2
 
 
 def test_vote_support_validates_w():
     with pytest.raises(ValueError):
-        vote_support([{0}], 2)
+        vote_support([1], 2, 1)
     with pytest.raises(ValueError):
-        vote_support([{0}], 0)
+        vote_support([1], 0, 1)
 
 
 def test_aggregate_single_group():
@@ -147,11 +148,14 @@ def test_plan_resolved_w():
 
 # --- full pipeline -----------------------------------------------------------
 
-def test_fit_aggregated_k1_identical_to_full_fit():
+def test_fit_aggregated_k1_identical_to_full_fit(monkeypatch):
     ds = make_problem(150, p=4, seed=3)
     loss = LossKind("expectile", tau=0.4)
     config = FitConfig(loss=loss, lam=150 ** 0.4)
-    agg = fit_aggregated(ds, AggregationPlan(K=1, w=1), config)
+    with monkeypatch.context() as m:
+        # the one group is the dataset itself, not a copy of it
+        m.setattr(SurvivalDataset, "subset", None)
+        agg = fit_aggregated(ds, AggregationPlan(K=1, w=1), config)
     curve = fit_censoring_km(ds)
     weights = ipcw_weights(ds, curve)
     pilot = fit_unpenalized(ds, weights, loss, config.replace(lam=0.0))
@@ -169,6 +173,9 @@ def test_fit_aggregated_support_containment_and_votes():
     assert len(agg.group_results) == 3
     for j in agg.voted_support:
         assert agg.vote_counts[j] >= 2
+    assert agg.vote_counts.tolist() == [
+        sum(j in r.support for r in agg.group_results) for j in range(ds.p)
+    ]
     # beta_check is the plain mean on the voted support
     stacked = np.stack([r.beta for r in agg.group_results])
     for j in agg.voted_support:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from censlasso import cli, errors
 from censlasso.cli import main
 from censlasso.data import GenerationSpec, generate_dataset, write_csv
 
@@ -59,6 +60,7 @@ def test_fit_happy_path(dataset_csv, tmp_path, capsys):
     assert len(payload["beta"]) == 3
     assert payload["lambda"] == 5.0
     assert "support" in payload
+    assert 0.0 <= payload["duality_gap"] <= 1e-6 * 150  # the LP's certificate
     assert "fit:" in capsys.readouterr().out
 
 
@@ -112,7 +114,67 @@ def test_km_nan_covariate_is_input_error(tmp_path, capsys):
     data.write_text("y,delta,x1\n1.5,1,0.25\n2.5,0,nan\n0.5,1,1.0\n")
     code = main(["km", "--data", str(data), "--output", str(tmp_path / "curve.csv")])
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert f"{data}:3:" in err
+
+
+# exit code and message prefix of every exception class in errors.py
+EXIT_CODES = {
+    "CensLassoError": (3, "error"),
+    "InputError": (2, "input error"),
+    "MissingColumn": (2, "input error"),
+    "NonBinaryDelta": (2, "input error"),
+    "NonPositiveTime": (2, "input error"),
+    "RaggedRow": (2, "input error"),
+    "NonFiniteCovariate": (2, "input error"),
+    "EstimationError": (3, "solver error"),
+    "NoConvergence": (3, "solver error"),
+    "DegenerateWeights": (3, "solver error"),
+    "DegenerateSample": (3, "solver error"),
+    "SolverError": (3, "solver error"),
+    "ZeroNormalizer": (3, "solver error"),
+    "EmptyActiveSet": (3, "solver error"),
+    "FullActiveSet": (3, "solver error"),
+    "TooFewSamples": (3, "solver error"),
+    "ConfigError": (4, "configuration error"),
+    "DimensionMismatch": (4, "configuration error"),
+    "InvalidK": (4, "configuration error"),
+}
+
+
+def test_exit_codes_cover_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == set(EXIT_CODES)
+    assert cli.ConfigError is errors.ConfigError
+
+
+BUILTIN_EXIT_CODES = {
+    FileNotFoundError: (2, "input error"),
+    IsADirectoryError: (2, "input error"),
+    PermissionError: (2, "input error"),
+    ValueError: (4, "configuration error"),
+    KeyError: (4, "configuration error"),
+}
+
+
+@pytest.mark.parametrize("cls, expected", [
+    *(pytest.param(getattr(errors, name), EXIT_CODES[name], id=name)
+      for name in sorted(EXIT_CODES)),
+    *(pytest.param(cls, code, id=cls.__name__)
+      for cls, code in BUILTIN_EXIT_CODES.items()),
+])
+def test_error_class_exit_code(cls, expected, monkeypatch, tmp_path, capsys):
+    exc = cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_km", fail)
+    code = main(["km", "--data", "d.csv", "--output", str(tmp_path / "o")])
+    assert code == expected[0]
+    assert capsys.readouterr().err == f"censlasso: {expected[1]}: {exc}\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -152,9 +214,10 @@ def test_aggregate_k1_matches_fit(dataset_csv, tmp_path):
         "aggregate", "--data", dataset_csv, "--method", "expectile:0.3",
         "--lambda", "6.0", "--K", "1", "--w", "1", "--output", str(agg_out),
     ]) == 0
-    fit_beta = json.loads(fit_out.read_text())["beta"]
+    fit_payload = json.loads(fit_out.read_text())
     agg_beta = json.loads(agg_out.read_text())["beta_check"]
-    assert np.allclose(fit_beta, agg_beta, atol=0)
+    assert np.allclose(fit_payload["beta"], agg_beta, atol=0)
+    assert fit_payload["duality_gap"] is None  # no dual on the expectile route
 
 
 def test_simulate_from_config(tmp_path, capsys):

@@ -204,12 +204,3 @@ def test_dataset_immutable():
         ds.y[0] = 5.0
     with pytest.raises(AttributeError):
         ds.y = np.ones(20)
-
-
-def test_observations_view():
-    ds = generate_dataset(paper_spec(5), bound=math.inf)
-    obs = ds.observations
-    assert len(obs) == 5
-    assert obs[2].y == ds.y[2]
-    assert obs[2].delta == ds.delta[2]
-    assert np.array_equal(obs[2].x, ds.x[2])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,31 @@ def test_lp_duality_gap_small():
         res = fit_adaptive_lasso(ds, w, cfg, pilot.beta)
         assert res.duality_gap is not None
         assert res.duality_gap <= 1e-6 * ds.n
+
+
+@pytest.mark.parametrize("loss, fit_intercept", [
+    (LossKind("median"), False),
+    (LossKind("quantile", tau=0.3), False),
+    (LossKind("quantile", tau=0.3), True),
+    (LossKind("composite_quantile", n_levels=3), False),
+], ids=["median", "quantile", "quantile-intercept", "composite"])
+def test_lp_fits_kkt_certificate(loss, fit_intercept):
+    for seed in range(60, 66):
+        ds, w = random_problem(seed, n=150)
+        cfg = FitConfig(loss=loss, lam=150 ** 0.4, fit_intercept=fit_intercept)
+        pilot = fit_unpenalized(ds, w, loss, cfg.replace(lam=0.0))
+        res = fit_adaptive_lasso(ds, w, cfg, pilot.beta)
+        omega = adaptive_weights(pilot.beta)
+        for fit, lam, om in ((pilot, 0.0, np.zeros(ds.p)), (res, cfg.lam, omega)):
+            assert kkt_residual(ds, w, loss, lam, om, fit) <= 1e-9 * ds.n
+            moved = replace(fit, beta=fit.beta + 0.05 * np.eye(ds.p)[0])
+            assert kkt_residual(ds, w, loss, lam, om, moved) > 1.0
+            if len(fit.intercepts):
+                # each level's intercept answers for its own level only
+                shift = np.zeros(len(fit.intercepts))
+                shift[-1] = 0.05
+                moved = replace(fit, intercepts=fit.intercepts + shift)
+                assert kkt_residual(ds, w, loss, lam, om, moved) > 0.05
 
 
 def test_permutation_invariance():
