@@ -6,15 +6,29 @@ multiplied by its IPCW weight.  Every loss is a sum over levels, each a
 loss at 1/2, quantile and expectile have one level at their tau, composite
 quantile has one level per tau_j with its own intercept.  The fits'
 objectives, `objective_value`, the BIC scores and the `kkt_residual`
-certificate all evaluate the loss level by level through it.  Two solver
-routes:
+certificate all evaluate the loss level by level through it; every fit
+carries its KKT residual.  Two solver routes:
 
-* median / quantile / composite quantile: linear programming.  The primal
-  splits residuals and penalized coefficients into nonnegative parts; what is
-  actually handed to HiGHS is the LP dual (n variables per level, ~2p rows),
-  which is dramatically faster at large n, and the coefficients are read
-  back off the constraint marginals.  Strong duality is checked on every
-  solve.
+* median / quantile / composite quantile: a Frisch-Newton interior point
+  on the bounded dual LP (Portnoy & Koenker 1997, with Mehrotra's
+  predictor-corrector).  The dual has one variable per observation and
+  level, boxed by the check-loss slopes times the weight, one zero-sum
+  equality per coefficient and intercept, and the adaptive-L1 penalty as one
+  pseudo-row per penalized coordinate (response 0, box [-lam_j, lam_j]).
+  Each iteration solves one (p + J) x (p + J) system; `max_iter` bounds the
+  iterations and `tol` is the relative complementarity gap at which they
+  stop.  Two kinds of coordinate are set to 0 first: one whose penalty is
+  beyond what its dual constraint can reach (0 at every optimum), and an
+  unpenalized one whose column depends on the intercepts and earlier
+  unpenalized columns (it adds nothing to the fit, so some optimum has it
+  at 0, and keeping it would make the system singular).  A vertex polish
+  then makes the fit exact: p + J rows ranked basic by the interior
+  solution fix the coefficients (a basic pseudo-row is an exact zero), the
+  other duals go to the ends of their boxes by residual sign, and the basic
+  duals must come out inside their boxes.  That check is the
+  optimality certificate, and its dual objective gives the duality gap.  A
+  fit whose iterations stop short or whose vertex fails the check raises
+  `NoConvergence`.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -30,15 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .data import SurvivalDataset
 from .errors import DegenerateWeights, DimensionMismatch, NoConvergence, SolverError
 from .kaplan_meier import IpcwWeights
 from .losses import LossKind, expectile_grad, pointwise_loss, check_loss
-
-LP_ZERO_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,7 @@ class EstimatorResult:
     iterations: int
     converged: bool
     duality_gap: float | None = None
+    kkt_residual: float | None = None
 
     def __post_init__(self):
         self.beta.setflags(write=False)
@@ -100,6 +111,7 @@ class EstimatorResult:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "duality_gap": None if self.duality_gap is None else float(self.duality_gap),
+            "kkt_residual": None if self.kkt_residual is None else float(self.kkt_residual),
         }
 
 
@@ -188,59 +200,361 @@ def weighted_loss(loss: LossKind, w, z, fitted, intercepts=None) -> float:
     return total
 
 
-def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool):
-    """Fit an LP-family loss through the dual linear program.
+# --- median / quantile / composite quantile: Frisch-Newton on the dual -----
 
-    Dual variables a_{ij} (one per observation and quantile level) maximize
-    sum z_i a_{ij} subject to box constraints from the check-loss slopes, one
-    zero-sum row per intercept, and |X' sum_j a_{.j}| <= lam_w coefficientwise
-    (equalities when the penalty vanishes).  The coefficient vector is the
-    (negated) marginal vector of those rows.
+# share of the way to the boundary of the box an interior-point step may go
+_STEP_SHARE = 0.9995
+# relative size below which a residual, or a coefficient's largest
+# contribution to a fitted value, is rounding
+_ROUNDING = 1e-12
+# share of a row's (or column's) norm below which what is left of it after
+# projecting out the ones before it counts as linearly dependent on them
+_DEPENDENT = 1e-9
+# share of the largest diagonal entry added to a singular normal matrix
+_RIDGE = 1e-12
+# doubles per block of design rows that is copied at a time
+_BLOCK = 1 << 18
+
+
+def _row_blocks(x):
+    """Slices covering x's rows, a few MB of x at a time."""
+    step = max(1, _BLOCK // max(x.shape[1], 1))
+    return [slice(s, s + step) for s in range(0, len(x), step)]
+
+
+class _DualRows:
+    """The rows of the bounded dual LP: max resp'a s.t. M'a = 0, lo <= a <= hi.
+
+    Coordinates theta are the slopes of x's columns `cols`, then one
+    intercept per level when the fit has intercepts.  Row (k, i), stored at
+    k * n + i, is observation i at level k: design (x_i[cols], e_k), response
+    z_i, box scale * w_i * [tau_k - 1, tau_k].  Then one pseudo-row per
+    penalized coordinate j: design e_j, response 0, box [-lam_j, lam_j].
+    Neither M nor x[:, cols] is formed: every level shares x, and products
+    with x run over all its columns or over blocks of its rows.
+    """
+
+    def __init__(self, x, z, w, levels, has_intercepts, lam_w, cols):
+        self.x, self.cols, self.n_levels = x, cols, len(levels)
+        self.all_cols = len(cols) == x.shape[1]
+        n = len(x)
+        self.n_obs = self.n_levels * n
+        self.p = len(cols)
+        self.m = self.p + (self.n_levels if has_intercepts else 0)
+        self.pen = np.flatnonzero(lam_w > 0.0)
+        # the largest |entry| of each design column
+        self.col_reach = np.r_[np.maximum(x.max(axis=0, initial=0.0),
+                                          -x.min(axis=0, initial=0.0))[cols],
+                               np.ones(self.m - self.p)]
+        self.resp = np.concatenate([np.tile(z, self.n_levels), np.zeros(len(self.pen))])
+        self.lo = np.concatenate([-lv.scale * (1.0 - lv.tau) * w for lv in levels]
+                                 + [-lam_w[self.pen]])
+        self.hi = np.concatenate([lv.scale * lv.tau * w for lv in levels]
+                                 + [lam_w[self.pen]])
+
+    def _per_level(self, v):
+        return v[:self.n_obs].reshape(self.n_levels, -1)
+
+    def _x_cols(self, rows):
+        return self.x[rows] if self.all_cols else self.x[rows][:, self.cols]
+
+    def fitted(self, theta):
+        """M theta."""
+        slopes = np.zeros(self.x.shape[1])
+        slopes[self.cols] = theta[:self.p]
+        intercepts = np.zeros(self.n_levels)
+        intercepts[:self.m - self.p] = theta[self.p:]
+        rows = self.x @ slopes + intercepts[:, None]
+        return np.concatenate([rows.ravel(), theta[self.pen]])
+
+    def adjoint(self, v):
+        """M'v."""
+        per_level = self._per_level(v)
+        out = np.zeros(self.m)
+        out[:self.p] = (self.x.T @ per_level.sum(axis=0))[self.cols]
+        out[self.p:] = per_level.sum(axis=1)[:self.m - self.p]
+        out[self.pen] += v[self.n_obs:]
+        return out
+
+    def normal(self, q):
+        """M' diag(q) M."""
+        per_level = self._per_level(q)
+        g = np.zeros((self.m, self.m))
+        row_q = per_level.sum(axis=0)
+        for rows in _row_blocks(self.x):
+            xb = self._x_cols(rows)
+            g[:self.p, :self.p] += xb.T @ (xb * row_q[rows, None])
+        if self.m > self.p:
+            cross = (self.x.T @ per_level.T)[self.cols]
+            g[:self.p, self.p:] = cross
+            g[self.p:, :self.p] = cross.T
+            g[self.p:, self.p:] = np.diag(per_level.sum(axis=1))
+        g[self.pen, self.pen] += q[self.n_obs:]
+        return g
+
+    def design(self, rows):
+        """The rows of M with the given indices, as a len(rows) x m array."""
+        rows = np.asarray(rows)
+        out = np.zeros((len(rows), self.m))
+        obs = rows < self.n_obs
+        level, i = np.divmod(rows[obs], len(self.x))
+        out[np.flatnonzero(obs), :self.p] = self._x_cols(i)
+        if self.m > self.p:
+            out[np.flatnonzero(obs), self.p + level] = 1.0
+        out[np.flatnonzero(~obs), self.pen[rows[~obs] - self.n_obs]] = 1.0
+        return out
+
+
+def _max_step(v, dv):
+    """Largest t <= 1 keeping v + t dv > 0 (v > 0), short of the boundary."""
+    fastest = float(np.max(-dv / v))
+    return 1.0 if fastest <= 0.0 else min(1.0, _STEP_SHARE / fastest)
+
+
+def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
+    """Mehrotra predictor-corrector iterations on the bounded dual.
+
+    In x = a - lo, with u = hi - lo and s = u - x, the dual is
+    min -resp'x s.t. M'x = -M'lo, 0 <= x <= u.  Its own dual has the
+    coefficients theta and z, w >= 0 with z - w = M theta - resp: z and w are
+    the negative and positive parts of the residuals.  a = 0 is a strictly
+    feasible start, theta starts at a u-weighted least-squares fit (normal_u
+    is M' diag(u) M), and every step keeps both sides feasible; each
+    iteration forms one m x m matrix M' Q M and solves with it twice
+    (predictor, then corrector).  Returns (a, theta, iterations, failure):
+    failure is None once the complementarity gap x'z + s'w is at most tol
+    times the objective, else why the iterations stopped.
+    """
+    u = lp.hi - lp.lo
+    x, s = -lp.lo, lp.hi.copy()
+    theta = np.linalg.lstsq(normal_u, lp.adjoint(u * lp.resp), rcond=None)[0]
+    r = lp.resp - lp.fitted(theta)
+    # z - w = -r exactly, both strictly positive
+    shift = 1e-3 * max(float(np.mean(np.abs(r))), 1e-12)
+    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    it = 0
+    try:
+        for it in range(int(max_iter) + 1):
+            gap = float(z @ x + w @ s)
+            if gap <= tol * max(1.0, abs(float(lp.resp @ (lp.lo + x)))):
+                return lp.lo + x, theta, it, None
+            if it == max_iter or not np.isfinite(gap):
+                break
+            q = 1.0 / (z / x + w / s)
+            normal = lp.normal(q)
+
+            def direction(sig_x, sig_s):
+                # x dz + z dx = sig_x, s dw - w dx = sig_s, M'dx = 0, dz - dw = M dtheta
+                g = sig_x / x - sig_s / s
+                rhs = lp.adjoint(q * g)
+                try:
+                    dtheta = np.linalg.solve(normal, rhs)
+                except np.linalg.LinAlgError:
+                    # penalized columns that depend on each other leave a
+                    # direction that only their vanishing pseudo-row
+                    # weights pin down: damp it
+                    normal[np.diag_indices_from(normal)] += _RIDGE * np.max(np.diag(normal))
+                    dtheta = np.linalg.solve(normal, rhs)
+                dx = q * (g - lp.fitted(dtheta))
+                return dtheta, dx, (sig_x - z * dx) / x, (sig_s + w * dx) / s
+
+            dtheta, dx, dz, dw = direction(-x * z, -s * w)
+            tp = min(_max_step(x, dx), _max_step(s, -dx))
+            td = min(_max_step(z, dz), _max_step(w, dw))
+            if min(tp, td) < 1.0:
+                # Mehrotra's centering: aim at mu = gap (affine gap / gap)^3 / pairs
+                affine = float((z + td * dz) @ (x + tp * dx) + (w + td * dw) @ (s - tp * dx))
+                mu = gap * (affine / gap) ** 3 / (2 * len(x))
+                dtheta, dx, dz, dw = direction(mu - x * z - dx * dz, mu - s * w + dx * dw)
+                tp = min(_max_step(x, dx), _max_step(s, -dx))
+                td = min(_max_step(z, dz), _max_step(w, dw))
+            x, s = x + tp * dx, s - tp * dx
+            theta, z, w = theta + td * dtheta, z + td * dz, w + td * dw
+    except np.linalg.LinAlgError:
+        return lp.lo + x, theta, it, f"hit a singular system after {it} iterations"
+    return lp.lo + x, theta, it, f"did not converge ({it} iterations)"
+
+
+def _first_independent(vectors, count, dim, want):
+    """Positions, in order, of the first `want` of `count` vectors that are
+    linearly independent; vectors(positions) gives them as rows of length dim.
+
+    Vectors are taken a block at a time: each block is projected off the
+    ones chosen so far at once, and those left with nothing are passed over
+    together, so repeated vectors cost no work of their own.
+    """
+    basis, chosen = np.zeros((want, dim)), []
+    step = max(2 * dim, 64)
+    for start in range(0, count, step):
+        if len(chosen) == want:
+            break
+        rows = vectors(np.arange(start, min(start + step, count)))
+        norms = np.linalg.norm(rows, axis=1)
+        for _ in range(2):  # Gram-Schmidt, twice for stability
+            known = basis[:len(chosen)]
+            rows -= (rows @ known.T) @ known
+        live = np.flatnonzero(np.linalg.norm(rows, axis=1) > _DEPENDENT * norms)
+        # the usual case: the first live vectors are independent, which one
+        # QR shows, as R's diagonal is what each keeps beyond those before it
+        head = live[:want - len(chosen)]
+        if len(head) <= dim:
+            q, r = np.linalg.qr(rows[head].T)
+            if np.all(np.abs(np.diag(r)) > _DEPENDENT * norms[head]):
+                basis[len(chosen):len(chosen) + len(head)] = q.T
+                chosen.extend(start + head)
+                continue
+        while live.size and len(chosen) < want:
+            i, live = live[0], live[1:]
+            v = rows[i] - basis[:len(chosen)].T @ (basis[:len(chosen)] @ rows[i])
+            basis[len(chosen)] = v / np.linalg.norm(v)
+            chosen.append(start + i)
+            rows[live] -= np.outer(rows[live] @ basis[len(chosen) - 1], basis[len(chosen) - 1])
+            live = live[np.linalg.norm(rows[live], axis=1) > _DEPENDENT * norms[live]]
+    return np.array(chosen, dtype=int)
+
+
+def _independent_rows(lp: _DualRows, order, cols):
+    """The first len(cols) rows in `order` whose designs, restricted to the
+    columns `cols`, are linearly independent (None if there are fewer)."""
+    chosen = _first_independent(lambda at: lp.design(order[at])[:, cols],
+                                len(order), len(cols), len(cols))
+    return order[chosen] if len(chosen) == len(cols) else None
+
+
+def _dependent_columns(lp: _DualRows, normal_u):
+    """Unpenalized slope coordinates whose columns of M are linearly
+    dependent on the intercepts' and on the unpenalized columns before them.
+
+    Only these can leave M without full column rank, since a penalized
+    coordinate has its own pseudo-row; they add nothing to the fit and no
+    penalty, so an optimum leaves them at 0.  normal_u = M' diag(u) M with
+    u > 0 answers at once when the columns are clearly independent; else
+    the triangular factor of the observation rows on these columns, which
+    has their inner products, is built a block of rows at a time and its
+    columns are tried in turn.
+    """
+    free = np.r_[lp.p:lp.m, np.setdiff1d(np.arange(lp.p), lp.pen)]
+    sub = normal_u[np.ix_(free, free)]
+    try:
+        if np.all(np.diag(np.linalg.cholesky(sub)) ** 2 > 1e-6 * np.diag(sub)):
+            return np.zeros(0, dtype=int)
+    except np.linalg.LinAlgError:
+        pass
+    r = np.zeros((0, len(free)))
+    n = len(lp.x)
+    for k in range(lp.n_levels):
+        for rows in _row_blocks(lp.x):
+            block = lp.design(k * n + np.arange(n)[rows])[:, free]
+            r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    kept = _first_independent(lambda at: r[:, at].T, len(free), len(r), len(free))
+    return np.setdiff1d(free, free[kept])
+
+
+def _vertex_point(lp: _DualRows, obs, pinned):
+    """The point with the pinned coordinates at exactly 0 and residual 0 on
+    the observation rows `obs`; returns (theta, residuals, flat), `flat`
+    marking the residuals that are 0 up to rounding."""
+    free = np.setdiff1d(np.arange(lp.m), pinned)
+    theta = np.zeros(lp.m)
+    theta[free] = np.linalg.solve(lp.design(obs)[:, free], lp.resp[obs])
+    fitted = lp.fitted(theta)
+    resid = lp.resp - fitted
+    return theta, resid, np.abs(resid) <= _ROUNDING * (np.abs(lp.resp) + np.abs(fitted) + 1.0)
+
+
+def _vertex(lp: _DualRows, basic, a_interior):
+    """The vertex whose basic rows are `basic`, if its duals certify it.
+
+    Basic observation rows get residual 0 and a basic pseudo-row pins its
+    coordinate to exactly 0.  Every non-basic dual sits at the end of its
+    box that its residual's sign selects (a residual 0 up to rounding, as at
+    ties and duplicated rows, keeps its interior dual), and the basic duals
+    solve M'a = 0.  The vertex is optimal iff they lie in their boxes.  A
+    coordinate that is 0 up to rounding at a degenerate vertex is then
+    pinned too, as long as the same duals certify the re-solved point.
+    Returns (theta, dual objective) or None.
+    """
+    obs = basic[basic < lp.n_obs]
+    pinned = lp.pen[basic[basic >= lp.n_obs] - lp.n_obs]
+    free = np.setdiff1d(np.arange(lp.m), pinned)
+    try:
+        theta, resid, flat = _vertex_point(lp, obs, pinned)
+        a = np.where(flat, a_interior, np.where(resid > 0.0, lp.hi, lp.lo))
+        a[basic] = 0.0
+        pull = lp.adjoint(a)
+        design = lp.design(obs)
+        a[obs] = np.linalg.solve(design[:, free].T, -pull[free])
+    except np.linalg.LinAlgError:
+        return None
+    a[lp.n_obs + np.searchsorted(lp.pen, pinned)] = -(pull[pinned] + design[:, pinned].T @ a[obs])
+    slack = 1e-9 * float(np.max(lp.hi[:lp.n_obs] - lp.lo[:lp.n_obs]))
+    if not np.all((a[basic] >= lp.lo[basic] - slack) & (a[basic] <= lp.hi[basic] + slack)):
+        return None
+    rounding = _ROUNDING * (1.0 + float(np.max(np.abs(lp.resp))))
+    zero = np.flatnonzero((theta != 0.0) & (np.abs(theta) * lp.col_reach <= rounding))
+    if zero.size:
+        pins = np.union1d(pinned, zero)
+        rows = _independent_rows(lp, obs, np.setdiff1d(np.arange(lp.m), pins))
+        if rows is not None:
+            snapped, resid, flat = _vertex_point(lp, rows, pins)
+            # complementary slackness of `a` with the re-solved residuals
+            if np.all(flat | ((resid > 0.0) & (a >= lp.hi - slack))
+                      | ((resid < 0.0) & (a <= lp.lo + slack))):
+                theta = snapped
+    return theta, float(lp.resp @ a)
+
+
+def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
+    """Fit an LP-family loss: interior point on the dual, then a vertex.
+
+    A coordinate whose penalty is at least sum_r |m_rj| max(|lo_r|, |hi_r|),
+    the most its dual constraint can see, is 0 at an optimum and is dropped
+    first (this takes the pilot-zero floor's huge penalties out of the
+    interior point), and so is an unpenalized one whose column depends on
+    the others (`_dependent_columns`: duplicated covariates, a constant one
+    beside an intercept, fewer active rows than coordinates).  The interior
+    solution ranks the rows twice, by how far inside its box each dual is
+    and by how small each residual is, and the first m independent rows of
+    either ranking whose vertex certifies itself give the fit.  Returns
+    (beta, intercepts, iterations, dual objective); raises NoConvergence
+    when the iterations stop short or no vertex is certified.
     """
     levels = loss_levels(loss)
-    n_levels = len(levels)
+    p = x.shape[1]
     has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
-    n_lp_intercepts = n_levels if has_intercepts else 0
-    n, p = x.shape
     lam_w = np.asarray(lam_w, dtype=float)
-    penalized = bool(np.any(lam_w > 0.0))
-
-    lo = np.concatenate([-lv.scale * w * (1.0 - lv.tau) for lv in levels])
-    hi = np.concatenate([lv.scale * w * lv.tau for lv in levels])
-    bounds = np.column_stack([lo, hi])
-    c = -np.tile(z, n_levels)
-
-    xt_sum = sp.hstack([sp.csr_matrix(x.T)] * n_levels, format="csr")
-    eq_rows = []
-    if n_lp_intercepts:
-        ones = sp.kron(sp.identity(n_levels, format="csr"), np.ones((1, n)), format="csr")
-        eq_rows.append(ones)
-
-    if penalized:
-        a_ub = sp.vstack([xt_sum, -xt_sum], format="csr")
-        b_ub = np.concatenate([lam_w, lam_w])
-        a_eq = sp.vstack(eq_rows, format="csr") if eq_rows else None
-        b_eq = np.zeros(n_lp_intercepts) if eq_rows else None
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-    else:
-        a_eq = sp.vstack(eq_rows + [xt_sum], format="csr")
-        b_eq = np.zeros(n_lp_intercepts + p)
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-
-    if res.x is None:
-        raise SolverError(f"LP solve failed: {res.message}")
-    if penalized:
-        marg = res.ineqlin.marginals
-        beta = -(marg[:p] - marg[p:2 * p])
-        intercepts = -res.eqlin.marginals[:n_lp_intercepts] if n_lp_intercepts else np.zeros(0)
-    else:
-        marg = res.eqlin.marginals
-        intercepts = -marg[:n_lp_intercepts]
-        beta = -marg[n_lp_intercepts:n_lp_intercepts + p]
-    beta = np.where(np.abs(beta) <= LP_ZERO_THRESHOLD, 0.0, beta)
-    dual_objective = -res.fun
-    return beta, np.asarray(intercepts, dtype=float), int(res.nit), res.status == 0, dual_objective
+    widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
+    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
+    cols = np.flatnonzero(lam_w < reach)
+    lp = _DualRows(x, z, w, levels, has_intercepts, lam_w[cols], cols)
+    steps = 0
+    if lp.m:
+        normal_u = lp.normal(lp.hi - lp.lo)
+        dependent = _dependent_columns(lp, normal_u)
+        if dependent.size:
+            kept = np.delete(np.arange(lp.m), dependent)
+            cols = np.delete(cols, dependent)
+            lp = _DualRows(x, z, w, levels, has_intercepts, lam_w[cols], cols)
+            normal_u = normal_u[np.ix_(kept, kept)]
+        a, theta, steps, failure = _frisch_newton(lp, normal_u, tol, max_iter)
+        if failure is not None:
+            raise NoConvergence(f"{loss.label()} fit {failure}")
+    else:  # every coordinate dropped: the vertex is theta = ()
+        a, theta = np.zeros(len(lp.resp)), np.zeros(0)
+    resid = lp.resp - lp.fitted(theta)
+    inside = np.minimum(a - lp.lo, lp.hi - a) / (lp.hi - lp.lo)
+    for order in (np.argsort(-inside, kind="stable"), np.argsort(np.abs(resid), kind="stable")):
+        basic = _independent_rows(lp, order, np.arange(lp.m))
+        vertex = None if basic is None else _vertex(lp, basic, a)
+        if vertex is not None:
+            break
+    if vertex is None:
+        raise NoConvergence(f"{loss.label()} fit: the interior point converged in {steps} "
+                            "iterations but no vertex it ranked passed the optimality check")
+    theta, dual_objective = vertex
+    beta = np.zeros(p)
+    beta[cols] = theta[:len(cols)]
+    return beta, theta[len(cols):], steps, dual_objective
 
 
 # --- expectile / least squares: Newton on the frozen sign pattern ----------
@@ -364,8 +678,8 @@ def fit_adaptive_lasso(
 def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
     gap = None
     if loss.is_lp_family:
-        beta, intercepts, steps, converged, dual_obj = _solve_lp_family(
-            x, z, w, loss, lam_w, config.fit_intercept
+        beta, intercepts, steps, dual_obj = _solve_lp_family(
+            x, z, w, loss, lam_w, config.fit_intercept, config.tol, config.max_iter
         )
         objective = weighted_loss(loss, w, z, x @ beta, intercepts)
         objective += float(lam_w @ np.abs(beta))
@@ -373,19 +687,20 @@ def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
     else:
         # an intercept is one more column, never penalized
         k = int(config.fit_intercept)
+        cols, pen = x, lam_w
         start = np.zeros(x.shape[1]) if beta_start is None else beta_start
         if k:
-            x = np.column_stack([np.ones(len(z)), x])
-            lam_w = np.concatenate(([0.0], lam_w))
+            cols = np.column_stack([np.ones(len(z)), x])
+            pen = np.concatenate(([0.0], lam_w))
             start = np.concatenate(([0.0], start))
         coef, steps, converged = _expectile_newton(
-            x, z, w, loss.tau, lam_w, start, config.tol, config.max_iter
+            cols, z, w, loss.tau, pen, start, config.tol, config.max_iter
         )
-        # the intercept, if any, is inside x @ coef
-        objective = weighted_loss(loss, w, z, x @ coef) + float(lam_w @ np.abs(coef))
+        # the intercept, if any, is inside cols @ coef
+        objective = weighted_loss(loss, w, z, cols @ coef) + float(pen @ np.abs(coef))
         beta, intercepts = coef[k:], coef[:k]
-    if not converged:
-        raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
+        if not converged:
+            raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
     if gap is not None and gap > 1e-6 * max(1.0, abs(objective)):
         raise SolverError(f"primal-dual objective mismatch: gap={gap}")
     return EstimatorResult(
@@ -395,6 +710,7 @@ def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
         iterations=steps,
         converged=True,
         duality_gap=gap,
+        kkt_residual=_kkt_residual(x, z, w, loss, lam_w, beta, intercepts),
     )
 
 
@@ -435,25 +751,32 @@ def kkt_residual(
     summed per column.  Intercept coordinates are included without penalty.
     """
     x, z, w = _active_rows(dataset, weights)
-    p, n_int = x.shape[1], len(result.intercepts)
-    levels = loss_levels(loss, result.intercepts)
-    # every level's columns: x, then its own intercept column
-    cols = np.column_stack([x, np.ones(len(z))])
-    pos, neg = np.maximum(cols, 0.0), np.minimum(cols, 0.0)
+    lam_w = lam * np.asarray(adaptive_weights_vec, dtype=float)
+    return _kkt_residual(x, z, w, loss, lam_w, result.beta, result.intercepts, zero_tol)
+
+
+def _kkt_residual(x, z, w, loss, lam_w, beta, intercepts, zero_tol: float = 1e-7) -> float:
+    """`kkt_residual` on the active rows, one pass over x per level and no
+    n x p copy of it."""
+    p, n_int = x.shape[1], len(intercepts)
+    levels = loss_levels(loss, intercepts)
     lo = np.zeros(p + len(levels))
     hi = np.zeros(p + len(levels))
-    fitted = x @ result.beta
+    fitted = x @ beta
     for k, level in enumerate(levels):
         d_lo, d_hi = level.slopes(level.residuals(z, fitted), zero_tol)
-        d_lo, d_hi = w * d_lo, w * d_hi
-        # sum_i c_i [d_lo_i, d_hi_i]: a negative c_i swaps the ends
+        # sum_i c_i [d_lo_i, d_hi_i] = c'mid -/+ |c|'half, and half is 0
+        # off the check loss's kink
+        mid, half = w * (d_lo + d_hi) / 2.0, w * (d_hi - d_lo) / 2.0
+        kink = np.flatnonzero(half)
+        spread = np.abs(x[kink]).T @ half[kink]
         at = np.r_[:p, p + k]
-        lo[at] += pos.T @ d_lo + neg.T @ d_hi
-        hi[at] += pos.T @ d_hi + neg.T @ d_lo
+        center = np.r_[x.T @ mid, mid.sum()]
+        lo[at] += center - np.r_[spread, half.sum()]
+        hi[at] += center + np.r_[spread, half.sum()]
     lo, hi = lo[:p + n_int], hi[:p + n_int]
-    coef = np.concatenate([result.beta, result.intercepts])
-    lam_w = np.concatenate([lam * np.asarray(adaptive_weights_vec, dtype=float),
-                            np.zeros(n_int)])
+    coef = np.concatenate([beta, intercepts])
+    lam_w = np.concatenate([lam_w, np.zeros(n_int)])
     # the penalty's subdifferential: lam_w * sign(b), or [-lam_w, lam_w] at 0
     at_zero = coef == 0.0
     lo += np.where(at_zero, -lam_w, lam_w * np.sign(coef))

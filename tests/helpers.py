@@ -150,3 +150,50 @@ def make_weights(w):
 def small_dataset(y, delta, x):
     return SurvivalDataset(np.asarray(y, float), np.asarray(delta, int),
                            np.asarray(x, float))
+
+
+def check_loss_levels(loss):
+    """(tau, scale) of each check-loss level: sum_k scale_k rho_tau_k(u)."""
+    if loss.family == "median":
+        return [(0.5, 2.0)]
+    if loss.family == "quantile":
+        return [(loss.tau, 1.0)]
+    return [(float(t), 1.0) for t in loss.taus]
+
+
+def check_loss_primal_lp(x, z, w, levels, intercepts, lam_w):
+    """The penalized weighted check-loss fit as HiGHS solves its primal LP.
+
+    Minimizes sum_k sum_i scale_k w_i rho_tau_k(u_ki) + sum_j lam_w_j |beta_j|
+    over u_ki = z_i - b_k - x_i'beta, splitting every residual, coefficient
+    and intercept into nonnegative parts: u = u+ - u-, beta = beta+ - beta-,
+    b = b+ - b- (one intercept per level when `intercepts`, none otherwise),
+    with rho_tau(u) = tau u+ + (1 - tau) u-.  Dual simplex, so the solution
+    is a vertex and a coefficient that is not basic is exactly 0.  Returns
+    (beta, b, duals), the duals being the marginals of the equality rows
+    (level-major, one per observation and level).
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    n, p = x.shape
+    L = len(levels)
+    J = L if intercepts else 0
+    design = sp.vstack([sp.csr_matrix(x)] * L)
+    level_ones = sp.kron(sp.identity(L), np.ones((n, 1)))
+    eye = sp.identity(L * n)
+    blocks = [design, -design]
+    if J:
+        blocks += [level_ones, -level_ones]
+    a_eq = sp.hstack(blocks + [eye, -eye], format="csc")
+    cost = np.concatenate(
+        [lam_w, lam_w, np.zeros(2 * J)]
+        + [scale * tau * w for tau, scale in levels]
+        + [scale * (1.0 - tau) * w for tau, scale in levels])
+    res = linprog(cost, A_eq=a_eq, b_eq=np.tile(z, L), bounds=(0, None),
+                  method="highs-ds")
+    assert res.status == 0, res.message
+    v = res.x
+    beta = v[:p] - v[p:2 * p]
+    b = v[2 * p:2 * p + J] - v[2 * p + J:2 * p + 2 * J]
+    return beta, b, res.eqlin.marginals

@@ -239,6 +239,21 @@ def test_fit_aggregated_degenerate_group_aborts():
         fit_aggregated(ds, AggregationPlan(K=2, w=1), FitConfig(loss=loss, lam=1.0))
 
 
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("quantile", tau=0.3),
+                                  LossKind("composite_quantile", n_levels=3)],
+                         ids=["median", "quantile0.3", "composite3"])
+def test_fit_aggregated_groups_with_fewer_active_rows_than_p(loss):
+    # K = 20 leaves 6 rows per group and censoring removes some, so most
+    # groups have no unique pilot; every group must still fit and certify
+    ds = make_problem(120, p=6, seed=0)
+    plan = AggregationPlan(K=20, w=1)
+    active = [int(ipcw_weights(sub, fit_censoring_km(sub)).w.astype(bool).sum())
+              for sub in (ds.subset(g) for g in interleaved_split(ds.n, plan.K).groups)]
+    assert min(active) < ds.p
+    agg = fit_aggregated(ds, plan, FitConfig(loss=loss, lam=1.0))
+    assert all(r.kkt_residual <= 1e-9 * ds.n for r in agg.group_results)
+
+
 def test_fit_aggregated_never_votes_unconverged_groups():
     # one Newton step cannot finish either group's pilot
     ds = generate_dataset(GenerationSpec(n=2000, p=10, beta0=(1.0, -2.0) + (0.0,) * 8, seed=0))

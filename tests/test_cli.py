@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,7 +63,15 @@ def test_fit_happy_path(dataset_csv, tmp_path, capsys):
     assert payload["lambda"] == 5.0
     assert "support" in payload
     assert 0.0 <= payload["duality_gap"] <= 1e-6 * 150  # the LP's certificate
+    assert 0.0 <= payload["kkt_residual"] <= 1e-9 * 150  # exact at the LP's vertex
     assert "fit:" in capsys.readouterr().out
+    assert main([
+        "fit", "--data", dataset_csv, "--method", "expectile:0.37",
+        "--lambda", "5.0", "--output", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["duality_gap"] is None
+    assert 0.0 <= payload["kkt_residual"] <= 1e-6 * 150
 
 
 def test_fit_missing_file_names_path(tmp_path, capsys):
@@ -189,6 +199,19 @@ def test_serial_commands_take_no_threads_flag(command, dataset_csv, tmp_path, ca
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_and_sparse_unloaded():
+    # a fresh interpreter pays ~0.3 s for scipy.optimize and scipy.sparse,
+    # which no fit needs; scipy.stats is loaded only by the study report
+    code = ("import sys, censlasso.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'], "
+            "['scipy', 'stats'])))")
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_tune_emits_twenty_row_path(dataset_csv, tmp_path):

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import censlasso.solvers as solvers
 from censlasso.data import GenerationSpec, generate_dataset
 from censlasso.errors import DegenerateWeights, DimensionMismatch, NoConvergence
 from censlasso.kaplan_meier import IpcwWeights, fit_censoring_km, ipcw_weights
@@ -18,6 +17,8 @@ from censlasso.solvers import (
 )
 
 from helpers import (
+    check_loss_levels,
+    check_loss_primal_lp,
     check_objective_on_grid,
     make_weights,
     naive_objective,
@@ -96,18 +97,123 @@ def test_expectile_out_of_iterations_raises():
         fit_unpenalized(ds, w, loss, FitConfig(loss=loss, max_iter=1))
 
 
-def test_lp_stopped_short_raises(monkeypatch):
-    real = solvers.linprog
-
-    def stopped(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.status = 1  # HiGHS: iteration limit reached
-        return res
-
-    monkeypatch.setattr(solvers, "linprog", stopped)
+def test_lp_stopped_short_raises():
+    # one interior-point step cannot close the gap: max_iter bounds the LP route
     ds, w = random_problem(16, n=60, p=3)
+    loss = LossKind("median")
     with pytest.raises(NoConvergence):
-        fit_unpenalized(ds, w, LossKind("median"))
+        fit_unpenalized(ds, w, loss, FitConfig(loss=loss, max_iter=1))
+
+
+# --- LP route against HiGHS on the primal LP --------------------------------
+
+LP_LOSSES = [LossKind("median"), LossKind("quantile", tau=0.3),
+             LossKind("quantile", tau=0.7), LossKind("composite_quantile", n_levels=3)]
+LP_LOSS_IDS = ["median", "quantile0.3", "quantile0.7", "composite3"]
+
+
+def assert_matches_primal_lp(ds, w, loss, fit_intercept):
+    """Pilot, lam = n^0.4 and an all-zero fit against `check_loss_primal_lp`:
+    objective within 1e-9 relative, identical supports."""
+    keep = w.w > 0.0
+    x, z, ww = ds.x[keep], np.log(ds.y[keep]), w.w[keep]
+    levels = check_loss_levels(loss)
+    intercepts = fit_intercept or loss.family == "composite_quantile"
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    omega = adaptive_weights(pilot.beta)
+    # at beta = 0 the intercept-only fit's duals a certify beta = 0 for
+    # every lam with lam omega_j >= |x_j'a|; 1.5 times that leaves no tie
+    *_, duals = check_loss_primal_lp(x[:, :0], z, ww, levels, intercepts, np.zeros(0))
+    pull = np.abs(np.tile(x, (len(levels), 1)).T @ duals)
+    lam_zero = 1.5 * float(np.max(pull / omega))
+    fits = [(pilot, 0.0)]
+    for lam in (ds.n ** 0.4, lam_zero):
+        fits.append((fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta), lam))
+    for res, lam in fits:
+        beta, b, _ = check_loss_primal_lp(x, z, ww, levels, intercepts, lam * omega)
+        best = naive_objective(ds, w, loss, lam, omega, beta, b)
+        assert abs(res.objective - best) <= 1e-9 * max(1.0, best), (lam, res.objective, best)
+        assert res.support == frozenset(np.flatnonzero(beta).tolist()), lam
+        assert len(res.intercepts) == len(b)
+    assert fits[-1][0].support == frozenset()
+
+
+@pytest.mark.parametrize("n", [60, 150, 400])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_fits_match_primal_lp_oracle(loss, fit_intercept, n):
+    for seed in range(10):
+        ds, w = random_problem(seed, n=n, p=5)
+        assert_matches_primal_lp(ds, w, loss, fit_intercept)
+
+
+@pytest.mark.parametrize("degeneracy", ["tied-responses", "duplicated-rows"])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_fits_match_primal_lp_oracle_degenerate(loss, fit_intercept, degeneracy):
+    for seed in range(10):
+        ds, w = random_problem(seed, n=150, p=5)
+        if degeneracy == "tied-responses":
+            # responses on a 0.25 grid in log scale, covariates on a 0.5 grid
+            z = np.round(np.log(ds.y) * 4.0) / 4.0
+            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
+        else:
+            rows = np.r_[0:ds.n, 0:ds.n:3]
+            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        assert_matches_primal_lp(ds, w, loss, fit_intercept)
+
+
+@pytest.mark.parametrize("dependency", ["duplicated", "constant", "combination"])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_fits_rank_deficient_design(loss, fit_intercept, dependency):
+    # a last column that depends on the others (a constant one only does
+    # beside intercepts) has no unique vertex: the pilot must leave it at 0,
+    # and every fit must reach the oracle's objective with a zero KKT residual
+    intercepts = fit_intercept or loss.family == "composite_quantile"
+    dependent = dependency != "constant" or intercepts
+    for seed in range(5):
+        ds, w = random_problem(seed, n=150, p=4)
+        extra = {"duplicated": ds.x[:, 1], "constant": np.full(ds.n, 3.0),
+                 "combination": ds.x[:, 0] - 2.0 * ds.x[:, 2]}[dependency]
+        ds = small_dataset(ds.y, ds.delta, np.column_stack([ds.x, extra]))
+        keep = w.w > 0.0
+        x, z, ww = ds.x[keep], np.log(ds.y[keep]), w.w[keep]
+        cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+        pilot = fit_unpenalized(ds, w, loss, cfg)
+        assert pilot.beta[-1] == 0.0 or not dependent
+        fits = [(pilot, 0.0, np.zeros(ds.p))]
+        # from the pilot, and with unit adaptive weights, so that penalized
+        # columns depend on each other
+        for lam, beta_tilde in ((ds.n ** 0.4, pilot.beta), (3.0, np.ones(ds.p))):
+            res = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), beta_tilde)
+            fits.append((res, lam, adaptive_weights(beta_tilde)))
+        for res, lam, omega in fits:
+            beta, b, _ = check_loss_primal_lp(x, z, ww, check_loss_levels(loss), intercepts,
+                                              lam * omega)
+            best = naive_objective(ds, w, loss, lam, omega, beta, b)
+            assert abs(res.objective - best) <= 1e-9 * max(1.0, best), (lam, res.objective, best)
+            assert res.kkt_residual <= 1e-9 * ds.n
+
+
+def test_lp_screening_bound_is_tight():
+    # x = 1 and every response positive: at beta = 0 every dual sits at its
+    # upper end, so |x'a| equals the screening bound sum_i w_i max(tau, 1 - tau)
+    # and a penalty just below it must keep the coefficient
+    rng = np.random.default_rng(5)
+    n, tau = 40, 0.7
+    z, wts = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    ds, w = small_dataset(np.exp(z), np.ones(n, dtype=int), np.ones((n, 1))), make_weights(wts)
+    bound = tau * wts.sum()
+    for lam, kept in ((0.9 * bound, True), (1.1 * bound, False)):
+        cfg = FitConfig(loss=LossKind("quantile", tau=tau), lam=lam)
+        res = fit_adaptive_lasso(ds, w, cfg, [1.0])  # adaptive weight 1
+        beta, _, _ = check_loss_primal_lp(ds.x, z, wts, [(tau, 1.0)], False, np.array([lam]))
+        assert res.support == frozenset(np.flatnonzero(beta).tolist()) == (
+            frozenset({0}) if kept else frozenset())
+        best = naive_objective(ds, w, cfg.loss, lam, np.ones(1), beta)
+        assert abs(res.objective - best) <= 1e-9 * best
 
 
 # --- adaptive lasso ---------------------------------------------------------
