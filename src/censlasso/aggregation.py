@@ -179,7 +179,7 @@ def fit_aggregated(
         # one group is the whole dataset, which is immutable: no copy
         sub = dataset if plan.K == 1 else dataset.subset(assignment.groups[k])
         curve = global_curve if global_curve is not None else fit_censoring_km(sub)
-        weights = ipcw_weights(sub, curve, floor=config.weight_floor)
+        weights = ipcw_weights(sub, curve)
         if plan.per_group_tuning:
             path = select_lambda(
                 sub, weights, config.loss, lambda_grid(sub.n), bic_config,

@@ -252,19 +252,17 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
 def cmd_simulate(args) -> int:
     spec = load_simulation_spec(args.config, args.set or ())
     os.makedirs(args.output_dir, exist_ok=True)
-    written: list[str] = []
+    report = run_study(spec, n_jobs=args.threads)
+    report_path = os.path.join(args.output_dir, "report.json")
+    fh = open(report_path, "w", encoding="utf-8")
     try:
-        report = run_study(spec, n_jobs=args.threads)
-        report_path = os.path.join(args.output_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(report.to_json(include_timings=False))
             fh.write("\n")
-        written.append(report_path)
-        written.extend(report.write_csv_tables(args.output_dir))
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
+        # a failed table write removes its own tables; the report goes here
+        report.write_csv_tables(args.output_dir)
+    except BaseException:
+        os.unlink(report_path)
         raise
     for e in report.entries:
         print(
@@ -280,7 +278,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = load_simulation_spec(args.config, args.set or ())
-    rows = timing_benchmark(spec, n_jobs=args.threads)
+    rows = timing_benchmark(spec)
     timing_rows_to_csv(rows, args.output)
     for row in rows:
         if row["phase"] == "total":
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--output", required=True, help="timings CSV")
     p_bench.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    add_threads(p_bench)
     p_bench.set_defaults(func=cmd_bench, needs_lambda_choice=False)
 
     return parser

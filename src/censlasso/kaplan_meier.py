@@ -57,10 +57,6 @@ class IpcwWeights:
     def __post_init__(self):
         self.w.setflags(write=False)
 
-    @property
-    def n_positive(self) -> int:
-        return int(np.count_nonzero(self.w))
-
 
 def fit_censoring_km(dataset: SurvivalDataset) -> CensoringSurvivalCurve:
     """Kaplan-Meier estimate of the censoring survival function.

@@ -6,13 +6,16 @@ data), and accumulates false-zero / false-non-zero percentages, the L1 bias
 on the active set, standardized deviations sqrt(n)(beta_j - beta0_j) for
 normality checks, BIC-minimizer histograms and wall-clock timings.
 Replication seeds are pure functions of (master_seed, replication index), so
-results do not depend on execution order or worker count.
+results do not depend on execution order or worker count.  The timing
+benchmark is the same study's replication 0, run serially through the same
+generate-and-fit loop: one dataset, timed once, then each fit timed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +28,7 @@ from .errors import (
     CensLassoError,
     DegenerateSample,
     EmptyActiveSet,
+    EstimationError,
     FullActiveSet,
     TooFewSamples,
 )
@@ -174,54 +178,59 @@ class SimulationReport:
         raise KeyError(f"no entry for method={method!r} plan={plan!r}")
 
     def write_csv_tables(self, directory) -> list[str]:
-        """Flat CSV exports: selection metrics, deviations, normality, BIC."""
-        import os
-
+        """Flat CSV exports: selection metrics, timings, deviations, normality,
+        BIC minimizers.  A failed write removes the tables already written."""
         written = []
 
         def _open(name):
             path = os.path.join(directory, name)
+            fh = open(path, "w", encoding="utf-8", newline="\n")
             written.append(path)
-            return open(path, "w", encoding="utf-8", newline="\n")
+            return fh
 
-        with _open("selection_metrics.csv") as fh:
-            fh.write(
-                "method,plan,replications_used,false_zero_pct,"
-                "false_nonzero_pct,l1_bias_active\n"
-            )
-            for e in self.entries:
+        try:
+            with _open("selection_metrics.csv") as fh:
                 fh.write(
-                    f"{e.method},{e.plan},{e.replications_used},"
-                    f"{e.false_zero_pct:.17g},{e.false_nonzero_pct:.17g},"
-                    f"{e.l1_bias_active:.17g}\n"
+                    "method,plan,replications_used,false_zero_pct,"
+                    "false_nonzero_pct,l1_bias_active\n"
                 )
-        # wall-clock means live in their own file so every other export is
-        # a deterministic function of the simulation spec
-        with _open("timings.csv") as fh:
-            fh.write("method,plan,mean_fit_seconds\n")
-            for e in self.entries:
-                fh.write(f"{e.method},{e.plan},{e.mean_fit_seconds:.6f}\n")
-        with _open("deviations.csv") as fh:
-            fh.write("method,plan,coordinate,replication,deviation\n")
-            for e in self.entries:
-                for j, values in sorted(e.deviations.items()):
-                    for m, v in enumerate(values):
-                        fh.write(f"{e.method},{e.plan},{j},{m},{v:.17g}\n")
-        with _open("normality.csv") as fh:
-            fh.write("method,plan,coordinate,std_dev,ad_statistic,p_value\n")
-            for e in self.entries:
-                for j, stats in sorted(e.normality.items()):
+                for e in self.entries:
                     fh.write(
-                        f"{e.method},{e.plan},{j},{stats['std_dev']:.17g},"
-                        f"{stats['ad_statistic']:.17g},{stats['p_value']:.17g}\n"
+                        f"{e.method},{e.plan},{e.replications_used},"
+                        f"{e.false_zero_pct:.17g},{e.false_nonzero_pct:.17g},"
+                        f"{e.l1_bias_active:.17g}\n"
                     )
-        with _open("bic_minimizers.csv") as fh:
-            fh.write("method,plan,grid_index,count\n")
-            for e in self.entries:
-                if e.bic_minimizer_counts is None:
-                    continue
-                for j, count in enumerate(e.bic_minimizer_counts, start=1):
-                    fh.write(f"{e.method},{e.plan},{j},{count}\n")
+            # wall-clock means live in their own file so every other export is
+            # a deterministic function of the simulation spec
+            with _open("timings.csv") as fh:
+                fh.write("method,plan,mean_fit_seconds\n")
+                for e in self.entries:
+                    fh.write(f"{e.method},{e.plan},{e.mean_fit_seconds:.6f}\n")
+            with _open("deviations.csv") as fh:
+                fh.write("method,plan,coordinate,replication,deviation\n")
+                for e in self.entries:
+                    for j, values in sorted(e.deviations.items()):
+                        for m, v in enumerate(values):
+                            fh.write(f"{e.method},{e.plan},{j},{m},{v:.17g}\n")
+            with _open("normality.csv") as fh:
+                fh.write("method,plan,coordinate,std_dev,ad_statistic,p_value\n")
+                for e in self.entries:
+                    for j, stats in sorted(e.normality.items()):
+                        fh.write(
+                            f"{e.method},{e.plan},{j},{stats['std_dev']:.17g},"
+                            f"{stats['ad_statistic']:.17g},{stats['p_value']:.17g}\n"
+                        )
+            with _open("bic_minimizers.csv") as fh:
+                fh.write("method,plan,grid_index,count\n")
+                for e in self.entries:
+                    if e.bic_minimizer_counts is None:
+                        continue
+                    for j, count in enumerate(e.bic_minimizer_counts, start=1):
+                        fh.write(f"{e.method},{e.plan},{j},{count}\n")
+        except BaseException:
+            for path in written:
+                os.unlink(path)
+            raise
         return written
 
 
@@ -296,19 +305,6 @@ def _fit_config(spec: SimulationSpec, loss: LossKind, lam: float) -> FitConfig:
     )
 
 
-def _plan_as_run(
-    spec: SimulationSpec, plan: AggregationPlan, n: int
-) -> tuple[AggregationPlan, float]:
-    """The plan as fitted under the study's lambda rule, with its lambda.
-
-    The BIC rule scans a grid in every group (lambda unused, 0); the fixed
-    rule takes grid point j at the group size n // K.
-    """
-    tuned = spec.lambda_rule.kind == LambdaRule.BIC_GRID
-    lam = 0.0 if tuned else fixed_lambda(n // plan.K, spec.lambda_rule.j)
-    return replace(plan, per_group_tuning=tuned), lam
-
-
 def _labelled_plans(spec: SimulationSpec) -> list[tuple[str, AggregationPlan]]:
     """The study's plans under their report labels; the full-data fit, when
     compared, is the one-group plan under its own label."""
@@ -316,23 +312,43 @@ def _labelled_plans(spec: SimulationSpec) -> list[tuple[str, AggregationPlan]]:
     return full + [(plan.label(), plan) for plan in spec.plans]
 
 
-def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
-    """All fits for one replication; returns per-(method, plan) records."""
+def _censoring_bound(gen: GenerationSpec) -> float:
+    """The censoring bound shared by every replication: none at rate 0."""
+    if gen.target_censoring_rate == 0.0:
+        return math.inf
+    return calibrate_censoring_bound(gen, gen.target_censoring_rate)
+
+
+def _run_replication(
+    spec: SimulationSpec, index: int, bound: float
+) -> tuple[float, dict]:
+    """All fits for one replication: the seconds spent generating its data,
+    and per-(method, plan) records of each fit with its seconds.
+
+    The BIC rule scans a grid in every group (lambda unused, 0); the fixed
+    rule takes grid point j at the group size n // K.
+    """
     gen = spec.generation.with_seed(replication_seed(spec.master_seed, index))
+    t0 = time.perf_counter()
     dataset, latents = generate_with_latents(gen, bound=bound)
+    generate_seconds = time.perf_counter() - t0
     bic_config = BicConfig(penalty_mode=spec.penalty_mode)
+    tuned = spec.lambda_rule.kind == LambdaRule.BIC_GRID
     records: dict[tuple[str, str], dict] = {}
     for method in spec.methods:
         loss = method.resolve(latents.errors)
         for label, plan in _labelled_plans(spec):
-            run_plan, lam = _plan_as_run(spec, plan, dataset.n)
+            lam = 0.0 if tuned else fixed_lambda(dataset.n // plan.K, spec.lambda_rule.j)
             t0 = time.perf_counter()
             agg = fit_aggregated(
-                dataset, run_plan, _fit_config(spec, loss, lam), bic_config=bic_config
+                dataset,
+                replace(plan, per_group_tuning=tuned),
+                _fit_config(spec, loss, lam),
+                bic_config=bic_config,
             )
             seconds = time.perf_counter() - t0
             bic_indices = []
-            if run_plan.per_group_tuning:
+            if tuned:
                 grid = lambda_grid(dataset.n // plan.K)
                 for lam_k in agg.group_lambdas:
                     bic_indices.append(int(np.argmin(np.abs(grid - lam_k))) + 1)
@@ -341,7 +357,7 @@ def _run_replication(spec: SimulationSpec, index: int, bound: float) -> dict:
                 "seconds": seconds,
                 "bic_indices": bic_indices,
             }
-    return records
+    return generate_seconds, records
 
 
 def _worker(args):
@@ -359,11 +375,7 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     else is a deterministic function of the spec (timing fields excepted).
     """
     gen = spec.generation
-    if gen.target_censoring_rate == 0.0:
-        bound = math.inf
-    else:
-        bound = calibrate_censoring_bound(gen, gen.target_censoring_rate)
-
+    bound = _censoring_bound(gen)
     jobs = [(spec, m, bound) for m in range(spec.M)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -377,7 +389,13 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
         for idx, _, err in raw
         if err is not None
     ]
-    successes = [(idx, rec) for idx, rec, err in raw if err is None]
+    successes = [out[1] for _, out, err in raw if err is None]
+    if not successes:
+        first = failures[0]
+        raise EstimationError(
+            f"all {len(failures)} replications failed; replication "
+            f"{first['replication']}: {first['error']}"
+        )
 
     keys = [(method.label(), label)
             for method in spec.methods for label, _ in _labelled_plans(spec)]
@@ -386,9 +404,9 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     beta0 = gen.beta0_array
     entries = []
     for key in keys:
-        betas = np.array([rec[key]["beta"] for _, rec in successes])
-        seconds = [rec[key]["seconds"] for _, rec in successes]
-        bic_all = [j for _, rec in successes for j in rec[key]["bic_indices"]]
+        betas = np.array([rec[key]["beta"] for rec in successes])
+        seconds = [rec[key]["seconds"] for rec in successes]
+        bic_all = [j for rec in successes for j in rec[key]["bic_indices"]]
         m_used = len(successes)
         deviations = {
             j: (math.sqrt(gen.n) * (betas[:, j] - beta0[j])).tolist() for j in active
@@ -415,7 +433,7 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
                 l1_bias_active=float(
                     np.mean(np.abs(betas[:, active] - beta0[active]).sum(axis=1))
                 ),
-                mean_fit_seconds=float(np.mean(seconds)) if seconds else 0.0,
+                mean_fit_seconds=float(np.mean(seconds)),
                 deviations=deviations,
                 normality=normality,
                 bic_minimizer_counts=counts,
@@ -430,43 +448,24 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     )
 
 
-def timing_benchmark(spec: SimulationSpec, n_jobs: int = 1) -> list[dict]:
-    """Wall-clock seconds for one replication per plan: data generation, the
-    censoring-curve fit, and each method's aggregated fit, plus the total."""
-    gen = spec.generation
-    bound = (
-        math.inf
-        if gen.target_censoring_rate == 0.0
-        else calibrate_censoring_bound(gen, gen.target_censoring_rate)
+def timing_benchmark(spec: SimulationSpec) -> list[dict]:
+    """Wall-clock seconds of the study's replication 0, run serially.
+
+    Per plan: data generation (one dataset serves every plan, so its time
+    repeats on each plan's rows), each method's aggregated fit, and the
+    total of those.  The full-data comparison is not timed.
+    """
+    generate_seconds, records = _run_replication(
+        replace(spec, compare_full_data=False), 0, _censoring_bound(spec.generation)
     )
     rows = []
     for plan in spec.plans:
-        gen_m = gen.with_seed(replication_seed(spec.master_seed, 0))
-        t_total = time.perf_counter()
-        t0 = time.perf_counter()
-        dataset, latents = generate_with_latents(gen_m, bound=bound)
-        rows.append({"K": plan.K, "phase": "generate", "seconds": time.perf_counter() - t0})
-        run_plan, lam = _plan_as_run(spec, plan, dataset.n)
-        for method in spec.methods:
-            loss = method.resolve(latents.errors)
-            t0 = time.perf_counter()
-            fit_aggregated(
-                dataset,
-                run_plan,
-                _fit_config(spec, loss, lam),
-                bic_config=BicConfig(penalty_mode=spec.penalty_mode),
-                n_jobs=n_jobs,
-            )
-            rows.append(
-                {
-                    "K": plan.K,
-                    "phase": method.label(),
-                    "seconds": time.perf_counter() - t0,
-                }
-            )
-        rows.append(
-            {"K": plan.K, "phase": "total", "seconds": time.perf_counter() - t_total}
-        )
+        fits = [(m.label(), records[(m.label(), plan.label())]["seconds"])
+                for m in spec.methods]
+        rows.append({"K": plan.K, "phase": "generate", "seconds": generate_seconds})
+        rows.extend({"K": plan.K, "phase": label, "seconds": s} for label, s in fits)
+        total = generate_seconds + sum(s for _, s in fits)
+        rows.append({"K": plan.K, "phase": "total", "seconds": total})
     return rows
 
 

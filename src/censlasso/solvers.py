@@ -60,7 +60,6 @@ class FitConfig:
     gamma: float = 1.0
     max_iter: int = 10_000
     tol: float = 1e-8
-    weight_floor: float | None = None
     beta_floor: float = 1e-10
     fit_intercept: bool = False
 

@@ -33,18 +33,13 @@ GRID_SIZE = 20
 
 @dataclass(frozen=True)
 class BicConfig:
-    """Support-penalty variant and the lambda grid to scan."""
+    """Support-penalty variant: log(n)/n or log(events)/events."""
 
     penalty_mode: str = "log_n_over_n"
-    grid: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.penalty_mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.penalty_mode!r}")
-        grid = tuple(float(v) for v in self.grid)
-        if grid and any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("lambda grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)

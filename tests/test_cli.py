@@ -188,13 +188,14 @@ def test_error_class_exit_code(cls, expected, monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["fit", "--method", "median", "--lambda", "1.0"],
-    ["km"],
-    ["tune", "--method", "median"],
+    ["fit", "--method", "median", "--lambda", "1.0", "--data", "d.csv"],
+    ["km", "--data", "d.csv"],
+    ["tune", "--method", "median", "--data", "d.csv"],
+    ["bench", "--config", "study.ini"],
 ])
-def test_serial_commands_take_no_threads_flag(command, dataset_csv, tmp_path, capsys):
-    argv = command + ["--data", dataset_csv, "--output", str(tmp_path / "o"),
-                      "--threads", "2"]
+def test_serial_commands_take_no_threads_flag(command, tmp_path, capsys):
+    # argparse rejects the flag before any input is read
+    argv = command + ["--output", str(tmp_path / "o"), "--threads", "2"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -267,6 +268,33 @@ def test_simulate_rerun_identical_outputs(tmp_path):
     for name in ("report.json", "selection_metrics.csv", "deviations.csv",
                  "normality.csv", "bic_minimizers.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def test_simulate_every_replication_failing_is_solver_error(tmp_path, capsys):
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    outdir = tmp_path / "out"
+    code = main([
+        "simulate", "--config", str(cfg), "--output-dir", str(outdir),
+        "--threads", "1", "--set", "simulation.methods=expectile:0.4",
+        "--set", "aggregation.K=1", "--set", "solvers.max_iter=1",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("censlasso: solver error: all 2 replications failed; "
+                          "replication 0: NoConvergence")
+    assert not (outdir / "report.json").exists()
+
+
+def test_simulate_failed_write_leaves_no_partial_outputs(tmp_path):
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    outdir = tmp_path / "out"
+    (outdir / "timings.csv").mkdir(parents=True)
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(outdir),
+                 "--threads", "1"])
+    assert code == 2
+    assert sorted(os.listdir(outdir)) == ["timings.csv"]
 
 
 def test_simulate_invalid_replications_exits_4(tmp_path):

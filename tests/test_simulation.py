@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from censlasso import simulation
 from censlasso.aggregation import AggregationPlan
 from censlasso.data import GenerationSpec
 from censlasso.errors import (
@@ -250,19 +251,30 @@ def test_report_csv_tables(tmp_path):
     assert len(devs) == 1 + 2 * 2  # two active coordinates x two replications
 
 
-def test_timing_benchmark_rows(tmp_path):
+def test_timing_benchmark_rows(tmp_path, monkeypatch):
     spec = tiny_spec(
         M=1,
+        methods=[MethodSpec("expectile"), MethodSpec("median")],
         plans=[AggregationPlan(K=1, w=1), AggregationPlan(K=2, w=1)],
     )
+    calls = []
+    generate = simulation.generate_with_latents
+
+    def counting_generate(*args, **kwargs):
+        calls.append(1)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "generate_with_latents", counting_generate)
     rows = timing_benchmark(spec)
-    ks = {row["K"] for row in rows}
-    assert ks == {1, 2}
-    totals = [row for row in rows if row["phase"] == "total"]
-    assert len(totals) == 2
+    assert len(calls) == 1  # one dataset serves every plan
+    phases = ["generate", "expectile", "median", "total"]
+    assert [(row["K"], row["phase"]) for row in rows] == [
+        (k, phase) for k in (1, 2) for phase in phases
+    ]
     assert all(row["seconds"] > 0.0 for row in rows)
-    phases = {row["phase"] for row in rows}
-    assert {"generate", "expectile", "total"} <= phases
+    for k in (1, 2):
+        seconds = [row["seconds"] for row in rows if row["K"] == k]
+        assert seconds[-1] == pytest.approx(sum(seconds[:-1]), rel=1e-12)
     out = tmp_path / "timings.csv"
     timing_rows_to_csv(rows, out)
     lines = out.read_text().splitlines()

@@ -253,5 +253,3 @@ def test_bic_path_csv(tmp_path):
 def test_bic_config_validation():
     with pytest.raises(ValueError):
         BicConfig(penalty_mode="nope")
-    with pytest.raises(ValueError):
-        BicConfig(grid=(2.0, 1.0))
