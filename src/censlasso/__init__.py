@@ -58,6 +58,7 @@ from .solvers import (
     FitConfig,
     adaptive_weights,
     fit_adaptive_lasso,
+    fit_adaptive_lasso_path,
     fit_unpenalized,
     kkt_residual,
     objective_value,
@@ -101,6 +102,7 @@ __all__ = [
     "expectile_hess",
     "expectile_loss",
     "fit_adaptive_lasso",
+    "fit_adaptive_lasso_path",
     "fit_aggregated",
     "fit_censoring_km",
     "fit_unpenalized",

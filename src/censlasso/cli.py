@@ -295,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads/processes (1 = fully serial)")
+    def add_threads(p, default, text):
+        p.add_argument("--threads", type=int, default=default, help=text)
 
     def add_fit_flags(p):
         p.add_argument("--data", required=True, help="input CSV (y,delta,x1..xp)")
@@ -341,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--km-scope", default="per_group",
                        choices=["per_group", "global"])
     p_agg.add_argument("--output", required=True)
-    add_threads(p_agg)
+    # serial by default: the group fits are numpy-bound, and a thread pool
+    # over them measured slower than one thread on a 2-core host
+    add_threads(p_agg, 1, "threads that fit the groups (default 1: serial)")
     p_agg.set_defaults(func=cmd_aggregate, needs_lambda_choice=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study from a config file")
@@ -349,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output-dir", required=True)
     p_sim.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-    add_threads(p_sim)
+    add_threads(p_sim, os.cpu_count() or 1,
+                "worker processes over the replications (default: one per CPU; "
+                "1 = fully serial)")
     p_sim.set_defaults(func=cmd_simulate, needs_lambda_choice=False)
 
     p_bench = sub.add_parser("bench", help="timing benchmark from a config file")

@@ -26,6 +26,7 @@ from .aggregation import AggregationPlan, fit_aggregated
 from .data import GenerationSpec, calibrate_censoring_bound, generate_with_latents
 from .errors import (
     CensLassoError,
+    ConfigError,
     DegenerateSample,
     EmptyActiveSet,
     EstimationError,
@@ -121,6 +122,13 @@ class SimulationSpec:
             raise ValueError("need at least one aggregation plan")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "plans", tuple(self.plans))
+        # results are keyed by label: a repeated one would be fitted twice
+        # and reported as two identical entries
+        for kind, items in (("method", self.methods), ("plan", self.plans)):
+            labels = [item.label() for item in items]
+            repeated = next((label for label in labels if labels.count(label) > 1), None)
+            if repeated is not None:
+                raise ConfigError(f"the study lists {kind} {repeated} more than once")
 
 
 @dataclass

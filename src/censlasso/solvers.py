@@ -28,7 +28,12 @@ carries its KKT residual.  Two solver routes:
   duals must come out inside their boxes.  That check is the
   optimality certificate, and its dual objective gives the duality gap.  A
   fit whose iterations stop short or whose vertex fails the check raises
-  `NoConvergence`.
+  `NoConvergence`.  Fits on the same rows that differ only in their
+  penalties (a BIC path, `fit_adaptive_lasso_path`) run as one stack in
+  lockstep (Koenker & Ng 2005): per iteration one batched solve of their
+  normal matrices and per-problem step lengths; each keeps its own
+  vertex, certificates, iteration count and failure.  A single fit is a
+  stack of one.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -41,12 +46,19 @@ carries its KKT residual.  Two solver routes:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SurvivalDataset
-from .errors import DegenerateWeights, DimensionMismatch, NoConvergence, SolverError
+from .errors import (
+    CensLassoError,
+    DegenerateWeights,
+    DimensionMismatch,
+    NoConvergence,
+    SolverError,
+)
 from .kaplan_meier import IpcwWeights
 from .losses import LossKind, expectile_grad, pointwise_loss, check_loss
 
@@ -213,22 +225,31 @@ _DEPENDENT = 1e-9
 _RIDGE = 1e-12
 # doubles per block of design rows that is copied at a time
 _BLOCK = 1 << 18
+# doubles per stacked vector of problems that run in lockstep: a stack's
+# iterations hold a few dozen such vectors
+_STACK = 1 << 14
 
 
-def _row_blocks(x):
-    """Slices covering x's rows, a few MB of x at a time."""
-    step = max(1, _BLOCK // max(x.shape[1], 1))
+def _row_blocks(x, stack=1):
+    """Slices covering x's rows, a few MB of x (times the stack's size) at a time."""
+    step = max(1, _BLOCK // max(x.shape[1] * stack, 1))
     return [slice(s, s + step) for s in range(0, len(x), step)]
 
 
 class _DualRows:
-    """The rows of the bounded dual LP: max resp'a s.t. M'a = 0, lo <= a <= hi.
+    """The rows of bounded dual LPs: max resp'a s.t. M'a = 0, lo <= a <= hi.
 
     Coordinates theta are the slopes of x's columns `cols`, then one
     intercept per level when the fit has intercepts.  Row (k, i), stored at
     k * n + i, is observation i at level k: design (x_i[cols], e_k), response
     z_i, box scale * w_i * [tau_k - 1, tau_k].  Then one pseudo-row per
     penalized coordinate j: design e_j, response 0, box [-lam_j, lam_j].
+    Problems that share M and resp and differ only in their penalties form a
+    stack: lam_w is (len(cols),) for one problem and then lo and hi are
+    vectors, or (B, len(cols)) for B problems that penalize the same
+    coordinates and then lo and hi have one row per problem.  `fitted` and
+    `adjoint` act on the last axis and `normal` on each row of a 2-d q, so
+    one call serves a stack.
     Neither M nor x[:, cols] is formed: every level shares x, and products
     with x run over all its columns or over blocks of its rows.
     """
@@ -240,55 +261,78 @@ class _DualRows:
         self.n_obs = self.n_levels * n
         self.p = len(cols)
         self.m = self.p + (self.n_levels if has_intercepts else 0)
-        self.pen = np.flatnonzero(lam_w > 0.0)
+        self.pen = np.flatnonzero(np.any(lam_w > 0.0, axis=tuple(range(lam_w.ndim - 1))))
         # the largest |entry| of each design column
         self.col_reach = np.r_[np.maximum(x.max(axis=0, initial=0.0),
                                           -x.min(axis=0, initial=0.0))[cols],
                                np.ones(self.m - self.p)]
         self.resp = np.concatenate([np.tile(z, self.n_levels), np.zeros(len(self.pen))])
-        self.lo = np.concatenate([-lv.scale * (1.0 - lv.tau) * w for lv in levels]
-                                 + [-lam_w[self.pen]])
-        self.hi = np.concatenate([lv.scale * lv.tau * w for lv in levels]
-                                 + [lam_w[self.pen]])
+        stack = lam_w.shape[:-1]
+        obs_lo = np.concatenate([-lv.scale * (1.0 - lv.tau) * w for lv in levels])
+        obs_hi = np.concatenate([lv.scale * lv.tau * w for lv in levels])
+        self.lo = np.concatenate([np.broadcast_to(obs_lo, stack + obs_lo.shape),
+                                  -lam_w[..., self.pen]], axis=-1)
+        self.hi = np.concatenate([np.broadcast_to(obs_hi, stack + obs_hi.shape),
+                                  lam_w[..., self.pen]], axis=-1)
+
+    def problem(self, k):
+        """Problem k of a stack, alone."""
+        one = copy.copy(self)
+        one.lo, one.hi = self.lo[k], self.hi[k]
+        return one
 
     def _per_level(self, v):
-        return v[:self.n_obs].reshape(self.n_levels, -1)
+        return v[..., :self.n_obs].reshape(v.shape[:-1] + (self.n_levels, -1))
+
+    def _row_sums(self, v):
+        """Per observation, v summed over the levels."""
+        if self.n_levels == 1:
+            return v[..., :self.n_obs]
+        return self._per_level(v).sum(axis=-2)
 
     def _x_cols(self, rows):
         return self.x[rows] if self.all_cols else self.x[rows][:, self.cols]
 
     def fitted(self, theta):
         """M theta."""
-        slopes = np.zeros(self.x.shape[1])
-        slopes[self.cols] = theta[:self.p]
-        intercepts = np.zeros(self.n_levels)
-        intercepts[:self.m - self.p] = theta[self.p:]
-        rows = self.x @ slopes + intercepts[:, None]
-        return np.concatenate([rows.ravel(), theta[self.pen]])
+        stack = theta.shape[:-1]
+        slopes = theta[..., :self.p]
+        if not self.all_cols:
+            slopes = np.zeros(stack + (self.x.shape[1],))
+            slopes[..., self.cols] = theta[..., :self.p]
+        rows = slopes @ self.x.T
+        if self.m > self.p:  # one intercept per level (only these have levels)
+            rows = (rows[..., None, :] + theta[..., self.p:, None]).reshape(stack + (-1,))
+        if not self.pen.size:
+            return rows
+        return np.concatenate([rows, theta[..., self.pen]], axis=-1)
 
     def adjoint(self, v):
         """M'v."""
-        per_level = self._per_level(v)
-        out = np.zeros(self.m)
-        out[:self.p] = (self.x.T @ per_level.sum(axis=0))[self.cols]
-        out[self.p:] = per_level.sum(axis=1)[:self.m - self.p]
-        out[self.pen] += v[self.n_obs:]
+        xv = self._row_sums(v) @ self.x
+        out = np.empty(v.shape[:-1] + (self.m,))
+        out[..., :self.p] = xv if self.all_cols else xv[..., self.cols]
+        if self.m > self.p:
+            out[..., self.p:] = self._per_level(v).sum(axis=-1)
+        if self.pen.size:
+            out[..., self.pen] += v[..., self.n_obs:]
         return out
 
     def normal(self, q):
-        """M' diag(q) M."""
-        per_level = self._per_level(q)
-        g = np.zeros((self.m, self.m))
-        row_q = per_level.sum(axis=0)
-        for rows in _row_blocks(self.x):
+        """M' diag(q) M, for a stack of q's (B, rows) -> (B, m, m)."""
+        g = np.zeros((len(q), self.m, self.m))
+        row_q = self._row_sums(q)
+        for rows in _row_blocks(self.x, len(q)):
             xb = self._x_cols(rows)
-            g[:self.p, :self.p] += xb.T @ (xb * row_q[rows, None])
+            g[:, :self.p, :self.p] += np.matmul(xb.T, xb * row_q[:, rows, None])
         if self.m > self.p:
-            cross = (self.x.T @ per_level.T)[self.cols]
-            g[:self.p, self.p:] = cross
-            g[self.p:, :self.p] = cross.T
-            g[self.p:, self.p:] = np.diag(per_level.sum(axis=1))
-        g[self.pen, self.pen] += q[self.n_obs:]
+            per_level = self._per_level(q)
+            cross = (per_level @ self.x)[..., self.cols]
+            g[:, self.p:, :self.p] = cross
+            g[:, :self.p, self.p:] = cross.transpose(0, 2, 1)
+            at = np.arange(self.p, self.m)
+            g[:, at, at] = per_level.sum(axis=2)
+        g[:, self.pen, self.pen] += q[:, self.n_obs:]
         return g
 
     def design(self, rows):
@@ -304,74 +348,129 @@ class _DualRows:
         return out
 
 
-def _max_step(v, dv):
-    """Largest t <= 1 keeping v + t dv > 0 (v > 0), short of the boundary."""
-    fastest = float(np.max(-dv / v))
-    return 1.0 if fastest <= 0.0 else min(1.0, _STEP_SHARE / fastest)
+def _step_length(fastest):
+    """Per row, the largest t <= 1 short of the boundary, given the fastest
+    rate max_i -dv_i / v_i at which some v + t dv reaches 0; as a column."""
+    return (_STEP_SHARE / np.maximum(fastest, _STEP_SHARE))[:, None]
+
+
+def _row_dot(u, v):
+    """u_b'v_b for each row b."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _solve_stack(normal, rhs):
+    """Solve normal[b] d_b = rhs[b] for every problem b; returns (d, singular).
+
+    Penalized columns that depend on each other leave a direction that only
+    their vanishing pseudo-row weights pin down: a singular system is damped
+    in place (so later solves with it see the damping) and solved again, and
+    the problems whose systems are still singular are listed, with d_b = 0.
+    """
+    try:
+        return np.linalg.solve(normal, rhs[..., None])[..., 0], []
+    except np.linalg.LinAlgError:
+        pass
+    d, singular = np.zeros_like(rhs), []
+    for b, (g, r) in enumerate(zip(normal, rhs)):
+        try:
+            d[b] = np.linalg.solve(g, r)
+            continue
+        except np.linalg.LinAlgError:
+            g[np.diag_indices_from(g)] += _RIDGE * np.max(np.diag(g))
+        try:
+            d[b] = np.linalg.solve(g, r)
+        except np.linalg.LinAlgError:
+            singular.append(b)
+    return d, singular
 
 
 def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
-    """Mehrotra predictor-corrector iterations on the bounded dual.
+    """Mehrotra predictor-corrector iterations on a stack of bounded duals.
 
     In x = a - lo, with u = hi - lo and s = u - x, the dual is
     min -resp'x s.t. M'x = -M'lo, 0 <= x <= u.  Its own dual has the
     coefficients theta and z, w >= 0 with z - w = M theta - resp: z and w are
     the negative and positive parts of the residuals.  a = 0 is a strictly
     feasible start, theta starts at a u-weighted least-squares fit (normal_u
-    is M' diag(u) M), and every step keeps both sides feasible; each
-    iteration forms one m x m matrix M' Q M and solves with it twice
-    (predictor, then corrector).  Returns (a, theta, iterations, failure):
-    failure is None once the complementarity gap x'z + s'w is at most tol
-    times the objective, else why the iterations stopped.
+    is the stack of M' diag(u) M), and every step keeps both sides feasible.
+    The B problems of lp (rows of lp.lo) move in lockstep: each iteration
+    forms their m x m matrices M' Q M, solves them as one stack twice
+    (predictor, then corrector) and takes each problem's own step lengths.
+    A problem stops once its complementarity gap x'z + s'w is at most tol
+    times its objective, or when it cannot go on.  Returns (a, theta,
+    iterations, failures), a row or entry per problem: failures[b] is None
+    when problem b met tol, else why its iterations stopped.
     """
-    u = lp.hi - lp.lo
-    x, s = -lp.lo, lp.hi.copy()
-    theta = np.linalg.lstsq(normal_u, lp.adjoint(u * lp.resp), rcond=None)[0]
-    r = lp.resp - lp.fitted(theta)
+    lo, resp = lp.lo, lp.resp
+    x, s = -lo, lp.hi.copy()
+    rhs = lp.adjoint((lp.hi - lo) * resp)
+    theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(normal_u, rhs)])
+    r = resp - lp.fitted(theta)
     # z - w = -r exactly, both strictly positive
-    shift = 1e-3 * max(float(np.mean(np.abs(r))), 1e-12)
+    shift = 1e-3 * np.maximum(np.mean(np.abs(r), axis=1, keepdims=True), 1e-12)
     z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
-    it = 0
-    try:
-        for it in range(int(max_iter) + 1):
-            gap = float(z @ x + w @ s)
-            if gap <= tol * max(1.0, abs(float(lp.resp @ (lp.lo + x)))):
-                return lp.lo + x, theta, it, None
-            if it == max_iter or not np.isfinite(gap):
+    a_out, theta_out = np.empty_like(x), np.empty_like(theta)
+    steps, failures = np.zeros(len(x), dtype=int), [None] * len(x)
+    live = np.arange(len(x))  # the problems still iterating, in the rows of the state arrays
+    stuck = []  # rows that hit a singular system: they stay put and stop at the next check
+    for it in range(int(max_iter) + 1):
+        gap = _row_dot(z, x) + _row_dot(w, s)
+        met = gap <= tol * np.maximum(1.0, np.abs((lo + x) @ resp))
+        stop = met | ~np.isfinite(gap)
+        if stuck or it == max_iter:
+            stop[stuck if it < max_iter else slice(None)] = True
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                b = live[k]
+                a_out[b], theta_out[b] = lo[k] + x[k], theta[k]
+                if failures[b] is None:  # a singular system is recorded when met
+                    steps[b] = it
+                    if not met[k]:
+                        failures[b] = f"did not converge ({it} iterations)"
+            keep = ~stop
+            live, lo, x, s, z, w, theta, gap = (v[keep] for v in (live, lo, x, s, z, w, theta, gap))
+            if not len(live):
                 break
-            q = 1.0 / (z / x + w / s)
-            normal = lp.normal(q)
+        q = 1.0 / (z / x + w / s)
+        normal = lp.normal(q)
+        stuck = []
 
-            def direction(sig_x, sig_s):
-                # x dz + z dx = sig_x, s dw - w dx = sig_s, M'dx = 0, dz - dw = M dtheta
-                g = sig_x / x - sig_s / s
-                rhs = lp.adjoint(q * g)
-                try:
-                    dtheta = np.linalg.solve(normal, rhs)
-                except np.linalg.LinAlgError:
-                    # penalized columns that depend on each other leave a
-                    # direction that only their vanishing pseudo-row
-                    # weights pin down: damp it
-                    normal[np.diag_indices_from(normal)] += _RIDGE * np.max(np.diag(normal))
-                    dtheta = np.linalg.solve(normal, rhs)
-                dx = q * (g - lp.fitted(dtheta))
-                return dtheta, dx, (sig_x - z * dx) / x, (sig_s + w * dx) / s
+        def direction(sig_x, sig_s):
+            # x dz + z dx = sig_x, s dw - w dx = sig_s, M'dx = 0, dz - dw = M dtheta
+            g = sig_x / x - sig_s / s
+            dtheta, singular = _solve_stack(normal, lp.adjoint(q * g))
+            stuck.extend(singular)
+            dx = q * (g - lp.fitted(dtheta))
+            return dtheta, dx, (sig_x - z * dx) / x, (sig_s + w * dx) / s
 
-            dtheta, dx, dz, dw = direction(-x * z, -s * w)
-            tp = min(_max_step(x, dx), _max_step(s, -dx))
-            td = min(_max_step(z, dz), _max_step(w, dw))
-            if min(tp, td) < 1.0:
-                # Mehrotra's centering: aim at mu = gap (affine gap / gap)^3 / pairs
-                affine = float((z + td * dz) @ (x + tp * dx) + (w + td * dw) @ (s - tp * dx))
-                mu = gap * (affine / gap) ** 3 / (2 * len(x))
-                dtheta, dx, dz, dw = direction(mu - x * z - dx * dz, mu - s * w + dx * dw)
-                tp = min(_max_step(x, dx), _max_step(s, -dx))
-                td = min(_max_step(z, dz), _max_step(w, dw))
-            x, s = x + tp * dx, s - tp * dx
-            theta, z, w = theta + td * dtheta, z + td * dz, w + td * dw
-    except np.linalg.LinAlgError:
-        return lp.lo + x, theta, it, f"hit a singular system after {it} iterations"
-    return lp.lo + x, theta, it, f"did not converge ({it} iterations)"
+        def lengths(dx, dz, dw):
+            # primal and dual step lengths keeping x, s and z, w positive
+            return (_step_length(np.maximum(-np.min(dx / x, axis=1), np.max(dx / s, axis=1))),
+                    _step_length(-np.minimum(np.min(dz / z, axis=1), np.min(dw / w, axis=1))))
+
+        dtheta, dx, dz, dw = direction(-x * z, -s * w)
+        tp, td = lengths(dx, dz, dw)
+        centre = (np.minimum(tp, td) < 1.0)[:, 0]
+        centred = np.count_nonzero(centre)
+        if centred:
+            # Mehrotra's centering: aim at mu = gap (affine gap / gap)^3 / pairs
+            affine = _row_dot(z + td * dz, x + tp * dx) + _row_dot(w + td * dw, s - tp * dx)
+            mu = (gap * (affine / gap) ** 3 / (2 * x.shape[1]))[:, None]
+            corrected = direction(mu - x * z - dx * dz, mu - s * w + dx * dw)
+            if centred == len(centre):
+                dtheta, dx, dz, dw = corrected
+            else:
+                dtheta, dx, dz, dw = (np.where(centre[:, None], new, old) for new, old
+                                      in zip(corrected, (dtheta, dx, dz, dw)))
+            tp, td = lengths(dx, dz, dw)
+        if stuck:
+            for k in set(stuck):
+                failures[live[k]], steps[live[k]] = f"hit a singular system after {it} iterations", it
+            tp[stuck], td[stuck] = 0.0, 0.0
+        x, s = x + tp * dx, s - tp * dx
+        theta, z, w = theta + td * dtheta, z + td * dz, w + td * dw
+    return a_out, theta_out, steps, failures
 
 
 def _first_independent(vectors, count, dim, want):
@@ -503,57 +602,122 @@ def _vertex(lp: _DualRows, basic, a_interior):
     return theta, float(lp.resp @ a)
 
 
-def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
-    """Fit an LP-family loss: interior point on the dual, then a vertex.
-
-    A coordinate whose penalty is at least sum_r |m_rj| max(|lo_r|, |hi_r|),
-    the most its dual constraint can see, is 0 at an optimum and is dropped
-    first (this takes the pilot-zero floor's huge penalties out of the
-    interior point), and so is an unpenalized one whose column depends on
-    the others (`_dependent_columns`: duplicated covariates, a constant one
-    beside an intercept, fewer active rows than coordinates).  The interior
-    solution ranks the rows twice, by how far inside its box each dual is
-    and by how small each residual is, and the first m independent rows of
-    either ranking whose vertex certifies itself give the fit.  Returns
-    (beta, intercepts, iterations, dual objective); raises NoConvergence
-    when the iterations stop short or no vertex is certified.
-    """
-    levels = loss_levels(loss)
-    p = x.shape[1]
-    has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
-    lam_w = np.asarray(lam_w, dtype=float)
-    widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
-    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
-    cols = np.flatnonzero(lam_w < reach)
-    lp = _DualRows(x, z, w, levels, has_intercepts, lam_w[cols], cols)
-    steps = 0
-    if lp.m:
-        normal_u = lp.normal(lp.hi - lp.lo)
-        dependent = _dependent_columns(lp, normal_u)
-        if dependent.size:
-            kept = np.delete(np.arange(lp.m), dependent)
-            cols = np.delete(cols, dependent)
-            lp = _DualRows(x, z, w, levels, has_intercepts, lam_w[cols], cols)
-            normal_u = normal_u[np.ix_(kept, kept)]
-        a, theta, steps, failure = _frisch_newton(lp, normal_u, tol, max_iter)
-        if failure is not None:
-            raise NoConvergence(f"{loss.label()} fit {failure}")
-    else:  # every coordinate dropped: the vertex is theta = ()
-        a, theta = np.zeros(len(lp.resp)), np.zeros(0)
+def _vertex_of(lp: _DualRows, a, theta):
+    """The vertex of one problem that its interior solution (a, theta) points
+    at: the interior solution ranks the rows twice, by how far inside its box
+    each dual is and by how small each residual is, and the first m
+    independent rows of either ranking whose vertex certifies itself give
+    it.  Returns (theta, dual objective), or None if neither does."""
     resid = lp.resp - lp.fitted(theta)
     inside = np.minimum(a - lp.lo, lp.hi - a) / (lp.hi - lp.lo)
-    for order in (np.argsort(-inside, kind="stable"), np.argsort(np.abs(resid), kind="stable")):
+    for key in (-inside, np.abs(resid)):
+        order = np.argsort(key, kind="stable")
         basic = _independent_rows(lp, order, np.arange(lp.m))
         vertex = None if basic is None else _vertex(lp, basic, a)
         if vertex is not None:
-            break
-    if vertex is None:
-        raise NoConvergence(f"{loss.label()} fit: the interior point converged in {steps} "
-                            "iterations but no vertex it ranked passed the optimality check")
-    theta, dual_objective = vertex
-    beta = np.zeros(p)
-    beta[cols] = theta[:len(cols)]
-    return beta, theta[len(cols):], steps, dual_objective
+            return vertex
+    return None
+
+
+def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
+    """Fit an LP-family loss at each row of penalties lam_w (B x p):
+    interior points on the duals in lockstep, then a vertex per problem.
+
+    A coordinate whose penalty is at least reach_j = sum_r |m_rj|
+    max(|lo_r|, |hi_r|), the most its dual constraint can see, is 0 at every
+    optimum, and a problem screens it out.  Problems run in lockstep stacks
+    of about _STACK doubles per stacked vector, and a stack keeps the union
+    of its problems' columns.  Where a problem screens a column of the
+    union, its penalty is clipped to 2 reach_j: that coordinate's dual
+    constraint is then slack at every feasible a, so it is 0 at every
+    optimum and the problem's optimum set is its screened problem's (this
+    also keeps the pilot-zero floor's huge penalties out of the
+    iterations).  An unpenalized coordinate whose column depends on the
+    others (`_dependent_columns`: duplicated covariates, a constant one
+    beside an intercept, fewer active rows than coordinates) is dropped from
+    every problem; only intercepts and unpenalized columns enter that test,
+    so the first stack answers for all.  Problems that penalize different
+    coordinates (a lambda of 0 beside positive ones) run apart, since a
+    pseudo-row's box cannot be empty.
+
+    Each problem's vertex (`_vertex_of`) is found on its own screened rows
+    from its rows of the interior solution.  With clipped columns the
+    stack's central path is not the problem's own, and at a degenerate
+    optimum its duals can stop too far from their box ends for the vertex
+    check; such a problem whose vertex fails is fitted again alone.  Returns, per problem, (beta,
+    intercepts, iterations, objective, dual objective), or the NoConvergence
+    it raised because its iterations stopped short or no vertex was
+    certified.
+    """
+    patterns = {}
+    for b, row in enumerate(lam_w > 0.0):
+        patterns.setdefault(row.tobytes(), []).append(b)
+    if len(patterns) > 1:
+        outcomes = [None] * len(lam_w)
+        for group in patterns.values():
+            solved = _solve_lp_family(x, z, w, loss, lam_w[group], fit_intercept, tol, max_iter)
+            for b, outcome in zip(group, solved):
+                outcomes[b] = outcome
+        return outcomes
+    levels = loss_levels(loss)
+    p = x.shape[1]
+    has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
+    widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
+    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
+    own = lam_w < reach
+    size = max(1, _STACK // (len(levels) * len(x) + p))
+    dependent = None  # found on the first stack with coordinates
+    outcomes = []
+    for start in range(0, len(lam_w), size):
+        at = slice(start, start + size)
+        cols = np.flatnonzero(own[at].any(axis=0))
+        if dependent is not None:
+            cols = np.setdiff1d(cols, dependent)
+        boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[cols])
+        lp = _DualRows(x, z, w, levels, has_intercepts, boxes, cols)
+        count = len(lp.lo)
+        if lp.m:
+            normal_u = lp.normal(lp.hi - lp.lo)
+            if dependent is None:
+                found = _dependent_columns(lp, normal_u[0])
+                dependent = cols[found]
+                if found.size:
+                    kept = np.delete(np.arange(lp.m), found)
+                    cols, boxes = np.delete(cols, found), np.delete(boxes, found, axis=1)
+                    lp = _DualRows(x, z, w, levels, has_intercepts, boxes, cols)
+                    normal_u = normal_u[:, kept][:, :, kept]
+            a, theta, steps, failures = _frisch_newton(lp, normal_u, tol, max_iter)
+        else:  # every coordinate dropped: the vertex is theta = ()
+            a, theta = np.zeros(lp.lo.shape), np.zeros((count, 0))
+            steps, failures = np.zeros(count, dtype=int), [None] * count
+        for k, b in enumerate(range(start, start + count)):
+            if failures[k] is not None:
+                outcomes.append(NoConvergence(f"{loss.label()} fit {failures[k]}"))
+                continue
+            mine = own[b, cols]
+            if mine.all():  # nothing clipped: the stack's rows are its own
+                vertex = _vertex_of(lp.problem(k), a[k], theta[k])
+            else:
+                one = _DualRows(x, z, w, levels, has_intercepts, lam_w[b, cols[mine]], cols[mine])
+                rows = np.r_[:lp.n_obs, lp.n_obs + np.flatnonzero(mine[lp.pen])]
+                vertex = _vertex_of(one, a[k, rows], theta[k, np.r_[np.flatnonzero(mine), lp.p:lp.m]])
+                if vertex is None:
+                    outcomes += _solve_lp_family(x, z, w, loss, lam_w[b:b + 1], fit_intercept,
+                                                 tol, max_iter)
+                    continue
+            if vertex is None:
+                outcomes.append(NoConvergence(
+                    f"{loss.label()} fit: the interior point converged in {steps[k]} "
+                    "iterations but no vertex it ranked passed the optimality check"))
+                continue
+            coef, dual_objective = vertex
+            beta = np.zeros(p)
+            beta[cols[mine]] = coef[:np.count_nonzero(mine)]
+            intercepts = coef[np.count_nonzero(mine):]
+            objective = weighted_loss(loss, w, z, x @ beta, intercepts)
+            objective += float(lam_w[b] @ np.abs(beta))
+            outcomes.append((beta, intercepts, int(steps[k]), objective, dual_objective))
+    return outcomes
 
 
 # --- expectile / least squares: Newton on the frozen sign pattern ----------
@@ -631,6 +795,28 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
     return beta, int(max_iter), False
 
 
+def _solve_expectile(x, z, w, loss: LossKind, lam_w, config: FitConfig, beta_start):
+    """Fit an expectile / least-squares loss; an intercept is one more
+    column, never penalized.  Returns (beta, intercepts, iterations,
+    objective, None), as `_solve_lp_family` does per problem but without a
+    dual objective; raises NoConvergence."""
+    k = int(config.fit_intercept)
+    cols, pen = x, lam_w
+    start = np.zeros(x.shape[1]) if beta_start is None else beta_start
+    if k:
+        cols = np.column_stack([np.ones(len(z)), x])
+        pen = np.concatenate(([0.0], lam_w))
+        start = np.concatenate(([0.0], start))
+    coef, steps, converged = _expectile_newton(
+        cols, z, w, loss.tau, pen, start, config.tol, config.max_iter
+    )
+    if not converged:
+        raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
+    # the intercept, if any, is inside cols @ coef
+    objective = weighted_loss(loss, w, z, cols @ coef) + float(pen @ np.abs(coef))
+    return coef[k:], coef[:k], steps, objective, None
+
+
 # --- public fitting API ----------------------------------------------------
 
 def fit_unpenalized(
@@ -649,8 +835,7 @@ def fit_unpenalized(
     if loss is None:
         loss = config.loss
     x, z, w = _active_rows(dataset, weights)
-    p = x.shape[1]
-    return _fit(x, z, w, loss, np.zeros(p), config)
+    return _raised(_fit_path(x, z, w, loss, np.zeros((1, x.shape[1])), config)[0])
 
 
 def fit_adaptive_lasso(
@@ -665,41 +850,69 @@ def fit_adaptive_lasso(
     coordinates at zero are floored so the penalty stays defined (and in
     effect pins those coordinates to zero).  Intercepts are never penalized.
     """
+    return _raised(fit_adaptive_lasso_path(dataset, weights, config, beta_tilde, [config.lam])[0])
+
+
+def fit_adaptive_lasso_path(
+    dataset: SurvivalDataset,
+    weights: IpcwWeights,
+    config: FitConfig,
+    beta_tilde,
+    lams,
+) -> list:
+    """`fit_adaptive_lasso` at each lambda of lams (config.lam is not used).
+
+    LP-family fits share their rows, so they run as one lockstep stack of
+    interior points, each with its own vertex and certificates; expectile
+    fits run one after another.  Returns, per lambda, its EstimatorResult or
+    the CensLassoError that fit raised.  Errors of the data themselves
+    (weights, beta_tilde) are raised.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if np.any(lams < 0.0):
+        raise ValueError("lam must be >= 0")
     beta_tilde = np.asarray(beta_tilde, dtype=float)
     x, z, w = _active_rows(dataset, weights)
     if len(beta_tilde) != x.shape[1]:
         raise DimensionMismatch("beta_tilde length must equal p")
     omega = adaptive_weights(beta_tilde, config.gamma, config.beta_floor)
-    lam_w = config.lam * omega
-    return _fit(x, z, w, config.loss, lam_w, config, beta_start=beta_tilde)
+    return _fit_path(x, z, w, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
 
 
-def _fit(x, z, w, loss, lam_w, config, beta_start=None) -> EstimatorResult:
-    gap = None
+def _raised(fit):
+    """A single fit's result; the error it raised is raised."""
+    if isinstance(fit, CensLassoError):
+        raise fit
+    return fit
+
+
+def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
+    """A fit per row of penalties lam_ws, each its EstimatorResult or the
+    CensLassoError it raised: LP-family losses as one `_solve_lp_family`
+    stack, expectile row by row."""
     if loss.is_lp_family:
-        beta, intercepts, steps, dual_obj = _solve_lp_family(
-            x, z, w, loss, lam_w, config.fit_intercept, config.tol, config.max_iter
-        )
-        objective = weighted_loss(loss, w, z, x @ beta, intercepts)
-        objective += float(lam_w @ np.abs(beta))
-        gap = abs(objective - dual_obj)
+        solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
+                                  config.tol, config.max_iter)
     else:
-        # an intercept is one more column, never penalized
-        k = int(config.fit_intercept)
-        cols, pen = x, lam_w
-        start = np.zeros(x.shape[1]) if beta_start is None else beta_start
-        if k:
-            cols = np.column_stack([np.ones(len(z)), x])
-            pen = np.concatenate(([0.0], lam_w))
-            start = np.concatenate(([0.0], start))
-        coef, steps, converged = _expectile_newton(
-            cols, z, w, loss.tau, pen, start, config.tol, config.max_iter
-        )
-        # the intercept, if any, is inside cols @ coef
-        objective = weighted_loss(loss, w, z, cols @ coef) + float(pen @ np.abs(coef))
-        beta, intercepts = coef[k:], coef[:k]
-        if not converged:
-            raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
+        solved = [_attempt(_solve_expectile, x, z, w, loss, lam_w, config, beta_start)
+                  for lam_w in lam_ws]
+    return [fit if isinstance(fit, CensLassoError)
+            else _attempt(_certified, x, z, w, loss, lam_w, *fit)
+            for lam_w, fit in zip(lam_ws, solved)]
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the CensLassoError it raised."""
+    try:
+        return fn(*args)
+    except CensLassoError as exc:
+        return exc
+
+
+def _certified(x, z, w, loss, lam_w, beta, intercepts, steps, objective, dual_objective):
+    """The fit's result with its certificates: the duality gap (LP route)
+    must be small, and the KKT residual is attached."""
+    gap = None if dual_objective is None else abs(objective - dual_objective)
     if gap is not None and gap > 1e-6 * max(1.0, abs(objective)):
         raise SolverError(f"primal-dual objective mismatch: gap={gap}")
     return EstimatorResult(

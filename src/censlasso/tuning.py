@@ -22,6 +22,7 @@ from .solvers import (
     EstimatorResult,
     FitConfig,
     fit_adaptive_lasso,
+    fit_adaptive_lasso_path,
     fit_unpenalized,
     objective_value,
     weighted_loss,
@@ -158,9 +159,11 @@ def select_lambda(
 ) -> BicPath:
     """Fit the pilot once, then one adaptive-LASSO fit per grid value.
 
-    Grid points whose fit fails (a solver error, or a fit that did not
-    converge) are recorded with their error and skipped; ties in the score
-    resolve to the smallest lambda.
+    LP-family grid values run as one lockstep path
+    (`fit_adaptive_lasso_path`); expectile ones as one `fit_adaptive_lasso`
+    call each.  Grid points whose fit fails (a solver error, or a fit that
+    did not converge) are recorded with their error and skipped; ties in the
+    score resolve to the smallest lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -170,15 +173,12 @@ def select_lambda(
     pilot = fit_unpenalized(dataset, weights, loss, fit_config.replace(lam=0.0))
     normalizer = _loss_at(dataset, weights, loss, pilot)
     entries = []
-    for lam in grid:
+    for lam, fit in zip(grid, _grid_fits(dataset, weights, loss, grid, fit_config, pilot)):
         try:
-            result = fit_adaptive_lasso(
-                dataset, weights, fit_config.replace(loss=loss, lam=lam), pilot.beta
-            )
-            score = bic_score(dataset, weights, result, pilot, loss, config, normalizer)
-            entries.append(
-                BicPathEntry(lam, score, len(result.support), result)
-            )
+            if isinstance(fit, CensLassoError):
+                raise fit
+            score = bic_score(dataset, weights, fit, pilot, loss, config, normalizer)
+            entries.append(BicPathEntry(lam, score, len(fit.support), fit))
         except CensLassoError as exc:  # recorded and skipped
             entries.append(BicPathEntry(lam, None, None, None, error=str(exc)))
     scores = [e.score for e in entries]
@@ -188,3 +188,20 @@ def select_lambda(
         (i for i, s in enumerate(scores) if s is not None), key=lambda i: scores[i]
     )
     return BicPath(entries=tuple(entries), best_index=best_index)
+
+
+def _grid_fits(dataset, weights, loss, grid, fit_config, pilot) -> list:
+    """Per grid value, its adaptive-LASSO fit or the CensLassoError it raised."""
+    if loss.is_lp_family:
+        return fit_adaptive_lasso_path(
+            dataset, weights, fit_config.replace(loss=loss), pilot.beta, grid
+        )
+    fits = []
+    for lam in grid:
+        try:
+            fits.append(fit_adaptive_lasso(
+                dataset, weights, fit_config.replace(loss=loss, lam=lam), pilot.beta
+            ))
+        except CensLassoError as exc:
+            fits.append(exc)
+    return fits

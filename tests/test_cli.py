@@ -244,6 +244,23 @@ def test_aggregate_k1_matches_fit(dataset_csv, tmp_path):
     assert fit_payload["duality_gap"] is None  # no dual on the expectile route
 
 
+def test_aggregate_defaults_to_serial_group_fits(dataset_csv, tmp_path, monkeypatch):
+    from censlasso import aggregation
+
+    argv = ["aggregate", "--data", dataset_csv, "--method", "median", "--lambda", "4.0",
+            "--K", "3", "--w", "2"]
+    threaded = tmp_path / "threaded.json"
+    assert main(argv + ["--threads", "2", "--output", str(threaded)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default aggregate run used the thread pool")
+
+    monkeypatch.setattr(aggregation, "ThreadPoolExecutor", no_pool)
+    serial = tmp_path / "serial.json"
+    assert main(argv + ["--output", str(serial)]) == 0
+    assert serial.read_text() == threaded.read_text()
+
+
 def test_simulate_from_config(tmp_path, capsys):
     cfg = tmp_path / "study.ini"
     cfg.write_text(CONFIG_TEXT)
@@ -305,6 +322,24 @@ def test_simulate_invalid_replications_exits_4(tmp_path):
         "--set", "simulation.replications=0",
     ])
     assert code == 4
+
+
+@pytest.mark.parametrize("override, label", [
+    ("aggregation.K=2,2", "plan K=2,w=1"),
+    ("simulation.methods=expectile,median,expectile", "method expectile"),
+], ids=["plan", "method"])
+def test_simulate_repeated_label_is_config_error(override, label, tmp_path, capsys):
+    # results are keyed by label: a repeated plan or method would be fitted
+    # twice and reported as two identical rows
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    outdir = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(outdir),
+                 "--threads", "1", "--set", override])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"censlasso: configuration error: the study lists {label} more than once\n")
+    assert not outdir.exists()
 
 
 def test_simulate_missing_config_exits_2(tmp_path):

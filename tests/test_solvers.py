@@ -2,15 +2,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censlasso.data import GenerationSpec, generate_dataset
-from censlasso.errors import DegenerateWeights, DimensionMismatch, NoConvergence
+from censlasso.errors import (
+    CensLassoError,
+    DegenerateWeights,
+    DimensionMismatch,
+    NoConvergence,
+)
 from censlasso.kaplan_meier import IpcwWeights, fit_censoring_km, ipcw_weights
 from censlasso.losses import LossKind
 from censlasso.solvers import (
+    EstimatorResult,
     FitConfig,
     adaptive_weights,
     fit_adaptive_lasso,
+    fit_adaptive_lasso_path,
     fit_unpenalized,
     kkt_residual,
     objective_value,
@@ -214,6 +223,164 @@ def test_lp_screening_bound_is_tight():
             frozenset({0}) if kept else frozenset())
         best = naive_objective(ds, w, cfg.loss, lam, np.ones(1), beta)
         assert abs(res.objective - best) <= 1e-9 * best
+
+
+# --- lockstep paths against per-point fits ----------------------------------
+
+def assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, lams):
+    """fit_adaptive_lasso_path against one fit_adaptive_lasso per lambda:
+    objective within 1e-9 relative, identical supports, KKT residual at most
+    1e-9 n; a point whose own fit raises must carry the same error class."""
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    path = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+    omega = adaptive_weights(beta_tilde)
+    assert len(path) == len(lams)
+    for lam, fit in zip(lams, path):
+        try:
+            alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), beta_tilde)
+        except CensLassoError as exc:
+            assert type(fit) is type(exc), (lam, fit, exc)
+            continue
+        assert isinstance(fit, EstimatorResult), (lam, fit)
+        best = alone.objective
+        assert abs(fit.objective - best) <= 1e-9 * max(1.0, abs(best)), (lam, fit.objective, best)
+        assert fit.support == alone.support, lam
+        assert len(fit.intercepts) == len(alone.intercepts)
+        assert kkt_residual(ds, w, loss, lam, omega, fit) <= 1e-9 * ds.n, lam
+
+
+def path_lambdas(n):
+    """Every fourth BIC grid value, 0 (nothing penalized: a stack of its own)
+    and 1e6, at which every coordinate is screened out."""
+    return [0.0, *(n ** (0.5 - 1.0 / (10.0 * j)) for j in range(1, 21, 4)), 1e6]
+
+
+def path_pilot(ds, w, loss, fit_intercept, seed):
+    """The pilot, with one coordinate at exactly 0 on odd seeds (its penalty
+    is then the 1e10 floor's)."""
+    pilot = fit_unpenalized(ds, w, loss, FitConfig(loss=loss, fit_intercept=fit_intercept))
+    beta = pilot.beta.copy()
+    if seed % 2:
+        beta[2] = 0.0
+    return beta
+
+
+@pytest.mark.parametrize("n", [150, 400])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_path_matches_per_point_fits(loss, fit_intercept, n):
+    for seed in range(10):
+        ds, w = random_problem(seed, n=n, p=5)
+        beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
+        path = fit_adaptive_lasso_path(ds, w, FitConfig(loss=loss, fit_intercept=fit_intercept),
+                                       beta_tilde, [1e6])
+        assert path[0].support == frozenset()
+        assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, path_lambdas(n))
+
+
+@pytest.mark.parametrize("degeneracy", ["tied-responses", "duplicated-rows"])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_path_matches_per_point_fits_degenerate(loss, fit_intercept, degeneracy):
+    for seed in range(10):
+        ds, w = random_problem(seed, n=150, p=5)
+        if degeneracy == "tied-responses":
+            z = np.round(np.log(ds.y) * 4.0) / 4.0
+            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
+        else:
+            rows = np.r_[0:ds.n, 0:ds.n:3]
+            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
+        assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde,
+                                           path_lambdas(ds.n))
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_lp_path_rank_deficient_design(loss, fit_intercept):
+    # a duplicated column with unit adaptive weights: the stacked normal
+    # matrices are singular and only their own problems' systems are damped;
+    # the optimum is not unique (any split of the duplicated coefficient), so
+    # objectives and certificates are compared, not supports
+    lams = [1.0, 3.0, 10.0, 30.0]
+    for seed in range(5):
+        ds, w = random_problem(seed, n=150, p=4)
+        ds = small_dataset(ds.y, ds.delta, np.column_stack([ds.x, ds.x[:, 1]]))
+        cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+        path = fit_adaptive_lasso_path(ds, w, cfg, np.ones(ds.p), lams)
+        for lam, fit in zip(lams, path):
+            alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), np.ones(ds.p))
+            assert abs(fit.objective - alone.objective) <= 1e-9 * alone.objective, lam
+            assert kkt_residual(ds, w, loss, lam, np.ones(ds.p), fit) <= 1e-9 * ds.n, lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60), p=st.integers(1, 4),
+       loss=st.sampled_from(LP_LOSSES), fit_intercept=st.booleans(),
+       lams=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6))
+def test_lp_path_matches_per_point_fits_property(seed, n, p, loss, fit_intercept, lams):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(1.0, 1.0, (n, p))
+    z = x @ rng.normal(0.0, 1.5, p) + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int), x)
+    w = make_weights(rng.uniform(0.5, 2.0, n))
+    # some pilot coordinates exactly 0: the 1e10 floor's penalties
+    beta_tilde = rng.normal(0.0, 1.0, p) * (rng.uniform(size=p) > 0.25)
+    assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, lams)
+
+
+def test_lp_path_points_stop_on_their_own():
+    # each point of a stack freezes when it meets tol and keeps its own
+    # iteration count; with max_iter below some counts only those points fail
+    ds, w = random_problem(3, n=400, p=5)
+    loss = LossKind("quantile", tau=0.3)
+    cfg = FitConfig(loss=loss)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    lams = path_lambdas(ds.n)[1:]
+    free = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+    counts = [fit.iterations for fit in free]
+    cap = min(counts)
+    assert max(counts) > cap
+    capped = fit_adaptive_lasso_path(ds, w, cfg.replace(max_iter=cap), pilot.beta, lams)
+    for fit, got in zip(free, capped):
+        if fit.iterations <= cap:
+            assert got.iterations == fit.iterations and np.array_equal(got.beta, fit.beta)
+        else:
+            assert isinstance(got, NoConvergence)
+            assert f"did not converge ({cap} iterations)" in str(got)
+
+
+def test_singular_system_is_damped_for_its_own_problem_only():
+    from censlasso.solvers import _solve_stack
+
+    rank_one = np.outer([1.0, 2.0], [1.0, 2.0])
+    normal = np.stack([np.eye(2), rank_one, np.zeros((2, 2))])
+    rhs = np.ones((3, 2))
+    d, singular = _solve_stack(normal, rhs)
+    assert singular == [2]
+    assert np.array_equal(normal[0], np.eye(2)) and np.array_equal(d[0], rhs[0])
+    # the rank-one system is damped in place and solved
+    assert np.all(np.diag(normal[1]) > np.diag(rank_one))
+    assert np.allclose(normal[1] @ d[1], rhs[1])
+    assert np.array_equal(d[2], np.zeros(2))
+
+
+def test_expectile_path_is_its_per_point_fits():
+    # the expectile route fits a path point by point
+    ds, w = random_problem(6, n=150, p=4)
+    loss = LossKind("expectile", tau=0.35)
+    cfg = FitConfig(loss=loss, fit_intercept=True)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    lams = [0.0, 2.0, 8.0]
+    for lam, fit in zip(lams, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)):
+        alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
+        assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
+
+
+def test_path_rejects_negative_lambda():
+    ds, w = random_problem(1, n=60, p=3)
+    with pytest.raises(ValueError):
+        fit_adaptive_lasso_path(ds, w, FitConfig(loss=LossKind("median")), np.ones(3), [1.0, -1.0])
 
 
 # --- adaptive lasso ---------------------------------------------------------

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import censlasso.solvers as solvers
 import censlasso.tuning as tuning
 from censlasso.data import GenerationSpec, generate_dataset
 from censlasso.errors import SolverError, ZeroNormalizer
 from censlasso.kaplan_meier import IpcwWeights, fit_censoring_km, ipcw_weights
 from censlasso.losses import LossKind
-from censlasso.solvers import EstimatorResult, FitConfig, fit_unpenalized
+from censlasso.solvers import EstimatorResult, FitConfig, adaptive_weights, fit_unpenalized
 from censlasso.tuning import (
     BicConfig,
     bic_score,
@@ -204,6 +205,37 @@ def test_select_lambda_records_failures(monkeypatch):
     assert "synthetic failure" in path.entries[1].error
     assert not path.entries[0].failed
     assert path.best is not path.entries[1]
+
+
+def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
+    # the LP grid runs as one lockstep stack: one problem whose vertex fails
+    # must fail alone, and leave every other grid point as it was
+    ds, w = problem(seed=4)
+    loss = LossKind("median")
+    grid = lambda_grid(ds.n)
+    clean = select_lambda(ds, w, loss, grid, BicConfig())
+    omega = adaptive_weights(fit_unpenalized(ds, w, loss).beta)
+    real = solvers._vertex
+
+    def failing(lp, basic, a_interior):
+        # grid point 3's own problem: its pseudo-row boxes are lam_3 * omega
+        if lp.p and np.array_equal(lp.hi[lp.n_obs:], grid[3] * omega[lp.cols]):
+            return None
+        return real(lp, basic, a_interior)
+
+    monkeypatch.setattr(solvers, "_vertex", failing)
+    path = select_lambda(ds, w, loss, grid, BicConfig())
+    assert path.entries[3].failed
+    assert "no vertex it ranked passed the optimality check" in path.entries[3].error
+    assert not clean.entries[3].failed
+    for k, (got, want) in enumerate(zip(path.entries, clean.entries)):
+        if k == 3:
+            continue
+        assert got.score == want.score and got.support_size == want.support_size
+        for attr in ("beta", "intercepts"):
+            assert np.array_equal(getattr(got.result, attr), getattr(want.result, attr))
+        for attr in ("objective", "iterations", "duality_gap", "kkt_residual"):
+            assert getattr(got.result, attr) == getattr(want.result, attr)
 
 
 def test_select_lambda_records_unconverged_grid_point():
