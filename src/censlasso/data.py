@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
 _CALIBRATION_SAMPLE = 200_000
 _CALIBRATION_SEED = 0x5EED_CA1B
 _CALIBRATION_TOL = 1e-3
+_ROW_BLOCK = 4096  # CSV rows formatted per write: about 5 MB of text at p = 50
 
 ERROR_FAMILIES = ("standard_gumbel",)
 
@@ -267,45 +269,88 @@ def calibrate_censoring_bound(
 
 
 def load_csv(path) -> SurvivalDataset:
-    """Read a dataset from CSV with header ``y,delta,x1,...,xp``."""
+    """Read a dataset from CSV with header ``y,delta,x1,...,xp``.
+
+    The rows go through numpy's C parser.  Whatever it rejects, or any
+    value that fails a check, is read again by the row parser, which
+    accepts the rest of Python's float syntax and names ``path:line`` in
+    its errors; an input that cannot be read twice (a pipe) goes to the
+    row parser alone.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        for required in ("y", "delta"):
-            if required not in header:
-                raise MissingColumn(f"{path}: missing required column {required!r}")
-        p = len(header) - 2
-        expected = ["y", "delta"] + [f"x{j}" for j in range(1, p + 1)]
-        if header != expected or p < 1:
-            raise MissingColumn(
-                f"{path}: header must be y,delta,x1,...,xp; got {','.join(header)}"
+        p = _read_header(reader, path)
+        if fh.seekable():
+            table = _load_table(fh, p)
+            if table is not None:
+                return SurvivalDataset(table[:, 0], table[:, 1], table[:, 2:])
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)  # the header, checked above
+        return _parse_rows(reader, path, p)
+
+
+def _read_header(reader, path) -> int:
+    """Consume and check the header row; the number p of covariates."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumn(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    for required in ("y", "delta"):
+        if required not in header:
+            raise MissingColumn(f"{path}: missing required column {required!r}")
+    p = len(header) - 2
+    expected = ["y", "delta"] + [f"x{j}" for j in range(1, p + 1)]
+    if header != expected or p < 1:
+        raise MissingColumn(
+            f"{path}: header must be y,delta,x1,...,xp; got {','.join(header)}"
+        )
+    return p
+
+
+def _load_table(fh, p) -> np.ndarray | None:
+    """The rest of fh as an (n, p + 2) array, or None if a row parse is needed."""
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported by the row parser
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if table.shape[0] < 1 or table.shape[1] != p + 2:
+        return None
+    delta = table[:, 1]
+    if not (np.all((delta == 0.0) | (delta == 1.0)) and np.all(table[:, 0] > 0.0)
+            and np.all(np.isfinite(table[:, 2:]))):
+        return None
+    return table
+
+
+def _parse_rows(reader, path, p) -> SurvivalDataset:
+    """Row-by-row parse of the data rows; each error names its path:line."""
+    ys, deltas, rows, linenos = [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != p + 2:
+            raise RaggedRow(
+                f"{path}:{lineno}: expected {p + 2} fields, found {len(row)}"
             )
-        ys, deltas, rows, linenos = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise RaggedRow(
-                    f"{path}:{lineno}: expected {p + 2} fields, found {len(row)}"
-                )
-            try:
-                y = float(row[0])
-                d = float(row[1])
-                xs = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise RaggedRow(f"{path}:{lineno}: unparseable number: {exc}") from None
-            if d not in (0.0, 1.0):
-                raise NonBinaryDelta(f"{path}:{lineno}: delta={row[1]} is not 0 or 1")
-            if not y > 0.0:
-                raise NonPositiveTime(f"{path}:{lineno}: y={row[0]} must be > 0")
-            ys.append(y)
-            deltas.append(int(d))
-            rows.append(xs)
-            linenos.append(lineno)
+        try:
+            y = float(row[0])
+            d = float(row[1])
+            xs = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise RaggedRow(f"{path}:{lineno}: unparseable number: {exc}") from None
+        if d not in (0.0, 1.0):
+            raise NonBinaryDelta(f"{path}:{lineno}: delta={row[1]} is not 0 or 1")
+        if not y > 0.0:
+            raise NonPositiveTime(f"{path}:{lineno}: y={row[0]} must be > 0")
+        ys.append(y)
+        deltas.append(int(d))
+        rows.append(xs)
+        linenos.append(lineno)
     if not ys:
         raise RaggedRow(f"{path}: no data rows")
     x = np.array(rows)
@@ -316,12 +361,17 @@ def load_csv(path) -> SurvivalDataset:
     return SurvivalDataset(np.array(ys), np.array(deltas), x)
 
 
+def write_rows(fh, row_format, *columns) -> None:
+    """Write the rows of the column-stacked arrays, each through row_format."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = np.column_stack([c[start:start + _ROW_BLOCK] for c in columns])
+        fh.write("".join([row_format % tuple(row) for row in block.tolist()]))
+
+
 def write_csv(dataset: SurvivalDataset, path) -> None:
     """Write a dataset as CSV; floats carry 17 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = ["y", "delta"] + [f"x{j}" for j in range(1, dataset.p + 1)]
         fh.write(",".join(header) + "\n")
-        for i in range(dataset.n):
-            cells = [f"{dataset.y[i]:.17g}", str(int(dataset.delta[i]))]
-            cells.extend(f"{v:.17g}" for v in dataset.x[i])
-            fh.write(",".join(cells) + "\n")
+        row_format = "%.17g,%d," + ",".join(["%.17g"] * dataset.p) + "\n"
+        write_rows(fh, row_format, dataset.y, dataset.delta, dataset.x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, write_rows
 from .errors import DegenerateWeights
 
 
@@ -43,8 +43,7 @@ class CensoringSurvivalCurve:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time,survival\n")
             fh.write("0,1\n")
-            for t, v in zip(self.jump_times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+            write_rows(fh, "%.17g,%.17g\n", self.jump_times, self.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -625,7 +625,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
 
     A coordinate whose penalty is at least reach_j = sum_r |m_rj|
     max(|lo_r|, |hi_r|), the most its dual constraint can see, is 0 at every
-    optimum, and a problem screens it out.  Problems run in lockstep stacks
+    optimum, and a problem screens it out.  A penalty below eps reach_j, the
+    rounding of x_j'a, is fitted as 0.  Problems run in lockstep stacks
     of about _STACK doubles per stacked vector, and a stack keeps the union
     of its problems' columns.  Where a problem screens a column of the
     union, its penalty is clipped to 2 reach_j: that coordinate's dual
@@ -649,6 +650,12 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     it raised because its iterations stopped short or no vertex was
     certified.
     """
+    levels = loss_levels(loss)
+    widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
+    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
+    # the interior point divides by the width of a pseudo-row's box, which
+    # overflows at such penalties (a subnormal lam_j, say)
+    lam_w = np.where(lam_w < np.finfo(float).eps * reach, 0.0, lam_w)
     patterns = {}
     for b, row in enumerate(lam_w > 0.0):
         patterns.setdefault(row.tobytes(), []).append(b)
@@ -659,11 +666,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             for b, outcome in zip(group, solved):
                 outcomes[b] = outcome
         return outcomes
-    levels = loss_levels(loss)
     p = x.shape[1]
     has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
-    widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
-    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
     own = lam_w < reach
     size = max(1, _STACK // (len(levels) * len(x) + p))
     dependent = None  # found on the first stack with coordinates

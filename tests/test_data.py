@@ -1,8 +1,15 @@
+import csv
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from censlasso import data
 from censlasso.data import (
     GenerationSpec,
     SurvivalDataset,
@@ -14,6 +21,7 @@ from censlasso.data import (
     write_csv,
 )
 from censlasso.errors import (
+    CensLassoError,
     MissingColumn,
     NonBinaryDelta,
     NonFiniteCovariate,
@@ -90,6 +98,159 @@ def test_csv_roundtrip_identity(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.delta, ds.delta)
     assert np.array_equal(back.x, ds.x)
+
+
+def row_parser(path):
+    """The row-by-row parser alone: the reference for what load_csv reads."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        return data._parse_rows(reader, path, data._read_header(reader, path))
+
+
+def outcome(load, path):
+    """A load's arrays as raw bits, or its exception's class and message."""
+    try:
+        ds = load(path)
+    except CensLassoError as exc:
+        return type(exc), str(exc)
+    return (ds.y.view(np.int64).tolist(), ds.delta.tolist(), ds.x.view(np.int64).tolist())
+
+
+HEADER = "y,delta,x1,x2\n"
+ROWS = ["1.5,1,0.25,-3", "2.5,0,1e-3,4", "0.75,1,-0,2.5e10"]
+
+
+def with_row(row):
+    """The clean rows with `row` as the second data row."""
+    return HEADER + "".join(r + "\n" for r in ROWS[:1] + [row] + ROWS[1:])
+
+
+# what a dataset CSV can hold: each must read as the row parser reads it
+CSV_CORPUS = {
+    "clean": with_row("3,0,1,2"),
+    "quoted": with_row('"3",0,"1",2'),
+    "underscore": with_row("1_0,0,1,2"),
+    "cr-only": with_row("3,0,1,2").replace("\n", "\r"),
+    "full-width": with_row("３,0,1,2"),
+    "blank-lines": with_row("") + "\n\n",
+    "crlf": with_row("3,0,1,2").replace("\n", "\r\n"),
+    "mixed-endings": HEADER + "3,0,1,2\r\r\n1,1,2,3\n",
+    "spaced-fields": with_row(" 3 , 0 ,1 , 2"),
+    "tabbed-fields": with_row("\t3,0,1\t,2"),
+    "plus-dot-forms": with_row("+1.,1,.5,-.5e1"),
+    "long-digits": with_row("0.1000000000000000055511151231257827021181583404541015625,1,1E+05,2"),
+    "subnormal": with_row("5e-324,1,4.9406564584124654e-324,-1e-320"),
+    "whitespace-only-line": with_row("   "),
+    "hash-line": with_row("# a comment"),
+    "trailing-comma": with_row("3,0,1,2,"),
+    "empty-field": with_row("3,0,,2"),
+    "short-row": with_row("3,0,1"),
+    "hex": with_row("0x1p0,0,1,2"),
+    "true": with_row("True,0,1,2"),
+    "nan-y": with_row("nan,0,1,2"),
+    "inf-y": with_row("inf,0,1,2"),
+    "infinity-y": with_row("Infinity,0,1,2"),
+    "overflow-y": with_row("1e400,0,1,2"),
+    "underflow-y": with_row("1e-400,0,1,2"),
+    "zero-y": with_row("0,0,1,2"),
+    "negative-zero-y": with_row("-0.0,0,1,2"),
+    "negative-y": with_row("-1,0,1,2"),
+    "nan-x": with_row("3,0,nan,2"),
+    "inf-x": with_row("3,0,1,-inf"),
+    "delta-1.0": with_row("3,1.0,1,2"),
+    "delta-negative-zero": with_row("3,-0,1,2"),
+    "delta-2": with_row("3,2,1,2"),
+    "delta-nan": with_row("3,nan,1,2"),
+    "no-rows": HEADER,
+    "only-blank-rows": HEADER + "\n\n",
+    "empty": "",
+    "bad-header": "y,delta,x2,x1\n1,1,2,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+def test_load_csv_reads_as_the_row_parser(tmp_path, name):
+    path = tmp_path / "d.csv"
+    path.write_bytes(CSV_CORPUS[name].encode("utf-8"))
+    assert outcome(load_csv, path) == outcome(row_parser, path)
+
+
+def test_clean_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text(with_row("3,0,1,2"))
+    monkeypatch.setattr(data, "_parse_rows", None)
+    assert load_csv(path).n == 4
+
+
+def through_pipe(load, path, text):
+    """load(path) with path a named pipe that a thread fills with text."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        return outcome(load, path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("name", ["clean", "nan-x", "underscore"])
+def test_unseekable_input_takes_the_row_parser(tmp_path, name):
+    # a pipe cannot be read twice, so it goes straight to the row parser
+    path = tmp_path / "pipe"
+    got = through_pipe(load_csv, path, CSV_CORPUS[name])
+    assert got == through_pipe(row_parser, path, CSV_CORPUS[name])
+
+
+@pytest.mark.parametrize("row, error", [
+    ("3,0,1", RaggedRow),
+    ("3,2,1,2", NonBinaryDelta),
+    ("-3,0,1,2", NonPositiveTime),
+    ("3,0,nan,2", NonFiniteCovariate),
+])
+def test_load_csv_names_a_deep_bad_line(tmp_path, row, error):
+    # line 1 is the header, so line 5000 holds data row 4999
+    rows = ["1.5,1,0.25,-3"] * 5999
+    rows[4998] = row
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + "\n".join(rows) + "\n")
+    with pytest.raises(error) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}:5000: ")
+
+
+def test_write_csv_format_is_pinned(tmp_path):
+    ds = SurvivalDataset(
+        y=np.array([0.1, 1e-300, 2**53 + 1.0]),
+        delta=np.array([1, 0, 1]),
+        x=np.array([[2**53 + 1.0, -0.0], [0.1, 5e-324], [-1e308, 1e-300]]),
+    )
+    path = tmp_path / "d.csv"
+    write_csv(ds, path)
+    assert path.read_bytes() == (
+        b"y,delta,x1,x2\n"
+        b"0.10000000000000001,1,9007199254740992,-0\n"
+        b"1e-300,0,0.10000000000000001,4.9406564584124654e-324\n"
+        b"9007199254740992,1,-1e+308,1e-300\n"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), p=st.integers(1, 4), data_=st.data())
+def test_csv_roundtrip_is_bit_exact(tmp_path_factory, n, p, data_):
+    y = data_.draw(arrays(float, n, elements=st.floats(min_value=5e-324, allow_infinity=False)))
+    delta = data_.draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    awkward = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308])
+    x = data_.draw(arrays(float, (n, p), elements=finite | awkward))
+    ds = SurvivalDataset(y, delta, x)
+    path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+    write_csv(ds, path)
+    back = load_csv(path)
+    assert np.array_equal(back.y.view(np.int64), ds.y.view(np.int64))
+    assert np.array_equal(back.delta, ds.delta)
+    assert np.array_equal(back.x.view(np.int64), ds.x.view(np.int64))
 
 
 # --- generation -------------------------------------------------------------

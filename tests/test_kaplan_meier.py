@@ -138,3 +138,13 @@ def test_curve_csv_export(tmp_path):
     assert lines[0] == "time,survival"
     assert lines[1] == "0,1"
     assert lines[2] == "2,0.5"
+
+
+def test_curve_csv_format_is_pinned(tmp_path):
+    ds = small_dataset([0.1, 1e-300, 2.5, 7.0, 9.0], [0, 0, 1, 0, 1], np.ones((5, 1)))
+    path = tmp_path / "curve.csv"
+    fit_censoring_km(ds).to_csv(path)
+    assert path.read_bytes() == (
+        b"time,survival\n0,1\n1e-300,0.80000000000000004\n"
+        b"0.10000000000000001,0.60000000000000009\n7,0.30000000000000004\n"
+    )

@@ -329,6 +329,35 @@ def test_lp_path_matches_per_point_fits_property(seed, n, p, loss, fit_intercept
     assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, lams)
 
 
+@pytest.mark.parametrize("lam", [1.1e-212, 1e-310, 5e-324])
+def test_lp_tiny_penalty_is_warning_free(lam):
+    # a penalty far below the rounding of its dual constraint is fitted as 0:
+    # the interior point would divide by its pseudo-row's box, about lam wide,
+    # and overflow; the fit must still be the primal LP's
+    import warnings
+
+    loss = LossKind("median")
+    cfg = FitConfig(loss=loss)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.0, 1.0, (12, 1))
+        z = x @ rng.normal(0.0, 1.5, 1) + rng.gumbel(size=12)
+        ds = small_dataset(np.exp(z), np.ones(12, dtype=int), x)
+        w = make_weights(rng.uniform(0.5, 2.0, 12))
+        pilot = fit_unpenalized(ds, w, loss, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
+            [on_path] = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, [lam])
+        omega = adaptive_weights(pilot.beta)
+        beta, b, _ = check_loss_primal_lp(ds.x, np.log(ds.y), w.w, check_loss_levels(loss),
+                                          cfg.fit_intercept, lam * omega)
+        best = naive_objective(ds, w, loss, lam, omega, beta, b)
+        for res in (fit, on_path):
+            assert abs(res.objective - best) <= 1e-9 * max(1.0, best), (seed, res.objective, best)
+            assert res.support == frozenset(np.flatnonzero(beta).tolist()), seed
+
+
 def test_lp_path_points_stop_on_their_own():
     # each point of a stack freezes when it meets tol and keeps its own
     # iteration count; with max_iter below some counts only those points fail
