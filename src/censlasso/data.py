@@ -321,16 +321,21 @@ def _load_table(fh, p) -> np.ndarray | None:
     if table.shape[0] < 1 or table.shape[1] != p + 2:
         return None
     delta = table[:, 1]
-    if not (np.all((delta == 0.0) | (delta == 1.0)) and np.all(table[:, 0] > 0.0)
+    if not (np.all((delta == 0.0) | (delta == 1.0))
+            and np.all((table[:, 0] > 0.0) & (table[:, 0] < np.inf))
             and np.all(np.isfinite(table[:, 2:]))):
         return None
     return table
 
 
 def _parse_rows(reader, path, p) -> SurvivalDataset:
-    """Row-by-row parse of the data rows; each error names its path:line."""
+    """Row-by-row parse of the data rows; each error names its path:line,
+    the physical line its record starts on (a quoted field can hold a
+    newline)."""
     ys, deltas, rows, linenos = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != p + 2:
@@ -345,8 +350,8 @@ def _parse_rows(reader, path, p) -> SurvivalDataset:
             raise RaggedRow(f"{path}:{lineno}: unparseable number: {exc}") from None
         if d not in (0.0, 1.0):
             raise NonBinaryDelta(f"{path}:{lineno}: delta={row[1]} is not 0 or 1")
-        if not y > 0.0:
-            raise NonPositiveTime(f"{path}:{lineno}: y={row[0]} must be > 0")
+        if not 0.0 < y < math.inf:
+            raise NonPositiveTime(f"{path}:{lineno}: y={row[0]} must be finite and > 0")
         ys.append(y)
         deltas.append(int(d))
         rows.append(xs)

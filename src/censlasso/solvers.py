@@ -31,9 +31,9 @@ carries its KKT residual.  Two solver routes:
   `NoConvergence`.  Fits on the same rows that differ only in their
   penalties (a BIC path, `fit_adaptive_lasso_path`) run as one stack in
   lockstep (Koenker & Ng 2005): per iteration one batched solve of their
-  normal matrices and per-problem step lengths; each keeps its own
-  vertex, certificates, iteration count and failure.  A single fit is a
-  stack of one.
+  normal matrices and per-problem step lengths, then one batched vertex
+  polish and certificate pass; each keeps its own vertex, certificates,
+  iteration count and failure.  A single fit is a stack of one.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -336,15 +336,16 @@ class _DualRows:
         return g
 
     def design(self, rows):
-        """The rows of M with the given indices, as a len(rows) x m array."""
+        """The rows of M with the given indices (an array of any shape), each
+        as a length-m vector on a new last axis."""
         rows = np.asarray(rows)
-        out = np.zeros((len(rows), self.m))
+        out = np.zeros(rows.shape + (self.m,))
         obs = rows < self.n_obs
         level, i = np.divmod(rows[obs], len(self.x))
-        out[np.flatnonzero(obs), :self.p] = self._x_cols(i)
+        out[obs, :self.p] = self._x_cols(i)
         if self.m > self.p:
-            out[np.flatnonzero(obs), self.p + level] = 1.0
-        out[np.flatnonzero(~obs), self.pen[rows[~obs] - self.n_obs]] = 1.0
+            out[obs, self.p + level] = 1.0
+        out[~obs, self.pen[rows[~obs] - self.n_obs]] = 1.0
         return out
 
 
@@ -548,58 +549,87 @@ def _dependent_columns(lp: _DualRows, normal_u):
     return np.setdiff1d(free, free[kept])
 
 
-def _vertex_point(lp: _DualRows, obs, pinned):
-    """The point with the pinned coordinates at exactly 0 and residual 0 on
-    the observation rows `obs`; returns (theta, residuals, flat), `flat`
-    marking the residuals that are 0 up to rounding."""
-    free = np.setdiff1d(np.arange(lp.m), pinned)
-    theta = np.zeros(lp.m)
-    theta[free] = np.linalg.solve(lp.design(obs)[:, free], lp.resp[obs])
+def _vertex_points(lp: _DualRows, obs, free):
+    """Per problem g, the point with residual 0 on the observation rows
+    obs[g] and its coordinates outside free[g] at exactly 0 (obs and free
+    are G x r, free sorted); returns (theta, the square systems solved,
+    residuals, flat), `flat` marking the residuals that are 0 up to
+    rounding.  Raises LinAlgError if a system is singular."""
+    square = np.take_along_axis(lp.design(obs), free[:, None, :], axis=2)
+    theta = np.zeros((len(obs), lp.m))
+    np.put_along_axis(theta, free, np.linalg.solve(square, lp.resp[obs][..., None])[..., 0],
+                      axis=1)
     fitted = lp.fitted(theta)
     resid = lp.resp - fitted
-    return theta, resid, np.abs(resid) <= _ROUNDING * (np.abs(lp.resp) + np.abs(fitted) + 1.0)
+    flat = np.abs(resid) <= _ROUNDING * (np.abs(lp.resp) + np.abs(fitted) + 1.0)
+    return theta, square, resid, flat
 
 
-def _vertex(lp: _DualRows, basic, a_interior):
-    """The vertex whose basic rows are `basic`, if its duals certify it.
+def _vertices(lp: _DualRows, basic, a_interior, lo, hi):
+    """The vertices of G problems on lp's rows, problem g with basic rows
+    basic[g] (G x m, the same number of observation rows in each) and boxes
+    lo[g], hi[g].
 
     Basic observation rows get residual 0 and a basic pseudo-row pins its
     coordinate to exactly 0.  Every non-basic dual sits at the end of its
     box that its residual's sign selects (a residual 0 up to rounding, as at
     ties and duplicated rows, keeps its interior dual), and the basic duals
-    solve M'a = 0.  The vertex is optimal iff they lie in their boxes.  A
-    coordinate that is 0 up to rounding at a degenerate vertex is then
-    pinned too, as long as the same duals certify the re-solved point.
-    Returns (theta, dual objective) or None.
+    solve M'a = 0.  The vertex is optimal iff they lie in their boxes.
+    Returns (theta, a, certified, snap, dual objective), a row or entry per
+    problem: `snap` marks coordinates that are 0 up to rounding, which
+    `_vertex` pins.  Raises LinAlgError if a system is singular.
     """
-    obs = basic[basic < lp.n_obs]
-    pinned = lp.pen[basic[basic >= lp.n_obs] - lp.n_obs]
-    free = np.setdiff1d(np.arange(lp.m), pinned)
+    count, n_obs = len(basic), lp.n_obs
+    is_obs = basic < n_obs
+    obs = basic[is_obs].reshape(count, -1)
+    free = np.ones((count, lp.m), dtype=bool)
+    free[np.nonzero(~is_obs)[0], lp.pen[basic[~is_obs] - n_obs]] = False
+    pinned = ~free[:, lp.pen]
+    free = np.nonzero(free)[1].reshape(count, -1)
+    theta, square, resid, flat = _vertex_points(lp, obs, free)
+    a = np.where(flat, a_interior, np.where(resid > 0.0, hi, lo))
+    np.put_along_axis(a, basic, 0.0, axis=1)
+    pull = lp.adjoint(a)
+    a_obs = np.linalg.solve(square.transpose(0, 2, 1),
+                            -np.take_along_axis(pull, free, axis=1)[..., None])[..., 0]
+    np.put_along_axis(a, obs, a_obs, axis=1)
+    # a basic pseudo-row's dual closes its coordinate's constraint
+    closing = -(pull + (a_obs[:, None, :] @ lp.design(obs))[:, 0, :])
+    a[:, n_obs:] = np.where(pinned, closing[:, lp.pen], a[:, n_obs:])
+    slack = 1e-9 * np.max(hi[:, :n_obs] - lo[:, :n_obs], axis=1, keepdims=True)
+    certified = np.take_along_axis((a >= lo - slack) & (a <= hi + slack), basic, axis=1)
+    rounding = _ROUNDING * (1.0 + np.max(np.abs(lp.resp)))
+    snap = (theta != 0.0) & (np.abs(theta) * lp.col_reach <= rounding)
+    return theta, a, certified.all(axis=1), snap, a @ lp.resp
+
+
+def _vertex(lp: _DualRows, basic, a_interior):
+    """The vertex of one problem whose basic rows are `basic`, if its duals
+    certify it (`_vertices`).  A coordinate that is 0 up to rounding at a
+    degenerate vertex is then pinned too, as long as the same duals certify
+    the re-solved point.  Returns (theta, dual objective) or None.
+    """
     try:
-        theta, resid, flat = _vertex_point(lp, obs, pinned)
-        a = np.where(flat, a_interior, np.where(resid > 0.0, lp.hi, lp.lo))
-        a[basic] = 0.0
-        pull = lp.adjoint(a)
-        design = lp.design(obs)
-        a[obs] = np.linalg.solve(design[:, free].T, -pull[free])
+        theta, a, certified, snap, dual = _vertices(lp, basic[None], a_interior[None],
+                                                    lp.lo[None], lp.hi[None])
     except np.linalg.LinAlgError:
         return None
-    a[lp.n_obs + np.searchsorted(lp.pen, pinned)] = -(pull[pinned] + design[:, pinned].T @ a[obs])
-    slack = 1e-9 * float(np.max(lp.hi[:lp.n_obs] - lp.lo[:lp.n_obs]))
-    if not np.all((a[basic] >= lp.lo[basic] - slack) & (a[basic] <= lp.hi[basic] + slack)):
+    if not certified[0]:
         return None
-    rounding = _ROUNDING * (1.0 + float(np.max(np.abs(lp.resp))))
-    zero = np.flatnonzero((theta != 0.0) & (np.abs(theta) * lp.col_reach <= rounding))
-    if zero.size:
-        pins = np.union1d(pinned, zero)
-        rows = _independent_rows(lp, obs, np.setdiff1d(np.arange(lp.m), pins))
+    theta, a = theta[0], a[0]
+    if snap.any():
+        obs = basic[basic < lp.n_obs]
+        pins = np.union1d(lp.pen[basic[basic >= lp.n_obs] - lp.n_obs], np.flatnonzero(snap[0]))
+        free = np.setdiff1d(np.arange(lp.m), pins)
+        rows = _independent_rows(lp, obs, free)
         if rows is not None:
-            snapped, resid, flat = _vertex_point(lp, rows, pins)
+            snapped, _, resid, flat = _vertex_points(lp, rows[None], free[None])
             # complementary slackness of `a` with the re-solved residuals
+            slack = 1e-9 * float(np.max(lp.hi[:lp.n_obs] - lp.lo[:lp.n_obs]))
             if np.all(flat | ((resid > 0.0) & (a >= lp.hi - slack))
                       | ((resid < 0.0) & (a <= lp.lo + slack))):
-                theta = snapped
-    return theta, float(lp.resp @ a)
+                theta = snapped[0]
+    return theta, float(dual[0])
 
 
 def _vertex_of(lp: _DualRows, a, theta):
@@ -617,6 +647,49 @@ def _vertex_of(lp: _DualRows, a, theta):
         if vertex is not None:
             return vertex
     return None
+
+
+def _stack_vertices(lp: _DualRows, live, a, clipped):
+    """The first try of `_vertex_of` for the problems `live` of a stack at
+    once, from the stack's interior duals a; clipped (a row per problem of
+    the stack, lp.p columns) marks the slopes each problem screens out.
+
+    Each problem's rows are ranked by how far inside its box each dual is,
+    with the pseudo-rows of its clipped coordinates first, so that those are
+    pinned at 0; what is left is its screened problem's ranking.  The first
+    m rows are tested for independence on the problem's own columns (one
+    batched QR, the `_first_independent` test), and problems with the same
+    number of basic observation rows get their vertices from one batched
+    `_vertices`.  Returns {problem: (theta, dual objective)} for the
+    problems this certifies without a coordinate to snap; the others are
+    left to `_vertex_of`.
+    """
+    n_obs = lp.n_obs
+    lo, hi, a, clipped = lp.lo[live], lp.hi[live], a[live], clipped[live]
+    inside = np.minimum(a - lo, hi - a) / (hi - lo)
+    clipped_rows = clipped[:, lp.pen]
+    inside[:, n_obs:][clipped_rows] = np.inf
+    basic = np.argsort(-inside, axis=1, kind="stable")[:, :lp.m]
+    is_obs = basic < n_obs
+    rows = lp.design(basic)
+    rows[..., :lp.p][is_obs[:, :, None] & clipped[:, None, :]] = 0.0
+    r = np.linalg.qr(rows.transpose(0, 2, 1), mode="r")
+    independent = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2))
+                         > _DEPENDENT * np.linalg.norm(rows, axis=2), axis=1)
+    # a clipped coordinate's dual constraint is not its screened problem's
+    lo[:, n_obs:][clipped_rows], hi[:, n_obs:][clipped_rows] = -np.inf, np.inf
+    counts = np.count_nonzero(is_obs, axis=1)
+    polished = {}
+    for count in np.unique(counts[independent]):
+        group = np.flatnonzero(independent & (counts == count))
+        try:
+            theta, _, certified, snap, dual = _vertices(lp, basic[group], a[group],
+                                                        lo[group], hi[group])
+        except np.linalg.LinAlgError:
+            continue
+        for g in np.flatnonzero(certified & ~snap.any(axis=1)):
+            polished[live[group[g]]] = theta[g], float(dual[g])
+    return polished
 
 
 def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
@@ -641,14 +714,15 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     coordinates (a lambda of 0 beside positive ones) run apart, since a
     pseudo-row's box cannot be empty.
 
-    Each problem's vertex (`_vertex_of`) is found on its own screened rows
-    from its rows of the interior solution.  With clipped columns the
-    stack's central path is not the problem's own, and at a degenerate
-    optimum its duals can stop too far from their box ends for the vertex
-    check; such a problem whose vertex fails is fitted again alone.  Returns, per problem, (beta,
-    intercepts, iterations, objective, dual objective), or the NoConvergence
-    it raised because its iterations stopped short or no vertex was
-    certified.
+    Each stack's vertices are polished at once (`_stack_vertices`); a
+    problem that this does not certify gets its vertex (`_vertex_of`) on its
+    own screened rows from its rows of the interior solution.  With clipped
+    columns the stack's central path is not the problem's own, and at a
+    degenerate optimum its duals can stop too far from their box ends for
+    the vertex check; such a problem whose vertex fails is fitted again
+    alone.  Returns, per problem, (beta, intercepts, iterations, dual
+    objective), or the NoConvergence it raised because its iterations
+    stopped short or no vertex was certified.
     """
     levels = loss_levels(loss)
     widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
@@ -694,21 +768,28 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
         else:  # every coordinate dropped: the vertex is theta = ()
             a, theta = np.zeros(lp.lo.shape), np.zeros((count, 0))
             steps, failures = np.zeros(count, dtype=int), [None] * count
+        live = np.flatnonzero([failure is None for failure in failures])
+        polished = _stack_vertices(lp, live, a, ~own[at][:, cols])
         for k, b in enumerate(range(start, start + count)):
             if failures[k] is not None:
                 outcomes.append(NoConvergence(f"{loss.label()} fit {failures[k]}"))
                 continue
             mine = own[b, cols]
-            if mine.all():  # nothing clipped: the stack's rows are its own
+            vertex = polished.get(k)
+            if vertex is None and mine.all():  # nothing clipped: the stack's rows are its own
                 vertex = _vertex_of(lp.problem(k), a[k], theta[k])
-            else:
+            elif vertex is None:
                 one = _DualRows(x, z, w, levels, has_intercepts, lam_w[b, cols[mine]], cols[mine])
                 rows = np.r_[:lp.n_obs, lp.n_obs + np.flatnonzero(mine[lp.pen])]
-                vertex = _vertex_of(one, a[k, rows], theta[k, np.r_[np.flatnonzero(mine), lp.p:lp.m]])
+                at_mine = np.r_[np.flatnonzero(mine), lp.p:lp.m]
+                vertex = _vertex_of(one, a[k, rows], theta[k, at_mine])
                 if vertex is None:
                     outcomes += _solve_lp_family(x, z, w, loss, lam_w[b:b + 1], fit_intercept,
                                                  tol, max_iter)
                     continue
+                coef = np.zeros(lp.m)
+                coef[at_mine] = vertex[0]
+                vertex = coef, vertex[1]
             if vertex is None:
                 outcomes.append(NoConvergence(
                     f"{loss.label()} fit: the interior point converged in {steps[k]} "
@@ -716,11 +797,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
                 continue
             coef, dual_objective = vertex
             beta = np.zeros(p)
-            beta[cols[mine]] = coef[:np.count_nonzero(mine)]
-            intercepts = coef[np.count_nonzero(mine):]
-            objective = weighted_loss(loss, w, z, x @ beta, intercepts)
-            objective += float(lam_w[b] @ np.abs(beta))
-            outcomes.append((beta, intercepts, int(steps[k]), objective, dual_objective))
+            beta[cols] = coef[:lp.p]
+            outcomes.append((beta, coef[lp.p:], int(steps[k]), dual_objective))
     return outcomes
 
 
@@ -801,9 +879,9 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
 
 def _solve_expectile(x, z, w, loss: LossKind, lam_w, config: FitConfig, beta_start):
     """Fit an expectile / least-squares loss; an intercept is one more
-    column, never penalized.  Returns (beta, intercepts, iterations,
-    objective, None), as `_solve_lp_family` does per problem but without a
-    dual objective; raises NoConvergence."""
+    column, never penalized.  Returns (beta, intercepts, iterations, None),
+    as `_solve_lp_family` does per problem but without a dual objective;
+    raises NoConvergence."""
     k = int(config.fit_intercept)
     cols, pen = x, lam_w
     start = np.zeros(x.shape[1]) if beta_start is None else beta_start
@@ -816,9 +894,7 @@ def _solve_expectile(x, z, w, loss: LossKind, lam_w, config: FitConfig, beta_sta
     )
     if not converged:
         raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
-    # the intercept, if any, is inside cols @ coef
-    objective = weighted_loss(loss, w, z, cols @ coef) + float(pen @ np.abs(coef))
-    return coef[k:], coef[:k], steps, objective, None
+    return coef[k:], coef[:k], steps, None
 
 
 # --- public fitting API ----------------------------------------------------
@@ -893,16 +969,23 @@ def _raised(fit):
 def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     """A fit per row of penalties lam_ws, each its EstimatorResult or the
     CensLassoError it raised: LP-family losses as one `_solve_lp_family`
-    stack, expectile row by row."""
+    stack, expectile row by row, then their certificates, as many fits at a
+    time as a stack holds."""
     if loss.is_lp_family:
         solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
                                   config.tol, config.max_iter)
     else:
         solved = [_attempt(_solve_expectile, x, z, w, loss, lam_w, config, beta_start)
                   for lam_w in lam_ws]
-    return [fit if isinstance(fit, CensLassoError)
-            else _attempt(_certified, x, z, w, loss, lam_w, *fit)
-            for lam_w, fit in zip(lam_ws, solved)]
+    fits = [k for k, fit in enumerate(solved) if not isinstance(fit, CensLassoError)]
+    size = max(1, _STACK // len(x))
+    for some in (fits[start:start + size] for start in range(0, len(fits), size)):
+        betas = np.array([solved[k][0] for k in some])
+        intercepts = np.array([solved[k][1] for k in some]).reshape(len(some), -1)
+        certificates = _certificates(x, z, w, loss, lam_ws[some], betas, intercepts)
+        for k, objective, kkt in zip(some, *certificates):
+            solved[k] = _attempt(_certified, *solved[k], float(objective), float(kkt))
+    return solved
 
 
 def _attempt(fn, *args):
@@ -913,7 +996,7 @@ def _attempt(fn, *args):
         return exc
 
 
-def _certified(x, z, w, loss, lam_w, beta, intercepts, steps, objective, dual_objective):
+def _certified(beta, intercepts, steps, dual_objective, objective, kkt):
     """The fit's result with its certificates: the duality gap (LP route)
     must be small, and the KKT residual is attached."""
     gap = None if dual_objective is None else abs(objective - dual_objective)
@@ -926,7 +1009,7 @@ def _certified(x, z, w, loss, lam_w, beta, intercepts, steps, objective, dual_ob
         iterations=steps,
         converged=True,
         duality_gap=gap,
-        kkt_residual=_kkt_residual(x, z, w, loss, lam_w, beta, intercepts),
+        kkt_residual=kkt,
     )
 
 
@@ -968,33 +1051,50 @@ def kkt_residual(
     """
     x, z, w = _active_rows(dataset, weights)
     lam_w = lam * np.asarray(adaptive_weights_vec, dtype=float)
-    return _kkt_residual(x, z, w, loss, lam_w, result.beta, result.intercepts, zero_tol)
+    intercepts = np.asarray(result.intercepts, dtype=float)
+    return float(_certificates(x, z, w, loss, lam_w[None], result.beta[None], intercepts[None],
+                               zero_tol)[1][0])
 
 
-def _kkt_residual(x, z, w, loss, lam_w, beta, intercepts, zero_tol: float = 1e-7) -> float:
-    """`kkt_residual` on the active rows, one pass over x per level and no
-    n x p copy of it."""
-    p, n_int = x.shape[1], len(intercepts)
-    levels = loss_levels(loss, intercepts)
-    lo = np.zeros(p + len(levels))
-    hi = np.zeros(p + len(levels))
-    fitted = x @ beta
+def _certificates(x, z, w, loss, lam_ws, betas, intercepts, zero_tol: float = 1e-7):
+    """Per fit (a row of lam_ws, betas and intercepts, on the active rows):
+    its penalized objective and its `kkt_residual`.
+
+    Each fit's fitted values and loss sums are its own products, as in
+    `objective_value`; the subdifferential sums of all fits are one product
+    with x per level, and with |x| on the rows at some fit's kink, with no
+    n x p copy of x.
+    """
+    count, p = betas.shape
+    levels = loss_levels(loss)
+    fitted = np.stack([x @ beta for beta in betas])
+    objectives = np.zeros(count)
+    lo = np.zeros((count, p + len(levels)))
+    hi = np.zeros((count, p + len(levels)))
     for k, level in enumerate(levels):
-        d_lo, d_hi = level.slopes(level.residuals(z, fitted), zero_tol)
+        shift = intercepts[:, k, None] if intercepts.shape[1] else 0.0
+        resid = z - shift - fitted
+        objectives += [float(w @ values) for values in level.values(resid)]
+        d_lo, d_hi = level.slopes(resid, zero_tol)
         # sum_i c_i [d_lo_i, d_hi_i] = c'mid -/+ |c|'half, and half is 0
         # off the check loss's kink
         mid, half = w * (d_lo + d_hi) / 2.0, w * (d_hi - d_lo) / 2.0
-        kink = np.flatnonzero(half)
-        spread = np.abs(x[kink]).T @ half[kink]
-        at = np.r_[:p, p + k]
-        center = np.r_[x.T @ mid, mid.sum()]
-        lo[at] += center - np.r_[spread, half.sum()]
-        hi[at] += center + np.r_[spread, half.sum()]
-    lo, hi = lo[:p + n_int], hi[:p + n_int]
-    coef = np.concatenate([beta, intercepts])
-    lam_w = np.concatenate([lam_w, np.zeros(n_int)])
+        kink = np.flatnonzero(half.any(axis=0))
+        spread = half[:, kink] @ np.abs(x[kink])
+        center = mid @ x
+        lo[:, :p] += center - spread
+        hi[:, :p] += center + spread
+        total, width = mid.sum(axis=1), half.sum(axis=1)
+        lo[:, p + k] += total - width
+        hi[:, p + k] += total + width
+    objectives += [float(lam_w @ np.abs(beta)) for lam_w, beta in zip(lam_ws, betas)]
+    lo, hi = lo[:, :p + intercepts.shape[1]], hi[:, :p + intercepts.shape[1]]
+    coef = np.concatenate([betas, intercepts], axis=1)
+    lam_w = np.concatenate([lam_ws, np.zeros(intercepts.shape)], axis=1)
     # the penalty's subdifferential: lam_w * sign(b), or [-lam_w, lam_w] at 0
     at_zero = coef == 0.0
     lo += np.where(at_zero, -lam_w, lam_w * np.sign(coef))
     hi += np.where(at_zero, lam_w, lam_w * np.sign(coef))
-    return float(max(lo.max(initial=0.0), -hi.min(initial=0.0)))
+    above, below = lo.max(axis=1, initial=0.0), -hi.min(axis=1, initial=0.0)
+    # the larger, and 0.0 rather than -0.0 on a tie
+    return objectives, np.where(below > above, below, above)

@@ -220,6 +220,25 @@ def test_load_csv_names_a_deep_bad_line(tmp_path, row, error):
     assert str(info.value).startswith(f"{path}:5000: ")
 
 
+@pytest.mark.parametrize("name", ["inf-y", "infinity-y", "overflow-y"])
+def test_load_csv_names_the_line_of_an_infinite_y(tmp_path, name):
+    # the corpus puts the bad row second: line 3
+    path = tmp_path / "d.csv"
+    path.write_bytes(CSV_CORPUS[name].encode("utf-8"))
+    with pytest.raises(NonPositiveTime) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    # the first record spans lines 2 and 3, so the nan is on line 4
+    path = tmp_path / "d.csv"
+    path.write_text('y,delta,x1\n"1.5\n",1,2\n2,1,nan\n')
+    with pytest.raises(NonFiniteCovariate) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}:4: ")
+
+
 def test_write_csv_format_is_pinned(tmp_path):
     ds = SurvivalDataset(
         y=np.array([0.1, 1e-300, 2**53 + 1.0]),

@@ -13,6 +13,7 @@ from censlasso.errors import (
     NoConvergence,
 )
 from censlasso.kaplan_meier import IpcwWeights, fit_censoring_km, ipcw_weights
+from censlasso import solvers
 from censlasso.losses import LossKind
 from censlasso.solvers import (
     EstimatorResult,
@@ -24,6 +25,7 @@ from censlasso.solvers import (
     kkt_residual,
     objective_value,
 )
+from censlasso.tuning import lambda_grid
 
 from helpers import (
     check_loss_levels,
@@ -377,6 +379,108 @@ def test_lp_path_points_stop_on_their_own():
         else:
             assert isinstance(got, NoConvergence)
             assert f"did not converge ({cap} iterations)" in str(got)
+
+
+def polished_path(monkeypatch, stacked, *args):
+    """fit_adaptive_lasso_path(*args) with the stack-shaped polish, or with
+    none of it (stacked False: every point takes the per-problem polish,
+    `_vertex_of`); also counts the stacks polished, the points the stack
+    polish certified and the points with clipped columns."""
+    seen = {"stacks": 0, "certified": 0, "clipped": 0}
+    stack_vertices = solvers._stack_vertices
+
+    def spy(lp, live, a, clipped):
+        polished = stack_vertices(lp, live, a, clipped) if stacked else {}
+        seen["stacks"] += 1
+        seen["certified"] += len(polished)
+        seen["clipped"] += int(np.count_nonzero(clipped[live].any(axis=1)))
+        return polished
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_stack_vertices", spy)
+        return fit_adaptive_lasso_path(*args), seen
+
+
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("quantile", tau=0.3),
+                                  LossKind("composite_quantile", n_levels=3)],
+                         ids=["median", "quantile0.3", "composite3"])
+def test_stack_polish_is_the_per_problem_polish(monkeypatch, loss):
+    # a 20-point BIC path whose larger lambdas screen columns the smaller
+    # ones keep: the stack clips them, and its polish pins them up front
+    ds, w = random_problem(1, n=400, p=10)
+    cfg = FitConfig(loss=loss)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    grid = lambda_grid(ds.n)
+    stacked, seen = polished_path(monkeypatch, True, ds, w, cfg, pilot.beta, grid)
+    alone, unseen = polished_path(monkeypatch, False, ds, w, cfg, pilot.beta, grid)
+    assert seen["certified"] == len(grid) and unseen["certified"] == 0
+    assert seen["clipped"] > 0
+    for fit, other in zip(stacked, alone):
+        assert np.array_equal(fit.beta, other.beta)
+        assert np.array_equal(fit.intercepts, other.intercepts)
+        assert fit.support == other.support
+
+
+@pytest.mark.parametrize("degeneracy", ["tied-responses", "duplicated-rows"])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
+def test_per_problem_polish_is_the_single_fit(monkeypatch, loss, fit_intercept, degeneracy):
+    # with the stack polish off, every point goes through the per-problem
+    # steps (second ranking, `_first_independent`, snapping, the refit)
+    for seed in range(3):
+        ds, w = random_problem(seed, n=150, p=5)
+        if degeneracy == "tied-responses":
+            z = np.round(np.log(ds.y) * 4.0) / 4.0
+            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
+        else:
+            rows = np.r_[0:ds.n, 0:ds.n:3]
+            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_stack_vertices", lambda *args: {})
+            assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde,
+                                               path_lambdas(ds.n))
+
+
+def test_failed_stack_polish_refits_the_point_alone(monkeypatch):
+    # tied responses, quantile(0.3) with an intercept: beside lambda 5 the
+    # stack's duals for lambda 1e6 (every column clipped) stop too far from
+    # their box ends for either polish, so that point is fitted again alone
+    ds, w = random_problem(1, n=150, p=5)
+    z = np.round(np.log(ds.y) * 4.0) / 4.0
+    ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
+    loss = LossKind("quantile", tau=0.3)
+    cfg = FitConfig(loss=loss, fit_intercept=True)
+    beta_tilde = path_pilot(ds, w, loss, True, 1)
+    path, seen = polished_path(monkeypatch, True, ds, w, cfg, beta_tilde, [5.0, 1e6])
+    assert seen == {"stacks": 2, "certified": 2, "clipped": 1}
+    alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=1e6), beta_tilde)
+    assert np.array_equal(path[1].beta, alone.beta)
+    assert np.array_equal(path[1].intercepts, alone.intercepts)
+    assert path[1].objective == alone.objective and path[1].iterations == alone.iterations
+    assert_path_matches_per_point_fits(ds, w, loss, True, beta_tilde, [5.0, 1e6])
+
+
+@pytest.mark.parametrize("loss, fit_intercept", [
+    (LossKind("median"), False),
+    (LossKind("quantile", tau=0.3), True),
+    (LossKind("composite_quantile", n_levels=3), False),
+    (LossKind("expectile", tau=0.35), False),
+    (LossKind("expectile", tau=0.35), True),
+], ids=["median", "quantile-intercept", "composite", "expectile", "expectile-intercept"])
+def test_path_certificates_are_the_public_ones(loss, fit_intercept):
+    # a path's objectives and KKT residuals are computed for all its points
+    # at once; each must be what the public functions give for that point
+    ds, w = random_problem(2, n=400, p=10)
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    omega = adaptive_weights(pilot.beta)
+    grid = lambda_grid(ds.n)
+    for lam, fit in zip(grid, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, grid)):
+        objective = objective_value(ds, w, loss, lam, omega, fit.beta, fit.intercepts)
+        scale = 1e-12 * max(1.0, abs(objective))
+        assert abs(fit.objective - objective) <= scale, lam
+        assert abs(fit.kkt_residual - kkt_residual(ds, w, loss, lam, omega, fit)) <= scale, lam
 
 
 def test_singular_system_is_damped_for_its_own_problem_only():

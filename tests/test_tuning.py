@@ -223,7 +223,19 @@ def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
             return None
         return real(lp, basic, a_interior)
 
+    real_stack = solvers._stack_vertices
+
+    def leaving_3(lp, live, a, clipped):
+        # the stack-shaped polish certifies grid point 3 without `_vertex`:
+        # leave it to the per-problem polish, which calls it
+        own = ~clipped[:, lp.pen]
+        boxes = grid[3] * omega[lp.cols[lp.pen]]
+        return {k: vertex for k, vertex in real_stack(lp, live, a, clipped).items()
+                if not (own[k].any() and np.array_equal(lp.hi[k, lp.n_obs:][own[k]],
+                                                         boxes[own[k]]))}
+
     monkeypatch.setattr(solvers, "_vertex", failing)
+    monkeypatch.setattr(solvers, "_stack_vertices", leaving_3)
     path = select_lambda(ds, w, loss, grid, BicConfig())
     assert path.entries[3].failed
     assert "no vertex it ranked passed the optimality check" in path.entries[3].error
