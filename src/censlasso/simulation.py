@@ -274,9 +274,9 @@ def anderson_darling_normality(sample) -> tuple[float, float]:
     std = x.std(ddof=1)
     if std == 0.0 or not np.isfinite(std):
         raise DegenerateSample("sample variance is zero; normality test undefined")
-    from scipy.stats import norm
+    from scipy.special import ndtr  # the normal CDF; scipy.stats imports far slower
 
-    u = norm.cdf((x - mean) / std)
+    u = ndtr((x - mean) / std)
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
     a2 = -n - np.mean((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))

@@ -38,10 +38,18 @@ carries its KKT residual.  Two solver routes:
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
   penalized least-squares problem in the p x p Gram matrix: solved directly
-  without a penalty, by cyclic coordinate descent with soft-thresholding
-  (exact zeros) with one.  A backtracking step on the true objective follows,
-  and the fit is exact once the signs repeat.  Pilot and penalized fits,
-  with or without an intercept, all take this one route.
+  without a penalty, and exactly with one by a primal-dual active-set
+  iteration (Fan, Jiao & Lu 2014) whose active block is one batched linear
+  solve; a problem whose active block is singular or whose active sets
+  cycle falls back to cyclic coordinate descent with soft-thresholding.  A
+  backtracking step on the true objective follows, and the fit is exact
+  once the signs repeat.  Fits on the same rows (a BIC path) run as one
+  stack in lockstep, as on the LP route: per Newton step their Gram
+  matrices are formed together over blocks of rows and their frozen
+  problems solved as one stack, and each problem stops once it converges.
+  Every product is a problem's own, so its fit does not depend on its
+  stack.  Pilot and penalized fits, with or without an intercept, all take
+  this one route; a single fit is a stack of one.
 """
 
 from __future__ import annotations
@@ -223,6 +231,9 @@ _ROUNDING = 1e-12
 _DEPENDENT = 1e-9
 # share of the largest diagonal entry added to a singular normal matrix
 _RIDGE = 1e-12
+# share of a column's squared norm that it must keep beyond the columns
+# before it to count as clearly independent of them
+_CLEAR = 1e-6
 # doubles per block of design rows that is copied at a time
 _BLOCK = 1 << 18
 # doubles per stacked vector of problems that run in lockstep: a stack's
@@ -234,6 +245,32 @@ def _row_blocks(x, stack=1):
     """Slices covering x's rows, a few MB of x (times the stack's size) at a time."""
     step = max(1, _BLOCK // max(x.shape[1] * stack, 1))
     return [slice(s, s + step) for s in range(0, len(x), step)]
+
+
+def _weighted_grams(block, q, dim, blocks):
+    """M' diag(q_b) M for each row q_b of q, (B, n) -> (B, dim, dim), summed
+    over the row slices `blocks`, where block(rows) gives M's rows as a
+    (rows, dim) array.  Each problem's sum is its own matmul slice per
+    block; the largest temporary is one block's (B, rows, dim) weighted
+    copy."""
+    g = np.zeros((len(q), dim, dim))
+    for rows in blocks:
+        mb = block(rows)
+        g += np.matmul(mb.T, mb * q[:, rows, None])
+    return g
+
+
+def _clearly_independent(grams):
+    """Per Gram matrix (..., d, d): whether its columns are clearly linearly
+    independent, each keeping more than _CLEAR of its squared norm beyond
+    the columns before it (the squared pivots of a Cholesky factor)."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(grams), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        if grams.ndim == 2:
+            return False
+        return np.array([_clearly_independent(g) for g in grams], dtype=bool)
+    return np.all(pivots > _CLEAR * np.diagonal(grams, axis1=-2, axis2=-1), axis=-1)
 
 
 class _DualRows:
@@ -321,10 +358,8 @@ class _DualRows:
     def normal(self, q):
         """M' diag(q) M, for a stack of q's (B, rows) -> (B, m, m)."""
         g = np.zeros((len(q), self.m, self.m))
-        row_q = self._row_sums(q)
-        for rows in _row_blocks(self.x, len(q)):
-            xb = self._x_cols(rows)
-            g[:, :self.p, :self.p] += np.matmul(xb.T, xb * row_q[:, rows, None])
+        g[:, :self.p, :self.p] = _weighted_grams(self._x_cols, self._row_sums(q), self.p,
+                                                 _row_blocks(self.x, len(q)))
         if self.m > self.p:
             per_level = self._per_level(q)
             cross = (per_level @ self.x)[..., self.cols]
@@ -356,8 +391,8 @@ def _step_length(fastest):
 
 
 def _row_dot(u, v):
-    """u_b'v_b for each row b."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    """u_b'v_b for each row b (v_b = v for a vector v)."""
+    return np.matmul(u[:, None, :], v[..., None])[:, 0, 0]
 
 
 def _solve_stack(normal, rhs):
@@ -406,7 +441,10 @@ def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
     lo, resp = lp.lo, lp.resp
     x, s = -lo, lp.hi.copy()
     rhs = lp.adjoint((lp.hi - lo) * resp)
-    theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(normal_u, rhs)])
+    try:
+        theta = np.linalg.solve(normal_u, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(normal_u, rhs)])
     r = resp - lp.fitted(theta)
     # z - w = -r exactly, both strictly positive
     shift = 1e-3 * np.maximum(np.mean(np.abs(r), axis=1, keepdims=True), 1e-12)
@@ -533,12 +571,8 @@ def _dependent_columns(lp: _DualRows, normal_u):
     columns are tried in turn.
     """
     free = np.r_[lp.p:lp.m, np.setdiff1d(np.arange(lp.p), lp.pen)]
-    sub = normal_u[np.ix_(free, free)]
-    try:
-        if np.all(np.diag(np.linalg.cholesky(sub)) ** 2 > 1e-6 * np.diag(sub)):
-            return np.zeros(0, dtype=int)
-    except np.linalg.LinAlgError:
-        pass
+    if _clearly_independent(normal_u[np.ix_(free, free)]):
+        return np.zeros(0, dtype=int)
     r = np.zeros((0, len(free)))
     n = len(lp.x)
     for k in range(lp.n_levels):
@@ -836,65 +870,158 @@ def _gram_lasso(gram, lin, lam_w, beta, tol, max_sweeps):
     return b, False
 
 
+def _active_set_lasso(gram, lin, lam_w, beta, max_rounds):
+    """Minimize b'G_k b - 2c_k'b + sum_j lam_kj |b_j| exactly for each problem
+    k of a stack (a row of lam_w and beta, a matrix of gram), from beta_k,
+    by a primal-dual active-set iteration (Fan, Jiao & Lu 2014).
+
+    rho_j = c_j - (Gb)_j + G_jj b_j is what coordinate descent soft-thresholds
+    at j.  A round takes the active set |rho_j| > lam_j / 2, every
+    unpenalized coordinate included, with the signs of rho, and solves
+    G_AA b_A = c_A - sign(rho_A) lam_A / 2 with b = 0 off A: one batched
+    solve, with identity rows for the inactive coordinates.  The KKT
+    conditions hold exactly when the active set and signs at the new point
+    are the ones it was solved with, and a problem stops there.  A problem
+    whose active block is singular (`_clearly_independent`), or whose active
+    sets come back to an earlier one or run past max_rounds, is given up.
+    Returns (b, solved), solved marking the problems that met the KKT check.
+    """
+    count, dim = beta.shape
+    b, solved = beta.copy(), np.zeros(count, dtype=bool)
+    half, free = 0.5 * lam_w, lam_w == 0.0
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    at = np.arange(dim)
+    seen = [set() for _ in range(count)]
+    live = np.arange(count)
+    last = None  # the live problems' patterns that gave their b
+    for _ in range(int(max_rounds) + 1):
+        g, d, f, bl = gram[live], diag[live], free[live], b[live]
+        rho = lin[live] - np.matmul(g, bl[:, :, None])[:, :, 0] + d * bl
+        active = f | (np.abs(rho) > half[live])
+        # per coordinate: 0 inactive, +-1 the sign of an active penalized one, 2 unpenalized
+        pattern = np.where(f, 2, np.where(active, np.sign(rho), 0.0)).astype(np.int8)
+        met = np.zeros(len(live), dtype=bool) if last is None else np.all(pattern == last, axis=1)
+        solved[live[met]] = True
+        go = ~met
+        for k, row in enumerate(pattern):
+            go[k] &= row.tobytes() not in seen[live[k]]
+            seen[live[k]].add(row.tobytes())
+        if not go.any():
+            break
+        live, g, d, active, pattern = live[go], g[go], d[go], active[go], pattern[go]
+        system = np.where(active[:, :, None] & active[:, None, :], g, 0.0)
+        system[:, at, at] = np.where(active, d, 1.0)
+        rhs = np.where(active, lin[live] - pattern * half[live], 0.0)
+        ok = _clearly_independent(system)
+        b[live[ok]] = np.linalg.solve(system[ok], rhs[ok][:, :, None])[:, :, 0]
+        live, last = live[ok], pattern[ok]
+    return b, solved
+
+
+def _frozen_lasso(gram, lin, lam_w, beta, tol, max_iter):
+    """Each problem k's frozen quadratic, min b'G_k b - 2c_k'b + sum_j lam_kj
+    |b_j| from beta_k: penalized ones by `_active_set_lasso`, the others and
+    those it gives up by `_gram_lasso` (the direct solve, or coordinate
+    descent of at most max_iter sweeps).  Returns (b, descended)."""
+    b, descended = beta.copy(), np.zeros(len(beta), dtype=bool)
+    penalized = np.any(lam_w > 0.0, axis=1)
+    if penalized.any():
+        b[penalized], descended[penalized] = _active_set_lasso(
+            gram[penalized], lin[penalized], lam_w[penalized], beta[penalized], max_iter)
+    for k in np.flatnonzero(~descended):
+        b[k], descended[k] = _gram_lasso(gram[k], lin[k], lam_w[k], beta[k], tol, max_iter)
+    return b, descended
+
+
 def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
-    """Weighted expectile (adaptive) lasso by Newton steps on sign patterns.
+    """Weighted expectile (adaptive) lasso by Newton steps on sign patterns,
+    for a stack of problems on the same rows: a row of penalties lam_w each,
+    all from the start beta.
 
     The loss w_i |tau - 1{r_i < 0}| r_i^2 is quadratic while the residual
-    signs stay put, so each step freezes them, minimizes the resulting
-    penalized quadratic exactly (`_gram_lasso`), and backtracks on the true
-    objective.  Once the signs at the step's target equal the frozen ones,
-    the frozen problem's optimality conditions are the true ones and the
-    target is the exact minimizer.  Returns (beta, steps, converged); a step
-    that cannot lower the objective ends the fit unconverged and is not taken.
+    signs stay put, so each step freezes every live problem's signs, forms
+    their Gram matrices X'A_kX and vectors X'A_kz together over blocks of
+    rows (`_weighted_grams`), minimizes the penalized quadratics exactly
+    (`_frozen_lasso`), and backtracks each on its true objective.  Once the
+    signs at a problem's target equal its frozen ones, the frozen problem's
+    optimality conditions are the true ones, the target is the exact
+    minimizer, and the problem stops.  Every product is a problem's own (its
+    own matmul slice, over row blocks that do not depend on the stack), so
+    a problem's fit does not depend on the stack it ran in.  Returns (beta,
+    steps, converged), a row or entry per problem; a step that cannot lower
+    a problem's objective ends its fit unconverged and is not taken.
     """
+    count, dim = lam_w.shape
+    blocks = _row_blocks(x)
 
-    def objective(b):
-        r = z - x @ b
+    def objective(b, lam):
+        r = z - np.matmul(x, b[:, :, None])[:, :, 0]
         asym = np.where(r < 0.0, 1.0 - tau, tau)
-        return float(w @ (asym * r * r) + lam_w @ np.abs(b)), r
+        return _row_dot(asym * r * r, w) + _row_dot(lam, np.abs(b)), r
 
-    beta = np.array(beta, dtype=float)
-    obj, r = objective(beta)
+    def design(rows):
+        return np.column_stack([x[rows], z[rows]])
+
+    b = np.repeat(np.asarray(beta, dtype=float)[None], count, axis=0)
+    beta_out, steps, converged = b.copy(), np.full(count, int(max_iter)), np.zeros(count, bool)
+    obj, r = objective(b, lam_w)
+    live = np.arange(count)
     for step in range(1, int(max_iter) + 1):
+        lam = lam_w[live]
         negative = r < 0.0
-        xa = x * (w * np.where(negative, 1.0 - tau, tau))[:, None]
-        target, descended = _gram_lasso(xa.T @ x, xa.T @ z, lam_w, beta, tol, max_iter)
-        new_obj, new_r = objective(target)
-        if np.array_equal(new_r < 0.0, negative):
-            # the frozen quadratic is exact on the segment: no backtracking
-            beta, obj, r = target, new_obj, new_r
-            if descended:
-                return beta, step, True
-            continue
-        direction, t = target - beta, 1.0
-        while new_obj >= obj:
-            t *= 0.5
-            trial = beta + t * direction
-            if np.array_equal(trial, beta):
-                return beta, step, False
-            new_obj, new_r = objective(trial)
-        beta, obj, r = beta + t * direction, new_obj, new_r
-    return beta, int(max_iter), False
+        g = _weighted_grams(design, w * np.where(negative, 1.0 - tau, tau), dim + 1, blocks)
+        target, descended = _frozen_lasso(np.ascontiguousarray(g[:, :dim, :dim]),
+                                          np.ascontiguousarray(g[:, :dim, dim]),
+                                          lam, b, tol, max_iter)
+        new_obj, new_r = objective(target, lam)
+        # where the signs repeat, the frozen quadratic is exact on the segment
+        same = np.all((new_r < 0.0) == negative, axis=1)
+        direction, t = target - b, np.ones(len(live))
+        stalled = np.zeros(len(live), dtype=bool)
+        trying = np.flatnonzero(~same & (new_obj >= obj))
+        while trying.size:
+            t[trying] *= 0.5
+            trial = b[trying] + t[trying, None] * direction[trying]
+            flat = np.all(trial == b[trying], axis=1)
+            stalled[trying[flat]] = True
+            trying, trial = trying[~flat], trial[~flat]
+            if trying.size:
+                new_obj[trying], new_r[trying] = objective(trial, lam[trying])
+                trying = trying[new_obj[trying] >= obj[trying]]
+        moved = np.where(same[:, None], target, b + t[:, None] * direction)
+        b, obj, r = np.where(stalled[:, None], b, moved), new_obj, new_r
+        done = stalled | (same & descended)
+        beta_out[live[done]], steps[live[done]] = b[done], step
+        converged[live[done]] = ~stalled[done]
+        live, b, obj, r = live[~done], b[~done], obj[~done], r[~done]
+        if not len(live):
+            break
+    beta_out[live] = b
+    return beta_out, steps, converged
 
 
-def _solve_expectile(x, z, w, loss: LossKind, lam_w, config: FitConfig, beta_start):
-    """Fit an expectile / least-squares loss; an intercept is one more
-    column, never penalized.  Returns (beta, intercepts, iterations, None),
-    as `_solve_lp_family` does per problem but without a dual objective;
-    raises NoConvergence."""
+def _solve_expectile(x, z, w, loss: LossKind, lam_ws, config: FitConfig, beta_start):
+    """Fit an expectile / least-squares loss at each row of penalties lam_ws
+    (B x p); an intercept is one more column, never penalized.  Problems run
+    in lockstep stacks of about _STACK / n problems (`_expectile_newton`).
+    Returns, per problem, (beta, intercepts, iterations, None), as
+    `_solve_lp_family` does but without a dual objective, or the
+    NoConvergence it raised."""
     k = int(config.fit_intercept)
-    cols, pen = x, lam_w
     start = np.zeros(x.shape[1]) if beta_start is None else beta_start
     if k:
-        cols = np.column_stack([np.ones(len(z)), x])
-        pen = np.concatenate(([0.0], lam_w))
+        x = np.column_stack([np.ones(len(z)), x])
+        lam_ws = np.column_stack([np.zeros(len(lam_ws)), lam_ws])
         start = np.concatenate(([0.0], start))
-    coef, steps, converged = _expectile_newton(
-        cols, z, w, loss.tau, pen, start, config.tol, config.max_iter
-    )
-    if not converged:
-        raise NoConvergence(f"{loss.label()} fit did not converge ({steps} iterations)")
-    return coef[k:], coef[:k], steps, None
+    size = max(1, _STACK // len(x))
+    outcomes = []
+    for at in range(0, len(lam_ws), size):
+        coefs, steps, converged = _expectile_newton(
+            x, z, w, loss.tau, lam_ws[at:at + size], start, config.tol, config.max_iter)
+        for coef, count, ok in zip(coefs, steps, converged):
+            outcomes.append((coef[k:], coef[:k], int(count), None) if ok else NoConvergence(
+                f"{loss.label()} fit did not converge ({count} iterations)"))
+    return outcomes
 
 
 # --- public fitting API ----------------------------------------------------
@@ -942,9 +1069,10 @@ def fit_adaptive_lasso_path(
 ) -> list:
     """`fit_adaptive_lasso` at each lambda of lams (config.lam is not used).
 
-    LP-family fits share their rows, so they run as one lockstep stack of
-    interior points, each with its own vertex and certificates; expectile
-    fits run one after another.  Returns, per lambda, its EstimatorResult or
+    The fits share their rows, so they run in lockstep stacks: interior
+    points for the LP family, each with its own vertex and certificates,
+    and sign-pattern Newton steps for expectile.  Returns, per lambda, its
+    EstimatorResult or
     the CensLassoError that fit raised.  Errors of the data themselves
     (weights, beta_tilde) are raised.
     """
@@ -968,15 +1096,14 @@ def _raised(fit):
 
 def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     """A fit per row of penalties lam_ws, each its EstimatorResult or the
-    CensLassoError it raised: LP-family losses as one `_solve_lp_family`
-    stack, expectile row by row, then their certificates, as many fits at a
-    time as a stack holds."""
+    CensLassoError it raised: solved in lockstep stacks (`_solve_lp_family`,
+    `_solve_expectile`), then certified as many fits at a time as a stack
+    holds."""
     if loss.is_lp_family:
         solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
                                   config.tol, config.max_iter)
     else:
-        solved = [_attempt(_solve_expectile, x, z, w, loss, lam_w, config, beta_start)
-                  for lam_w in lam_ws]
+        solved = _solve_expectile(x, z, w, loss, lam_ws, config, beta_start)
     fits = [k for k, fit in enumerate(solved) if not isinstance(fit, CensLassoError)]
     size = max(1, _STACK // len(x))
     for some in (fits[start:start + size] for start in range(0, len(fits), size)):

@@ -21,12 +21,15 @@ from .losses import LossKind
 from .solvers import (
     EstimatorResult,
     FitConfig,
-    fit_adaptive_lasso,
     fit_adaptive_lasso_path,
     fit_unpenalized,
     objective_value,
     weighted_loss,
 )
+
+# Nothing here calls it.  It stays bound here because the traced benchmark
+# run (perfbench/spans.py) wraps it under this module's name.
+from .solvers import fit_adaptive_lasso  # noqa: F401
 
 PENALTY_MODES = ("log_n_over_n", "log_nu_over_nu")
 GRID_SIZE = 20
@@ -157,13 +160,12 @@ def select_lambda(
     config: BicConfig,
     fit_config: FitConfig | None = None,
 ) -> BicPath:
-    """Fit the pilot once, then one adaptive-LASSO fit per grid value.
+    """Fit the pilot once, then one adaptive-LASSO fit per grid value, all
+    as one lockstep path (`fit_adaptive_lasso_path`).
 
-    LP-family grid values run as one lockstep path
-    (`fit_adaptive_lasso_path`); expectile ones as one `fit_adaptive_lasso`
-    call each.  Grid points whose fit fails (a solver error, or a fit that
-    did not converge) are recorded with their error and skipped; ties in the
-    score resolve to the smallest lambda.
+    Grid points whose fit fails (a solver error, or a fit that did not
+    converge) are recorded with their error and skipped; ties in the score
+    resolve to the smallest lambda.
     """
     grid = [float(v) for v in grid]
     if not grid:
@@ -173,7 +175,10 @@ def select_lambda(
     pilot = fit_unpenalized(dataset, weights, loss, fit_config.replace(lam=0.0))
     normalizer = _loss_at(dataset, weights, loss, pilot)
     entries = []
-    for lam, fit in zip(grid, _grid_fits(dataset, weights, loss, grid, fit_config, pilot)):
+    fits = fit_adaptive_lasso_path(
+        dataset, weights, fit_config.replace(loss=loss), pilot.beta, grid
+    )
+    for lam, fit in zip(grid, fits):
         try:
             if isinstance(fit, CensLassoError):
                 raise fit
@@ -189,19 +194,3 @@ def select_lambda(
     )
     return BicPath(entries=tuple(entries), best_index=best_index)
 
-
-def _grid_fits(dataset, weights, loss, grid, fit_config, pilot) -> list:
-    """Per grid value, its adaptive-LASSO fit or the CensLassoError it raised."""
-    if loss.is_lp_family:
-        return fit_adaptive_lasso_path(
-            dataset, weights, fit_config.replace(loss=loss), pilot.beta, grid
-        )
-    fits = []
-    for lam in grid:
-        try:
-            fits.append(fit_adaptive_lasso(
-                dataset, weights, fit_config.replace(loss=loss, lam=lam), pilot.beta
-            ))
-        except CensLassoError as exc:
-            fits.append(exc)
-    return fits

@@ -104,6 +104,27 @@ def test_normality_rejects_uniform_sample():
     assert p < 0.01
 
 
+@pytest.mark.parametrize("draw, seed, expected", [
+    (lambda rng: rng.normal(size=200), 17, (0.18205995643657502, 0.9114904716470761)),
+    (lambda rng: rng.normal(size=20), 17, (0.18220696909182976, 0.8992397851672823)),
+    (lambda rng: rng.logistic(size=60), 6, (0.24536386766267526, 0.7492765455599488)),
+    (lambda rng: rng.logistic(size=60), 0, (0.4375342115173453, 0.286434939718176)),
+    (lambda rng: rng.uniform(size=200), 17, (1.2676899786702336, 0.002629477928518592)),
+    (lambda rng: rng.exponential(size=40), 17, (4.593605724591853, 1.3193106708603999e-11)),
+    (lambda rng: rng.standard_t(3, size=120), 17, (6.796723303951225, 9.552991084424932e-17)),
+], ids=["normal", "normal-20", "logistic-low", "logistic-mid", "uniform", "exponential", "t3"])
+def test_anderson_darling_is_pinned_to_scipy_stats(draw, seed, expected):
+    # expected: the statistic and p-value through scipy.stats.norm.cdf, one
+    # sample per branch of the p-value approximation
+    import scipy.stats
+
+    sample = draw(np.random.default_rng(seed))
+    assert simulation.anderson_darling_normality(sample) == expected
+    # scipy.stats.anderson sums log-CDFs, which differ in the last digits
+    reference = scipy.stats.anderson(sample, "norm", method="interpolate").statistic
+    assert expected[0] == pytest.approx(reference, rel=1e-9)
+
+
 def test_normality_too_few_samples():
     with pytest.raises(TooFewSamples):
         normality_summary(np.ones(10))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,7 +500,9 @@ def test_singular_system_is_damped_for_its_own_problem_only():
 
 
 def test_expectile_path_is_its_per_point_fits():
-    # the expectile route fits a path point by point
+    # the expectile route fits a path as one lockstep stack; a problem stops
+    # once it converges and every product is its own, so each point is its
+    # single fit bit for bit
     ds, w = random_problem(6, n=150, p=4)
     loss = LossKind("expectile", tau=0.35)
     cfg = FitConfig(loss=loss, fit_intercept=True)
@@ -508,6 +511,89 @@ def test_expectile_path_is_its_per_point_fits():
     for lam, fit in zip(lams, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)):
         alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
         assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
+
+
+def test_expectile_stack_fits_do_not_depend_on_the_row_blocks(monkeypatch):
+    # with rows split into several blocks, a stack's Gram matrices are still
+    # summed over the blocks a single fit uses, so each point stays its
+    # single fit bit for bit
+    monkeypatch.setattr(solvers, "_BLOCK", 64)
+    ds, w = random_problem(4, n=150, p=4)
+    loss = LossKind("expectile", tau=0.6)
+    cfg = FitConfig(loss=loss)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    lams = [0.5, 2.0, 8.0]
+    for lam, fit in zip(lams, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)):
+        alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
+        assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
+
+
+def cd_route():
+    """The expectile route with its exact active-set solve giving up every
+    problem, so that each frozen quadratic goes to coordinate descent."""
+    return mock.patch.object(solvers, "_active_set_lasso", lambda gram, lin, lam_w, beta, rounds:
+                             (beta.copy(), np.zeros(len(beta), dtype=bool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60), p=st.integers(1, 5),
+       tau=st.sampled_from([0.5, 0.2, 0.35, 0.8]), fit_intercept=st.booleans(),
+       lams=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6))
+def test_expectile_active_set_route_is_the_cd_route(seed, n, p, tau, fit_intercept, lams):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(1.0, 1.0, (n, p))
+    z = x @ rng.normal(0.0, 1.5, p) + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int), x)
+    w = make_weights(rng.uniform(0.5, 2.0, n))
+    # a pilot coordinate exactly 0: the 1e10 floor's penalty
+    beta_tilde = rng.normal(0.0, 1.0, p)
+    beta_tilde[rng.integers(p)] = 0.0
+    lams = [0.0] + lams
+    cfg = FitConfig(loss=LossKind("expectile", tau=tau), fit_intercept=fit_intercept)
+    exact = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+    with cd_route():
+        descent = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+    for lam, got, want in zip(lams, exact, descent):
+        assert isinstance(got, CensLassoError) == isinstance(want, CensLassoError), lam
+        if isinstance(got, CensLassoError):
+            continue
+        assert got.support == want.support, lam
+        assert abs(got.objective - want.objective) <= 1e-9 * abs(want.objective), lam
+        assert got.kkt_residual <= 1e-6 * n, lam
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_singular_active_block_falls_back_to_coordinate_descent(seed, fit_intercept):
+    # a duplicated covariate: while both copies are active the active block
+    # is singular, so every Newton step's frozen quadratic goes to coordinate
+    # descent and the fit is the coordinate-descent route's
+    rng = np.random.default_rng(seed)
+    n = 80
+    x = rng.normal(1.0, 1.0, (n, 3))
+    z = x @ [1.0, -2.0, 0.5] + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int), np.column_stack([x, x[:, 0]]))
+    w = make_weights(rng.uniform(0.5, 2.0, n))
+    loss = LossKind("expectile", tau=0.35)
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    pilot = fit_unpenalized(ds, w, loss, cfg)
+    lams = [0.5, 2.0, 8.0]
+    real, fallbacks = solvers._gram_lasso, []
+
+    def counted(gram, lin, lam_w, beta, tol, max_sweeps):
+        fallbacks.append(lam_w)
+        return real(gram, lin, lam_w, beta, tol, max_sweeps)
+
+    with mock.patch.object(solvers, "_gram_lasso", counted):
+        exact = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+    with cd_route():
+        descent = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+    assert len(fallbacks) == sum(fit.iterations for fit in exact)
+    assert all(np.all(lam_w[-4:] > 0.0) for lam_w in fallbacks)
+    for got, want in zip(exact, descent):
+        assert np.array_equal(got.beta, want.beta)
+        assert np.array_equal(got.intercepts, want.intercepts)
+        assert got.objective == want.objective and got.iterations == want.iterations
 
 
 def test_path_rejects_negative_lambda():

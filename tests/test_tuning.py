@@ -190,16 +190,16 @@ def test_select_lambda_support_shrinks_along_grid():
 def test_select_lambda_records_failures(monkeypatch):
     ds, w = problem(seed=9, n=60, p=3)
     loss = LossKind("expectile", tau=0.4)
-    real = tuning.fit_adaptive_lasso
-    calls = {"k": 0}
+    omega = adaptive_weights(fit_unpenalized(ds, w, loss).beta)
+    real = solvers._solve_expectile
 
-    def flaky(dataset, weights, config, beta_tilde):
-        calls["k"] += 1
-        if calls["k"] == 2:
-            raise SolverError("synthetic failure")
-        return real(dataset, weights, config, beta_tilde)
+    def flaky(x, z, w_rows, loss, lam_ws, config, beta_start):
+        # the expectile grid runs as one stack: fail grid point 2's own
+        # problem, whose penalties are 2.0 * omega
+        return [SolverError("synthetic failure") if np.array_equal(lam_w, 2.0 * omega) else fit
+                for lam_w, fit in zip(lam_ws, real(x, z, w_rows, loss, lam_ws, config, beta_start))]
 
-    monkeypatch.setattr(tuning, "fit_adaptive_lasso", flaky)
+    monkeypatch.setattr(solvers, "_solve_expectile", flaky)
     path = select_lambda(ds, w, loss, [1.0, 2.0, 4.0], BicConfig())
     assert path.entries[1].failed
     assert "synthetic failure" in path.entries[1].error
@@ -250,12 +250,17 @@ def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
             assert getattr(got.result, attr) == getattr(want.result, attr)
 
 
-def test_select_lambda_records_unconverged_grid_point():
+def test_select_lambda_records_unconverged_grid_point(monkeypatch):
     ds, w = problem(seed=0)
     loss = LossKind("expectile", tau=0.4)
     steps = fit_unpenalized(ds, w, loss).iterations
-    # the pilot converges within its own step count and lambda = 0 restarts
-    # at the pilot's optimum; the penalized descent needs more sweeps
+    # the exact active-set solve gives up every problem, so coordinate descent
+    # carries the penalized fits, at most max_iter sweeps a step.  The pilot
+    # converges within its own step count and lambda = 0 restarts at the
+    # pilot's optimum (both are direct solves); the penalized descent needs
+    # more sweeps
+    monkeypatch.setattr(solvers, "_active_set_lasso", lambda gram, lin, lam_w, beta, rounds:
+                        (beta.copy(), np.zeros(len(beta), dtype=bool)))
     path = select_lambda(ds, w, loss, [0.0, 5.0], BicConfig(),
                          FitConfig(loss=loss, max_iter=steps))
     assert not path.entries[0].failed
