@@ -54,11 +54,11 @@ from .simulation import (
     timing_benchmark,
 )
 from .solvers import (
+    AdaptiveLassoPath,
     EstimatorResult,
     FitConfig,
     adaptive_weights,
     fit_adaptive_lasso,
-    fit_adaptive_lasso_path,
     fit_unpenalized,
     kkt_residual,
     objective_value,
@@ -74,6 +74,7 @@ from .tuning import (
 )
 
 __all__ = [
+    "AdaptiveLassoPath",
     "AggregatedResult",
     "AggregationPlan",
     "BicConfig",
@@ -102,7 +103,6 @@ __all__ = [
     "expectile_hess",
     "expectile_loss",
     "fit_adaptive_lasso",
-    "fit_adaptive_lasso_path",
     "fit_aggregated",
     "fit_censoring_km",
     "fit_unpenalized",

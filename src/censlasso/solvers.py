@@ -29,7 +29,7 @@ carries its KKT residual.  Two solver routes:
   optimality certificate, and its dual objective gives the duality gap.  A
   fit whose iterations stop short or whose vertex fails the check raises
   `NoConvergence`.  Fits on the same rows that differ only in their
-  penalties (a BIC path, `fit_adaptive_lasso_path`) run as one stack in
+  penalties (a BIC path, `fit_adaptive_lasso` with lams) run as one stack in
   lockstep (Koenker & Ng 2005): per iteration one batched solve of their
   normal matrices and per-problem step lengths, then one batched vertex
   polish and certificate pass; each keeps its own vertex, certificates,
@@ -1050,33 +1050,25 @@ def fit_adaptive_lasso(
     weights: IpcwWeights,
     config: FitConfig,
     beta_tilde,
-) -> EstimatorResult:
+    lams=None,
+) -> "EstimatorResult | AdaptiveLassoPath":
     """Adaptive-LASSO fit: empirical loss plus lam * sum_j |beta_j| / |beta_tilde_j|^gamma.
 
     beta_tilde is the pilot (unpenalized) estimate on the same data; pilot
     coordinates at zero are floored so the penalty stays defined (and in
     effect pins those coordinates to zero).  Intercepts are never penalized.
+
+    Without lams this is the EstimatorResult at config.lam, and the error
+    the fit raised is raised.  With lams it is the fit at each lambda of
+    lams (config.lam is not used) as one `AdaptiveLassoPath`.  Those fits
+    share their rows, so they run in lockstep stacks: interior points for
+    the LP family, each with its own vertex and certificates, and
+    sign-pattern Newton steps for expectile.  A point's fit is the same bit
+    for bit as its single fit.  Errors of the data themselves (weights,
+    beta_tilde) are raised either way.
     """
-    return _raised(fit_adaptive_lasso_path(dataset, weights, config, beta_tilde, [config.lam])[0])
-
-
-def fit_adaptive_lasso_path(
-    dataset: SurvivalDataset,
-    weights: IpcwWeights,
-    config: FitConfig,
-    beta_tilde,
-    lams,
-) -> list:
-    """`fit_adaptive_lasso` at each lambda of lams (config.lam is not used).
-
-    The fits share their rows, so they run in lockstep stacks: interior
-    points for the LP family, each with its own vertex and certificates,
-    and sign-pattern Newton steps for expectile.  Returns, per lambda, its
-    EstimatorResult or
-    the CensLassoError that fit raised.  Errors of the data themselves
-    (weights, beta_tilde) are raised.
-    """
-    lams = np.asarray(lams, dtype=float)
+    single = lams is None
+    lams = np.asarray([config.lam] if single else lams, dtype=float)
     if np.any(lams < 0.0):
         raise ValueError("lam must be >= 0")
     beta_tilde = np.asarray(beta_tilde, dtype=float)
@@ -1084,7 +1076,26 @@ def fit_adaptive_lasso_path(
     if len(beta_tilde) != x.shape[1]:
         raise DimensionMismatch("beta_tilde length must equal p")
     omega = adaptive_weights(beta_tilde, config.gamma, config.beta_floor)
-    return _fit_path(x, z, w, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
+    fits = _fit_path(x, z, w, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
+    return _raised(fits[0]) if single else AdaptiveLassoPath(fits)
+
+
+class AdaptiveLassoPath(tuple):
+    """The fits of an adaptive-LASSO path, one per lambda in order: each its
+    EstimatorResult or the CensLassoError that fit raised.  Its iterations
+    and converged sum up the path as an EstimatorResult's do for one fit."""
+
+    __slots__ = ()
+
+    @property
+    def iterations(self) -> int:
+        """Solver iterations of the path's fitted points, summed."""
+        return sum(f.iterations for f in self if isinstance(f, EstimatorResult))
+
+    @property
+    def converged(self) -> bool:
+        """Whether every point of the path was fitted."""
+        return all(isinstance(f, EstimatorResult) for f in self)
 
 
 def _raised(fit):

@@ -21,15 +21,11 @@ from .losses import LossKind
 from .solvers import (
     EstimatorResult,
     FitConfig,
-    fit_adaptive_lasso_path,
+    fit_adaptive_lasso,
     fit_unpenalized,
     objective_value,
     weighted_loss,
 )
-
-# Nothing here calls it.  It stays bound here because the traced benchmark
-# run (perfbench/spans.py) wraps it under this module's name.
-from .solvers import fit_adaptive_lasso  # noqa: F401
 
 PENALTY_MODES = ("log_n_over_n", "log_nu_over_nu")
 GRID_SIZE = 20
@@ -161,7 +157,7 @@ def select_lambda(
     fit_config: FitConfig | None = None,
 ) -> BicPath:
     """Fit the pilot once, then one adaptive-LASSO fit per grid value, all
-    as one lockstep path (`fit_adaptive_lasso_path`).
+    as one lockstep path (`fit_adaptive_lasso` with the grid as lams).
 
     Grid points whose fit fails (a solver error, or a fit that did not
     converge) are recorded with their error and skipped; ties in the score
@@ -175,7 +171,7 @@ def select_lambda(
     pilot = fit_unpenalized(dataset, weights, loss, fit_config.replace(lam=0.0))
     normalizer = _loss_at(dataset, weights, loss, pilot)
     entries = []
-    fits = fit_adaptive_lasso_path(
+    fits = fit_adaptive_lasso(
         dataset, weights, fit_config.replace(loss=loss), pilot.beta, grid
     )
     for lam, fit in zip(grid, fits):

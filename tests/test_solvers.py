@@ -21,7 +21,6 @@ from censlasso.solvers import (
     FitConfig,
     adaptive_weights,
     fit_adaptive_lasso,
-    fit_adaptive_lasso_path,
     fit_unpenalized,
     kkt_residual,
     objective_value,
@@ -231,11 +230,11 @@ def test_lp_screening_bound_is_tight():
 # --- lockstep paths against per-point fits ----------------------------------
 
 def assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, lams):
-    """fit_adaptive_lasso_path against one fit_adaptive_lasso per lambda:
+    """fit_adaptive_lasso over lams against one fit_adaptive_lasso per lambda:
     objective within 1e-9 relative, identical supports, KKT residual at most
     1e-9 n; a point whose own fit raises must carry the same error class."""
     cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
-    path = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+    path = fit_adaptive_lasso(ds, w, cfg, beta_tilde, lams)
     omega = adaptive_weights(beta_tilde)
     assert len(path) == len(lams)
     for lam, fit in zip(lams, path):
@@ -275,7 +274,7 @@ def test_lp_path_matches_per_point_fits(loss, fit_intercept, n):
     for seed in range(10):
         ds, w = random_problem(seed, n=n, p=5)
         beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
-        path = fit_adaptive_lasso_path(ds, w, FitConfig(loss=loss, fit_intercept=fit_intercept),
+        path = fit_adaptive_lasso(ds, w, FitConfig(loss=loss, fit_intercept=fit_intercept),
                                        beta_tilde, [1e6])
         assert path[0].support == frozenset()
         assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, path_lambdas(n))
@@ -310,7 +309,7 @@ def test_lp_path_rank_deficient_design(loss, fit_intercept):
         ds, w = random_problem(seed, n=150, p=4)
         ds = small_dataset(ds.y, ds.delta, np.column_stack([ds.x, ds.x[:, 1]]))
         cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
-        path = fit_adaptive_lasso_path(ds, w, cfg, np.ones(ds.p), lams)
+        path = fit_adaptive_lasso(ds, w, cfg, np.ones(ds.p), lams)
         for lam, fit in zip(lams, path):
             alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), np.ones(ds.p))
             assert abs(fit.objective - alone.objective) <= 1e-9 * alone.objective, lam
@@ -351,7 +350,7 @@ def test_lp_tiny_penalty_is_warning_free(lam):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
-            [on_path] = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, [lam])
+            [on_path] = fit_adaptive_lasso(ds, w, cfg, pilot.beta, [lam])
         omega = adaptive_weights(pilot.beta)
         beta, b, _ = check_loss_primal_lp(ds.x, np.log(ds.y), w.w, check_loss_levels(loss),
                                           cfg.fit_intercept, lam * omega)
@@ -369,11 +368,14 @@ def test_lp_path_points_stop_on_their_own():
     cfg = FitConfig(loss=loss)
     pilot = fit_unpenalized(ds, w, loss, cfg)
     lams = path_lambdas(ds.n)[1:]
-    free = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+    free = fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)
     counts = [fit.iterations for fit in free]
     cap = min(counts)
     assert max(counts) > cap
-    capped = fit_adaptive_lasso_path(ds, w, cfg.replace(max_iter=cap), pilot.beta, lams)
+    capped = fit_adaptive_lasso(ds, w, cfg.replace(max_iter=cap), pilot.beta, lams)
+    # the path sums up its points: every point's iterations, and whether all were fitted
+    assert free.converged and free.iterations == sum(counts)
+    assert not capped.converged and capped.iterations == counts.count(cap) * cap
     for fit, got in zip(free, capped):
         if fit.iterations <= cap:
             assert got.iterations == fit.iterations and np.array_equal(got.beta, fit.beta)
@@ -383,7 +385,7 @@ def test_lp_path_points_stop_on_their_own():
 
 
 def polished_path(monkeypatch, stacked, *args):
-    """fit_adaptive_lasso_path(*args) with the stack-shaped polish, or with
+    """fit_adaptive_lasso(*args) with the stack-shaped polish, or with
     none of it (stacked False: every point takes the per-problem polish,
     `_vertex_of`); also counts the stacks polished, the points the stack
     polish certified and the points with clipped columns."""
@@ -399,7 +401,7 @@ def polished_path(monkeypatch, stacked, *args):
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_stack_vertices", spy)
-        return fit_adaptive_lasso_path(*args), seen
+        return fit_adaptive_lasso(*args), seen
 
 
 @pytest.mark.parametrize("loss", [LossKind("median"), LossKind("quantile", tau=0.3),
@@ -477,7 +479,7 @@ def test_path_certificates_are_the_public_ones(loss, fit_intercept):
     pilot = fit_unpenalized(ds, w, loss, cfg)
     omega = adaptive_weights(pilot.beta)
     grid = lambda_grid(ds.n)
-    for lam, fit in zip(grid, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, grid)):
+    for lam, fit in zip(grid, fit_adaptive_lasso(ds, w, cfg, pilot.beta, grid)):
         objective = objective_value(ds, w, loss, lam, omega, fit.beta, fit.intercepts)
         scale = 1e-12 * max(1.0, abs(objective))
         assert abs(fit.objective - objective) <= scale, lam
@@ -508,7 +510,7 @@ def test_expectile_path_is_its_per_point_fits():
     cfg = FitConfig(loss=loss, fit_intercept=True)
     pilot = fit_unpenalized(ds, w, loss, cfg)
     lams = [0.0, 2.0, 8.0]
-    for lam, fit in zip(lams, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)):
+    for lam, fit in zip(lams, fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)):
         alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
         assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
 
@@ -523,7 +525,7 @@ def test_expectile_stack_fits_do_not_depend_on_the_row_blocks(monkeypatch):
     cfg = FitConfig(loss=loss)
     pilot = fit_unpenalized(ds, w, loss, cfg)
     lams = [0.5, 2.0, 8.0]
-    for lam, fit in zip(lams, fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)):
+    for lam, fit in zip(lams, fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)):
         alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
         assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
 
@@ -550,9 +552,9 @@ def test_expectile_active_set_route_is_the_cd_route(seed, n, p, tau, fit_interce
     beta_tilde[rng.integers(p)] = 0.0
     lams = [0.0] + lams
     cfg = FitConfig(loss=LossKind("expectile", tau=tau), fit_intercept=fit_intercept)
-    exact = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+    exact = fit_adaptive_lasso(ds, w, cfg, beta_tilde, lams)
     with cd_route():
-        descent = fit_adaptive_lasso_path(ds, w, cfg, beta_tilde, lams)
+        descent = fit_adaptive_lasso(ds, w, cfg, beta_tilde, lams)
     for lam, got, want in zip(lams, exact, descent):
         assert isinstance(got, CensLassoError) == isinstance(want, CensLassoError), lam
         if isinstance(got, CensLassoError):
@@ -585,9 +587,9 @@ def test_singular_active_block_falls_back_to_coordinate_descent(seed, fit_interc
         return real(gram, lin, lam_w, beta, tol, max_sweeps)
 
     with mock.patch.object(solvers, "_gram_lasso", counted):
-        exact = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+        exact = fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)
     with cd_route():
-        descent = fit_adaptive_lasso_path(ds, w, cfg, pilot.beta, lams)
+        descent = fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)
     assert len(fallbacks) == sum(fit.iterations for fit in exact)
     assert all(np.all(lam_w[-4:] > 0.0) for lam_w in fallbacks)
     for got, want in zip(exact, descent):
@@ -599,7 +601,7 @@ def test_singular_active_block_falls_back_to_coordinate_descent(seed, fit_interc
 def test_path_rejects_negative_lambda():
     ds, w = random_problem(1, n=60, p=3)
     with pytest.raises(ValueError):
-        fit_adaptive_lasso_path(ds, w, FitConfig(loss=LossKind("median")), np.ones(3), [1.0, -1.0])
+        fit_adaptive_lasso(ds, w, FitConfig(loss=LossKind("median")), np.ones(3), [1.0, -1.0])
 
 
 # --- adaptive lasso ---------------------------------------------------------
