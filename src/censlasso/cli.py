@@ -219,9 +219,6 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
         raise ConfigError(f"unknown lambda_rule {rule_text!r}")
 
     master_seed = int(_get(cfg, "simulation", "master_seed", "0"))
-    env_seed = os.environ.get("CENSLASSO_SEED")
-    if env_seed is not None:
-        master_seed = int(env_seed)
 
     w_text = _get(cfg, "aggregation", "w", "sqrt").strip()
     w = "sqrt_K" if w_text in ("sqrt", "sqrt_K") else int(w_text)

@@ -21,19 +21,25 @@ carries its KKT residual.  Two solver routes:
   beyond what its dual constraint can reach (0 at every optimum), and an
   unpenalized one whose column depends on the intercepts and earlier
   unpenalized columns (it adds nothing to the fit, so some optimum has it
-  at 0, and keeping it would make the system singular).  A vertex polish
-  then makes the fit exact: p + J rows ranked basic by the interior
-  solution fix the coefficients (a basic pseudo-row is an exact zero), the
-  other duals go to the ends of their boxes by residual sign, and the basic
-  duals must come out inside their boxes.  That check is the
-  optimality certificate, and its dual objective gives the duality gap.  A
-  fit whose iterations stop short or whose vertex fails the check raises
-  `NoConvergence`.  Fits on the same rows that differ only in their
-  penalties (a BIC path, `fit_adaptive_lasso` with lams) run as one stack in
-  lockstep (Koenker & Ng 2005): per iteration one batched solve of their
-  normal matrices and per-problem step lengths, then one batched vertex
-  polish and certificate pass; each keeps its own vertex, certificates,
-  iteration count and failure.  A single fit is a stack of one.
+  at 0, and keeping it would make the system singular).  One vertex
+  polish then makes the fit exact: p + J rows ranked basic by the interior
+  solution, first by how far inside its box each dual is and then, for the
+  fits that ranking leaves, by how small each residual is, fix the
+  coefficients (a basic pseudo-row is an exact zero), the other duals go to
+  the ends of their boxes by residual sign, and the basic duals must come
+  out inside their boxes.  That check is the optimality certificate, and its
+  dual objective gives the duality gap; a coordinate 0 up to rounding is
+  pinned at 0 if the same duals certify the re-solved point.  Fits on the
+  same rows that differ only in their penalties (a BIC path,
+  `fit_adaptive_lasso` with lams) run as one stack in lockstep (Koenker &
+  Ng 2005): per iteration one batched solve of their normal matrices and
+  per-problem step lengths, then the polish for the whole stack in batched
+  calls; each keeps its own vertex, certificates, iteration count and
+  failure.  A single fit is a stack of one.  A fit whose iterations stop
+  short raises `NoConvergence`.  After the polish there are two outcomes
+  for a fit left without a certified vertex: one whose stack clipped its
+  penalties (its central path is the stack's, not its own) is fitted again
+  alone, and any other raises `NoConvergence`.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -43,10 +49,11 @@ carries its KKT residual.  Two solver routes:
   solve; a problem whose active block is singular or whose active sets
   cycle falls back to cyclic coordinate descent with soft-thresholding.  A
   backtracking step on the true objective follows, and the fit is exact
-  once the signs repeat.  Fits on the same rows (a BIC path) run as one
-  stack in lockstep, as on the LP route: per Newton step their Gram
-  matrices are formed together over blocks of rows and their frozen
-  problems solved as one stack, and each problem stops once it converges.
+  once the signs repeat (a residual 0 up to rounding repeats either sign).
+  Fits on the same rows (a BIC path) run as one stack in lockstep, as on
+  the LP route: per Newton step their Gram matrices are formed together
+  over blocks of rows and their frozen problems solved as one stack, and
+  each problem stops once it converges.
   Every product is a problem's own, so its fit does not depend on its
   stack.  Pilot and penalized fits, with or without an intercept, all take
   this one route; a single fit is a stack of one.
@@ -54,7 +61,6 @@ carries its KKT residual.  Two solver routes:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,12 +318,6 @@ class _DualRows:
         self.hi = np.concatenate([np.broadcast_to(obs_hi, stack + obs_hi.shape),
                                   lam_w[..., self.pen]], axis=-1)
 
-    def problem(self, k):
-        """Problem k of a stack, alone."""
-        one = copy.copy(self)
-        one.lo, one.hi = self.lo[k], self.hi[k]
-        return one
-
     def _per_level(self, v):
         return v[..., :self.n_obs].reshape(v.shape[:-1] + (self.n_levels, -1))
 
@@ -550,14 +550,6 @@ def _first_independent(vectors, count, dim, want):
     return np.array(chosen, dtype=int)
 
 
-def _independent_rows(lp: _DualRows, order, cols):
-    """The first len(cols) rows in `order` whose designs, restricted to the
-    columns `cols`, are linearly independent (None if there are fewer)."""
-    chosen = _first_independent(lambda at: lp.design(order[at])[:, cols],
-                                len(order), len(cols), len(cols))
-    return order[chosen] if len(chosen) == len(cols) else None
-
-
 def _dependent_columns(lp: _DualRows, normal_u):
     """Unpenalized slope coordinates whose columns of M are linearly
     dependent on the intercepts' and on the unpenalized columns before them.
@@ -611,7 +603,7 @@ def _vertices(lp: _DualRows, basic, a_interior, lo, hi):
     solve M'a = 0.  The vertex is optimal iff they lie in their boxes.
     Returns (theta, a, certified, snap, dual objective), a row or entry per
     problem: `snap` marks coordinates that are 0 up to rounding, which
-    `_vertex` pins.  Raises LinAlgError if a system is singular.
+    `_snapped` pins.  Raises LinAlgError if a system is singular.
     """
     count, n_obs = len(basic), lp.n_obs
     is_obs = basic < n_obs
@@ -637,92 +629,91 @@ def _vertices(lp: _DualRows, basic, a_interior, lo, hi):
     return theta, a, certified.all(axis=1), snap, a @ lp.resp
 
 
-def _vertex(lp: _DualRows, basic, a_interior):
-    """The vertex of one problem whose basic rows are `basic`, if its duals
-    certify it (`_vertices`).  A coordinate that is 0 up to rounding at a
-    degenerate vertex is then pinned too, as long as the same duals certify
-    the re-solved point.  Returns (theta, dual objective) or None.
-    """
-    try:
-        theta, a, certified, snap, dual = _vertices(lp, basic[None], a_interior[None],
-                                                    lp.lo[None], lp.hi[None])
-    except np.linalg.LinAlgError:
-        return None
-    if not certified[0]:
-        return None
-    theta, a = theta[0], a[0]
-    if snap.any():
-        obs = basic[basic < lp.n_obs]
-        pins = np.union1d(lp.pen[basic[basic >= lp.n_obs] - lp.n_obs], np.flatnonzero(snap[0]))
-        free = np.setdiff1d(np.arange(lp.m), pins)
-        rows = _independent_rows(lp, obs, free)
-        if rows is not None:
-            snapped, _, resid, flat = _vertex_points(lp, rows[None], free[None])
-            # complementary slackness of `a` with the re-solved residuals
-            slack = 1e-9 * float(np.max(lp.hi[:lp.n_obs] - lp.lo[:lp.n_obs]))
-            if np.all(flat | ((resid > 0.0) & (a >= lp.hi - slack))
-                      | ((resid < 0.0) & (a <= lp.lo + slack))):
-                theta = snapped[0]
-    return theta, float(dual[0])
+def _snapped(lp: _DualRows, basic, a, lo, hi, theta, snap):
+    """theta, one problem's certified vertex with basic rows `basic`, duals a
+    and boxes lo, hi, with its coordinates marked `snap` (0 up to rounding,
+    as at a degenerate vertex) pinned at 0 as well, as long as the same
+    duals certify the re-solved point; else theta as it is."""
+    obs = basic[basic < lp.n_obs]
+    pins = np.union1d(lp.pen[basic[basic >= lp.n_obs] - lp.n_obs], np.flatnonzero(snap))
+    free = np.setdiff1d(np.arange(lp.m), pins)
+    rows = _first_independent(lambda at: lp.design(obs[at])[:, free],
+                              len(obs), len(free), len(free))
+    if len(rows) < len(free):
+        return theta
+    snapped, _, resid, flat = _vertex_points(lp, obs[rows][None], free[None])
+    # complementary slackness of `a` with the re-solved residuals
+    slack = 1e-9 * float(np.max(hi[:lp.n_obs] - lo[:lp.n_obs]))
+    if np.all(flat | ((resid > 0.0) & (a >= hi - slack)) | ((resid < 0.0) & (a <= lo + slack))):
+        return snapped[0]
+    return theta
 
 
-def _vertex_of(lp: _DualRows, a, theta):
-    """The vertex of one problem that its interior solution (a, theta) points
-    at: the interior solution ranks the rows twice, by how far inside its box
-    each dual is and by how small each residual is, and the first m
-    independent rows of either ranking whose vertex certifies itself give
-    it.  Returns (theta, dual objective), or None if neither does."""
-    resid = lp.resp - lp.fitted(theta)
-    inside = np.minimum(a - lp.lo, lp.hi - a) / (lp.hi - lp.lo)
-    for key in (-inside, np.abs(resid)):
-        order = np.argsort(key, kind="stable")
-        basic = _independent_rows(lp, order, np.arange(lp.m))
-        vertex = None if basic is None else _vertex(lp, basic, a)
-        if vertex is not None:
-            return vertex
-    return None
-
-
-def _stack_vertices(lp: _DualRows, live, a, clipped):
-    """The first try of `_vertex_of` for the problems `live` of a stack at
-    once, from the stack's interior duals a; clipped (a row per problem of
-    the stack, lp.p columns) marks the slopes each problem screens out.
+def _polish(lp: _DualRows, live, a, theta, clipped):
+    """The vertices of the problems `live` of a stack that the stack's
+    interior solution (a, theta) points at; clipped (a row per problem of the
+    stack, lp.p columns) marks the slopes each problem screens out.
 
     Each problem's rows are ranked by how far inside its box each dual is,
-    with the pseudo-rows of its clipped coordinates first, so that those are
-    pinned at 0; what is left is its screened problem's ranking.  The first
-    m rows are tested for independence on the problem's own columns (one
-    batched QR, the `_first_independent` test), and problems with the same
-    number of basic observation rows get their vertices from one batched
-    `_vertices`.  Returns {problem: (theta, dual objective)} for the
-    problems this certifies without a coordinate to snap; the others are
-    left to `_vertex_of`.
+    and, for the problems that ranking leaves, by how small each residual is
+    at theta with the clipped slopes at 0.  In both rankings the pseudo-rows
+    of the clipped coordinates come first, so that those are pinned at 0,
+    and their boxes are widened to the whole line: what is left is the
+    screened problem's own ranking.  The first m rows of a ranking are its
+    basic rows when they are independent on the problem's own columns (one
+    batched QR, the `_first_independent` test); else `_first_independent`
+    searches the ranking for them.  Problems with the same number of basic
+    observation rows get their vertices from one batched `_vertices`, each
+    alone if that is singular, and a certified vertex is `_snapped`.
+    Returns {problem: (theta, dual objective)} for the certified problems.
     """
-    n_obs = lp.n_obs
+    n_obs, m = lp.n_obs, lp.m
     lo, hi, a, clipped = lp.lo[live], lp.hi[live], a[live], clipped[live]
-    inside = np.minimum(a - lo, hi - a) / (hi - lo)
     clipped_rows = clipped[:, lp.pen]
-    inside[:, n_obs:][clipped_rows] = np.inf
-    basic = np.argsort(-inside, axis=1, kind="stable")[:, :lp.m]
-    is_obs = basic < n_obs
-    rows = lp.design(basic)
-    rows[..., :lp.p][is_obs[:, :, None] & clipped[:, None, :]] = 0.0
-    r = np.linalg.qr(rows.transpose(0, 2, 1), mode="r")
-    independent = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2))
-                         > _DEPENDENT * np.linalg.norm(rows, axis=2), axis=1)
+    key = -np.minimum(a - lo, hi - a) / (hi - lo)
     # a clipped coordinate's dual constraint is not its screened problem's
     lo[:, n_obs:][clipped_rows], hi[:, n_obs:][clipped_rows] = -np.inf, np.inf
-    counts = np.count_nonzero(is_obs, axis=1)
-    polished = {}
-    for count in np.unique(counts[independent]):
-        group = np.flatnonzero(independent & (counts == count))
-        try:
-            theta, _, certified, snap, dual = _vertices(lp, basic[group], a[group],
-                                                        lo[group], hi[group])
-        except np.linalg.LinAlgError:
-            continue
-        for g in np.flatnonzero(certified & ~snap.any(axis=1)):
-            polished[live[group[g]]] = theta[g], float(dual[g])
+    own = np.concatenate([~clipped, np.ones((len(live), m - lp.p), dtype=bool)], axis=1)
+    polished, left = {}, np.arange(len(live))
+    for ranking in ("inside", "residual"):
+        if ranking == "residual":
+            left = np.array([k for k in left if live[k] not in polished], dtype=int)
+            if not left.size:
+                break
+            key = np.abs(lp.resp - lp.fitted(np.where(own[left], theta[live[left]], 0.0)))
+        key[:, n_obs:][clipped_rows[left]] = -np.inf
+        order = np.argsort(key, axis=1, kind="stable")
+        basic = order[:, :m]
+        rows = lp.design(basic)
+        rows[..., :lp.p][(basic < n_obs)[:, :, None] & clipped[left][:, None, :]] = 0.0
+        r = np.linalg.qr(rows.transpose(0, 2, 1), mode="r")
+        found = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2))
+                       > _DEPENDENT * np.linalg.norm(rows, axis=2), axis=1)
+        for g in np.flatnonzero(~found):
+            cols = np.flatnonzero(own[left[g]])
+            rest = order[g, m - len(cols):]  # after the clipped pseudo-rows
+            chosen = _first_independent(lambda at: lp.design(rest[at])[:, cols],
+                                        len(rest), len(cols), len(cols))
+            if len(chosen) == len(cols):
+                basic[g, m - len(cols):], found[g] = rest[chosen], True
+        counts = np.count_nonzero(basic < n_obs, axis=1)
+        for count in np.unique(counts[found]):
+            tries = [np.flatnonzero(found & (counts == count))]
+            while tries:
+                group = tries.pop()
+                k = left[group]
+                try:
+                    vertex, duals, certified, snap, dual = _vertices(lp, basic[group], a[k],
+                                                                     lo[k], hi[k])
+                except np.linalg.LinAlgError:
+                    if len(group) > 1:
+                        tries += [group[i:i + 1] for i in range(len(group))]
+                    continue
+                for i in np.flatnonzero(certified):
+                    if snap[i].any():
+                        vertex[i] = _snapped(lp, basic[group[i]], duals[i], lo[k[i]], hi[k[i]],
+                                             vertex[i], snap[i])
+                    polished[live[k[i]]] = vertex[i], float(dual[i])
     return polished
 
 
@@ -748,12 +739,10 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     coordinates (a lambda of 0 beside positive ones) run apart, since a
     pseudo-row's box cannot be empty.
 
-    Each stack's vertices are polished at once (`_stack_vertices`); a
-    problem that this does not certify gets its vertex (`_vertex_of`) on its
-    own screened rows from its rows of the interior solution.  With clipped
+    Each stack's vertices are polished at once (`_polish`).  With clipped
     columns the stack's central path is not the problem's own, and at a
     degenerate optimum its duals can stop too far from their box ends for
-    the vertex check; such a problem whose vertex fails is fitted again
+    the vertex check; such a problem that the polish leaves is fitted again
     alone.  Returns, per problem, (beta, intercepts, iterations, dual
     objective), or the NoConvergence it raised because its iterations
     stopped short or no vertex was certified.
@@ -803,36 +792,22 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             a, theta = np.zeros(lp.lo.shape), np.zeros((count, 0))
             steps, failures = np.zeros(count, dtype=int), [None] * count
         live = np.flatnonzero([failure is None for failure in failures])
-        polished = _stack_vertices(lp, live, a, ~own[at][:, cols])
+        polished = _polish(lp, live, a, theta, ~own[at][:, cols])
         for k, b in enumerate(range(start, start + count)):
             if failures[k] is not None:
                 outcomes.append(NoConvergence(f"{loss.label()} fit {failures[k]}"))
-                continue
-            mine = own[b, cols]
-            vertex = polished.get(k)
-            if vertex is None and mine.all():  # nothing clipped: the stack's rows are its own
-                vertex = _vertex_of(lp.problem(k), a[k], theta[k])
-            elif vertex is None:
-                one = _DualRows(x, z, w, levels, has_intercepts, lam_w[b, cols[mine]], cols[mine])
-                rows = np.r_[:lp.n_obs, lp.n_obs + np.flatnonzero(mine[lp.pen])]
-                at_mine = np.r_[np.flatnonzero(mine), lp.p:lp.m]
-                vertex = _vertex_of(one, a[k, rows], theta[k, at_mine])
-                if vertex is None:
-                    outcomes += _solve_lp_family(x, z, w, loss, lam_w[b:b + 1], fit_intercept,
-                                                 tol, max_iter)
-                    continue
-                coef = np.zeros(lp.m)
-                coef[at_mine] = vertex[0]
-                vertex = coef, vertex[1]
-            if vertex is None:
+            elif k in polished:
+                coef, dual_objective = polished[k]
+                beta = np.zeros(p)
+                beta[cols] = coef[:lp.p]
+                outcomes.append((beta, coef[lp.p:], int(steps[k]), dual_objective))
+            elif not own[b, cols].all():  # clipped: the stack's central path is not its own
+                outcomes += _solve_lp_family(x, z, w, loss, lam_w[b:b + 1], fit_intercept,
+                                             tol, max_iter)
+            else:
                 outcomes.append(NoConvergence(
                     f"{loss.label()} fit: the interior point converged in {steps[k]} "
                     "iterations but no vertex it ranked passed the optimality check"))
-                continue
-            coef, dual_objective = vertex
-            beta = np.zeros(p)
-            beta[cols] = coef[:lp.p]
-            outcomes.append((beta, coef[lp.p:], int(steps[k]), dual_objective))
     return outcomes
 
 
@@ -974,8 +949,11 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
                                           np.ascontiguousarray(g[:, :dim, dim]),
                                           lam, b, tol, max_iter)
         new_obj, new_r = objective(target, lam)
-        # where the signs repeat, the frozen quadratic is exact on the segment
-        same = np.all((new_r < 0.0) == negative, axis=1)
+        # where the signs repeat, the frozen quadratic is exact on the segment;
+        # a residual 0 up to rounding (an interpolated row) keeps its sign, as
+        # it adds nothing to the gradient whichever weight it was frozen with
+        flat = np.abs(new_r) <= _ROUNDING * (np.abs(z) + np.abs(z - new_r) + 1.0)
+        same = np.all(((new_r < 0.0) == negative) | flat, axis=1)
         direction, t = target - b, np.ones(len(live))
         stalled = np.zeros(len(live), dtype=bool)
         trying = np.flatnonzero(~same & (new_obj >= obj))

@@ -350,17 +350,6 @@ def test_simulate_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
-def test_simulate_env_seed_override(tmp_path, monkeypatch):
-    cfg = tmp_path / "study.ini"
-    cfg.write_text(CONFIG_TEXT)
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg), "--output-dir", str(out1)]) == 0
-    monkeypatch.setenv("CENSLASSO_SEED", "31337")
-    assert main(["simulate", "--config", str(cfg), "--output-dir", str(out2)]) == 0
-    assert (out1 / "report.json").read_text() != (out2 / "report.json").read_text()
-
-
 def test_bench_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "study.ini"
     cfg.write_text(CONFIG_TEXT)

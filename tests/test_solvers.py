@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -45,6 +46,17 @@ def random_problem(seed, n=120, p=4, censor_bound=8.0, beta=None):
     ds = generate_dataset(spec, bound=censor_bound)
     curve = fit_censoring_km(ds)
     return ds, ipcw_weights(ds, curve)
+
+
+def degenerate_case(seed, degeneracy):
+    """random_problem(seed, n=150, p=5) with tied responses (on a 0.25 grid
+    in log scale, covariates on a 0.5 grid) or with every third row twice."""
+    ds, w = random_problem(seed, n=150, p=5)
+    if degeneracy == "tied-responses":
+        z = np.round(np.log(ds.y) * 4.0) / 4.0
+        return small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0), w
+    rows = np.r_[0:ds.n, 0:ds.n:3]
+    return ds.subset(rows), make_weights(w.w[rows])
 
 
 # --- unpenalized fits -------------------------------------------------------
@@ -164,14 +176,7 @@ def test_lp_fits_match_primal_lp_oracle(loss, fit_intercept, n):
 @pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
 def test_lp_fits_match_primal_lp_oracle_degenerate(loss, fit_intercept, degeneracy):
     for seed in range(10):
-        ds, w = random_problem(seed, n=150, p=5)
-        if degeneracy == "tied-responses":
-            # responses on a 0.25 grid in log scale, covariates on a 0.5 grid
-            z = np.round(np.log(ds.y) * 4.0) / 4.0
-            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
-        else:
-            rows = np.r_[0:ds.n, 0:ds.n:3]
-            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        ds, w = degenerate_case(seed, degeneracy)
         assert_matches_primal_lp(ds, w, loss, fit_intercept)
 
 
@@ -285,13 +290,7 @@ def test_lp_path_matches_per_point_fits(loss, fit_intercept, n):
 @pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
 def test_lp_path_matches_per_point_fits_degenerate(loss, fit_intercept, degeneracy):
     for seed in range(10):
-        ds, w = random_problem(seed, n=150, p=5)
-        if degeneracy == "tied-responses":
-            z = np.round(np.log(ds.y) * 4.0) / 4.0
-            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
-        else:
-            rows = np.r_[0:ds.n, 0:ds.n:3]
-            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        ds, w = degenerate_case(seed, degeneracy)
         beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
         assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde,
                                            path_lambdas(ds.n))
@@ -385,38 +384,50 @@ def test_lp_path_points_stop_on_their_own():
 
 
 def polished_path(monkeypatch, stacked, *args):
-    """fit_adaptive_lasso(*args) with the stack-shaped polish, or with
-    none of it (stacked False: every point takes the per-problem polish,
-    `_vertex_of`); also counts the stacks polished, the points the stack
-    polish certified and the points with clipped columns."""
+    """fit_adaptive_lasso(*args) with each stack polished at once, or
+    (stacked False) with `_polish` run on one problem of the stack at a
+    time; also counts the stacks polished, the points certified and the
+    points with clipped columns."""
     seen = {"stacks": 0, "certified": 0, "clipped": 0}
-    stack_vertices = solvers._stack_vertices
+    polish = solvers._polish
 
-    def spy(lp, live, a, clipped):
-        polished = stack_vertices(lp, live, a, clipped) if stacked else {}
+    def spy(lp, live, a, theta, clipped):
+        if stacked:
+            polished = polish(lp, live, a, theta, clipped)
+        else:
+            polished = {}
+            for k in live:
+                polished.update(polish(lp, np.array([k]), a, theta, clipped))
         seen["stacks"] += 1
         seen["certified"] += len(polished)
         seen["clipped"] += int(np.count_nonzero(clipped[live].any(axis=1)))
         return polished
 
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_stack_vertices", spy)
+        patch.setattr(solvers, "_polish", spy)
         return fit_adaptive_lasso(*args), seen
+
+
+def clipped_path_case(seed=1):
+    """A 20-point BIC path at n = 400, p = 10 whose larger lambdas screen
+    columns the smaller ones keep: the stack clips them."""
+    ds, w = random_problem(seed, n=400, p=10)
+    return ds, w, lambda_grid(ds.n)
 
 
 @pytest.mark.parametrize("loss", [LossKind("median"), LossKind("quantile", tau=0.3),
                                   LossKind("composite_quantile", n_levels=3)],
                          ids=["median", "quantile0.3", "composite3"])
 def test_stack_polish_is_the_per_problem_polish(monkeypatch, loss):
-    # a 20-point BIC path whose larger lambdas screen columns the smaller
-    # ones keep: the stack clips them, and its polish pins them up front
-    ds, w = random_problem(1, n=400, p=10)
+    # the stack's clipped pseudo-rows are ranked first and pinned up front:
+    # polishing the stack at once or one problem at a time from the same
+    # interior solution gives the same vertices
+    ds, w, grid = clipped_path_case()
     cfg = FitConfig(loss=loss)
     pilot = fit_unpenalized(ds, w, loss, cfg)
-    grid = lambda_grid(ds.n)
     stacked, seen = polished_path(monkeypatch, True, ds, w, cfg, pilot.beta, grid)
     alone, unseen = polished_path(monkeypatch, False, ds, w, cfg, pilot.beta, grid)
-    assert seen["certified"] == len(grid) and unseen["certified"] == 0
+    assert seen["certified"] == len(grid) and unseen["certified"] == len(grid)
     assert seen["clipped"] > 0
     for fit, other in zip(stacked, alone):
         assert np.array_equal(fit.beta, other.beta)
@@ -428,30 +439,64 @@ def test_stack_polish_is_the_per_problem_polish(monkeypatch, loss):
 @pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
 @pytest.mark.parametrize("loss", LP_LOSSES, ids=LP_LOSS_IDS)
 def test_per_problem_polish_is_the_single_fit(monkeypatch, loss, fit_intercept, degeneracy):
-    # with the stack polish off, every point goes through the per-problem
-    # steps (second ranking, `_first_independent`, snapping, the refit)
+    # polished one problem at a time, every point of a degenerate path (the
+    # second ranking, `_first_independent`, snapping, the refit) is its single fit
     for seed in range(3):
-        ds, w = random_problem(seed, n=150, p=5)
-        if degeneracy == "tied-responses":
-            z = np.round(np.log(ds.y) * 4.0) / 4.0
-            ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
-        else:
-            rows = np.r_[0:ds.n, 0:ds.n:3]
-            ds, w = ds.subset(rows), make_weights(w.w[rows])
+        ds, w = degenerate_case(seed, degeneracy)
         beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_stack_vertices", lambda *args: {})
+            polish = solvers._polish
+            patch.setattr(solvers, "_polish", lambda lp, live, *args: {
+                k: v for b in live for k, v in polish(lp, np.array([b]), *args).items()})
             assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde,
                                                path_lambdas(ds.n))
+
+
+def test_polish_takes_each_of_its_steps(monkeypatch):
+    # across the degenerate and clipped paths above, the polish must rank
+    # by residual (the only `fitted` call `_polish` makes itself), search
+    # for a basis (`_first_independent` called by `_polish` itself) and
+    # apply a snap (`_snapped` returning a new point)
+    seen = {"residual": 0, "search": 0, "snap": 0}
+    fitted, first, snapped = solvers._DualRows.fitted, solvers._first_independent, solvers._snapped
+
+    def by_polish():
+        return sys._getframe(2).f_code.co_name == "_polish"
+
+    def fitted_spy(self, theta):
+        seen["residual"] += by_polish()
+        return fitted(self, theta)
+
+    def first_spy(*args):
+        seen["search"] += by_polish()
+        return first(*args)
+
+    def snapped_spy(lp, basic, a, lo, hi, theta, snap):
+        out = snapped(lp, basic, a, lo, hi, theta, snap)
+        seen["snap"] += out is not theta
+        return out
+
+    monkeypatch.setattr(solvers._DualRows, "fitted", fitted_spy)
+    monkeypatch.setattr(solvers, "_first_independent", first_spy)
+    monkeypatch.setattr(solvers, "_snapped", snapped_spy)
+    for loss in LP_LOSSES:
+        for fit_intercept in (False, True):
+            cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+            for seed in range(3):
+                for degeneracy in ("tied-responses", "duplicated-rows"):
+                    ds, w = degenerate_case(seed, degeneracy)
+                    beta_tilde = path_pilot(ds, w, loss, fit_intercept, seed)
+                    fit_adaptive_lasso(ds, w, cfg, beta_tilde, path_lambdas(ds.n))
+            ds, w, grid = clipped_path_case()
+            fit_adaptive_lasso(ds, w, cfg, fit_unpenalized(ds, w, loss, cfg).beta, grid)
+    assert min(seen.values()) > 0, seen
 
 
 def test_failed_stack_polish_refits_the_point_alone(monkeypatch):
     # tied responses, quantile(0.3) with an intercept: beside lambda 5 the
     # stack's duals for lambda 1e6 (every column clipped) stop too far from
-    # their box ends for either polish, so that point is fitted again alone
-    ds, w = random_problem(1, n=150, p=5)
-    z = np.round(np.log(ds.y) * 4.0) / 4.0
-    ds = small_dataset(np.exp(z), ds.delta, np.round(ds.x * 2.0) / 2.0)
+    # their box ends for either ranking, so that point is fitted again alone
+    ds, w = degenerate_case(1, "tied-responses")
     loss = LossKind("quantile", tau=0.3)
     cfg = FitConfig(loss=loss, fit_intercept=True)
     beta_tilde = path_pilot(ds, w, loss, True, 1)
@@ -562,6 +607,23 @@ def test_expectile_active_set_route_is_the_cd_route(seed, n, p, tau, fit_interce
         assert got.support == want.support, lam
         assert abs(got.objective - want.objective) <= 1e-9 * abs(want.objective), lam
         assert got.kkt_residual <= 1e-6 * n, lam
+
+
+def test_expectile_square_design_interpolates():
+    # as many rows as columns: the fit interpolates, so its residuals are 0
+    # up to rounding and their signs flip from one Newton step to the next;
+    # such a row keeps its sign, and the fit converges to the interpolation
+    rng = np.random.default_rng(0)
+    n = p = 12
+    x = rng.normal(1.0, 1.0, (n, p))
+    z = x @ rng.normal(0.0, 1.5, p) + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int), x)
+    w = make_weights(rng.uniform(0.5, 2.0, n))
+    beta_tilde = rng.normal(0.0, 1.0, p)
+    beta_tilde[rng.integers(p)] = 0.0
+    fit = fit_adaptive_lasso(ds, w, FitConfig(loss=LossKind("expectile", tau=0.2)), beta_tilde)
+    assert np.allclose(x @ fit.beta, z, rtol=0.0, atol=1e-9)
+    assert fit.kkt_residual <= 1e-9 * n
 
 
 @pytest.mark.parametrize("seed", range(3))

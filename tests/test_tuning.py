@@ -215,27 +215,18 @@ def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
     grid = lambda_grid(ds.n)
     clean = select_lambda(ds, w, loss, grid, BicConfig())
     omega = adaptive_weights(fit_unpenalized(ds, w, loss).beta)
-    real = solvers._vertex
+    real = solvers._polish
 
-    def failing(lp, basic, a_interior):
-        # grid point 3's own problem: its pseudo-row boxes are lam_3 * omega
-        if lp.p and np.array_equal(lp.hi[lp.n_obs:], grid[3] * omega[lp.cols]):
-            return None
-        return real(lp, basic, a_interior)
-
-    real_stack = solvers._stack_vertices
-
-    def leaving_3(lp, live, a, clipped):
-        # the stack-shaped polish certifies grid point 3 without `_vertex`:
-        # leave it to the per-problem polish, which calls it
+    def failing(lp, live, a, theta, clipped):
+        # grid point 3's own problem, whose pseudo-row boxes are lam_3 * omega
+        # where it does not clip them, gets no vertex
         own = ~clipped[:, lp.pen]
         boxes = grid[3] * omega[lp.cols[lp.pen]]
-        return {k: vertex for k, vertex in real_stack(lp, live, a, clipped).items()
+        return {k: vertex for k, vertex in real(lp, live, a, theta, clipped).items()
                 if not (own[k].any() and np.array_equal(lp.hi[k, lp.n_obs:][own[k]],
                                                          boxes[own[k]]))}
 
-    monkeypatch.setattr(solvers, "_vertex", failing)
-    monkeypatch.setattr(solvers, "_stack_vertices", leaving_3)
+    monkeypatch.setattr(solvers, "_polish", failing)
     path = select_lambda(ds, w, loss, grid, BicConfig())
     assert path.entries[3].failed
     assert "no vertex it ranked passed the optimality check" in path.entries[3].error
