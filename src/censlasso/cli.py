@@ -171,10 +171,9 @@ def _parse_bool(text: str) -> bool:
 
 def load_simulation_spec(path, overrides=()) -> SimulationSpec:
     """Build a SimulationSpec from an INI file plus section.key=value overrides."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cfg.read(path)
+    with open(path, encoding="utf-8") as fh:
+        cfg.read_file(fh)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
         error, group = exc, type(exc)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         error, group = exc, InputError
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         error, group = exc, ConfigError
     print(f"censlasso: {group.prefix}: {error}", file=sys.stderr)
     return group.exit_code

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InputError,
     MissingColumn,
     NoConvergence,
     NonBinaryDelta,
@@ -275,19 +276,22 @@ def load_csv(path) -> SurvivalDataset:
     value that fails a check, is read again by the row parser, which
     accepts the rest of Python's float syntax and names ``path:line`` in
     its errors; an input that cannot be read twice (a pipe) goes to the
-    row parser alone.
+    row parser alone.  A file that is not UTF-8 text is an input error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        p = _read_header(reader, path)
-        if fh.seekable():
-            table = _load_table(fh, p)
-            if table is not None:
-                return SurvivalDataset(table[:, 0], table[:, 1], table[:, 2:])
-            fh.seek(0)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)  # the header, checked above
-        return _parse_rows(reader, path, p)
+            p = _read_header(reader, path)
+            if fh.seekable():
+                table = _load_table(fh, p)
+                if table is not None:
+                    return SurvivalDataset(table[:, 0], table[:, 1], table[:, 2:])
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, checked above
+            return _parse_rows(reader, path, p)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_header(reader, path) -> int:

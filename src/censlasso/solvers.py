@@ -21,7 +21,9 @@ carries its KKT residual.  Two solver routes:
   beyond what its dual constraint can reach (0 at every optimum), and an
   unpenalized one whose column depends on the intercepts and earlier
   unpenalized columns (it adds nothing to the fit, so some optimum has it
-  at 0, and keeping it would make the system singular).  One vertex
+  at 0, and keeping it would make the system singular).  The iterations
+  and the polish run on the kept columns, copied once into one contiguous
+  array (x itself when every column is kept).  One vertex
   polish then makes the fit exact: p + J rows ranked basic by the interior
   solution, first by how far inside its box each dual is and then, for the
   fits that ranking leaves, by how small each residual is, fix the
@@ -86,7 +88,6 @@ class FitConfig:
     gamma: float = 1.0
     max_iter: int = 10_000
     tol: float = 1e-8
-    beta_floor: float = 1e-10
     fit_intercept: bool = False
 
     def __post_init__(self):
@@ -96,8 +97,6 @@ class FitConfig:
             raise ValueError("gamma must be > 0")
         if self.tol <= 0.0:
             raise ValueError("tol must be > 0")
-        if self.beta_floor <= 0.0:
-            raise ValueError("beta_floor must be > 0")
 
     def replace(self, **kwargs) -> "FitConfig":
         from dataclasses import replace
@@ -140,10 +139,17 @@ class EstimatorResult:
         }
 
 
-def adaptive_weights(beta_tilde, gamma: float = 1.0, beta_floor: float = 1e-10) -> np.ndarray:
-    """Per-coordinate penalty weights 1 / max(|beta_tilde_j|, floor)^gamma."""
+# the least |beta_tilde_j| an adaptive weight divides by
+_BETA_FLOOR = 1e-10
+# distance from 0 within which a check-loss residual sits at the kink, for
+# the KKT certificate
+_ZERO_TOL = 1e-7
+
+
+def adaptive_weights(beta_tilde, gamma: float = 1.0) -> np.ndarray:
+    """Per-coordinate penalty weights 1 / max(|beta_tilde_j|, _BETA_FLOOR)^gamma."""
     bt = np.abs(np.asarray(beta_tilde, dtype=float))
-    return np.maximum(bt, beta_floor) ** (-gamma)
+    return np.maximum(bt, _BETA_FLOOR) ** (-gamma)
 
 
 def _active_rows(dataset: SurvivalDataset, weights: IpcwWeights):
@@ -179,18 +185,18 @@ class LossLevel:
             return pointwise_loss(self.loss, resid)
         return self.scale * check_loss(self.tau, resid)
 
-    def slopes(self, resid, zero_tol: float):
+    def slopes(self, resid):
         """Derivative of each row's loss in its fitted value, as [lo, hi].
 
         A check loss has the point value away from its kink and the whole
-        interval scale * [-tau, 1 - tau] at residuals within zero_tol of 0;
+        interval scale * [-tau, 1 - tau] at residuals within _ZERO_TOL of 0;
         the expectile loss is differentiable, so lo = hi.
         """
         if self.loss.family == LossKind.EXPECTILE:
             g = expectile_grad(self.tau, resid)
             return g, g
         point = np.where(resid < 0.0, 1.0 - self.tau, -self.tau)
-        at_zero = np.abs(resid) <= zero_tol
+        at_zero = np.abs(resid) <= _ZERO_TOL
         lo = np.where(at_zero, -self.tau, point)
         hi = np.where(at_zero, 1.0 - self.tau, point)
         return self.scale * lo, self.scale * hi
@@ -282,32 +288,29 @@ def _clearly_independent(grams):
 class _DualRows:
     """The rows of bounded dual LPs: max resp'a s.t. M'a = 0, lo <= a <= hi.
 
-    Coordinates theta are the slopes of x's columns `cols`, then one
-    intercept per level when the fit has intercepts.  Row (k, i), stored at
-    k * n + i, is observation i at level k: design (x_i[cols], e_k), response
-    z_i, box scale * w_i * [tau_k - 1, tau_k].  Then one pseudo-row per
-    penalized coordinate j: design e_j, response 0, box [-lam_j, lam_j].
-    Problems that share M and resp and differ only in their penalties form a
-    stack: lam_w is (len(cols),) for one problem and then lo and hi are
-    vectors, or (B, len(cols)) for B problems that penalize the same
+    x holds the slope columns the problems keep.  Coordinates theta are the
+    slopes of x's columns, then one intercept per level when the fit has
+    intercepts.  Row (k, i), stored at k * n + i, is observation i at level
+    k: design (x_i, e_k), response z_i, box scale * w_i * [tau_k - 1, tau_k].
+    Then one pseudo-row per penalized coordinate j: design e_j, response 0,
+    box [-lam_j, lam_j].  Problems that share M and resp and differ only in
+    their penalties form a stack: lam_w is (p,) for one problem and then lo
+    and hi are vectors, or (B, p) for B problems that penalize the same
     coordinates and then lo and hi have one row per problem.  `fitted` and
     `adjoint` act on the last axis and `normal` on each row of a 2-d q, so
     one call serves a stack.
-    Neither M nor x[:, cols] is formed: every level shares x, and products
-    with x run over all its columns or over blocks of its rows.
+    M is not formed: every level shares x, and products with x run over all
+    its columns or over blocks of its rows.
     """
 
-    def __init__(self, x, z, w, levels, has_intercepts, lam_w, cols):
-        self.x, self.cols, self.n_levels = x, cols, len(levels)
-        self.all_cols = len(cols) == x.shape[1]
-        n = len(x)
+    def __init__(self, x, z, w, levels, has_intercepts, lam_w):
+        self.x, self.n_levels = x, len(levels)
+        n, self.p = x.shape
         self.n_obs = self.n_levels * n
-        self.p = len(cols)
         self.m = self.p + (self.n_levels if has_intercepts else 0)
         self.pen = np.flatnonzero(np.any(lam_w > 0.0, axis=tuple(range(lam_w.ndim - 1))))
         # the largest |entry| of each design column
-        self.col_reach = np.r_[np.maximum(x.max(axis=0, initial=0.0),
-                                          -x.min(axis=0, initial=0.0))[cols],
+        self.col_reach = np.r_[np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0)),
                                np.ones(self.m - self.p)]
         self.resp = np.concatenate([np.tile(z, self.n_levels), np.zeros(len(self.pen))])
         stack = lam_w.shape[:-1]
@@ -327,17 +330,10 @@ class _DualRows:
             return v[..., :self.n_obs]
         return self._per_level(v).sum(axis=-2)
 
-    def _x_cols(self, rows):
-        return self.x[rows] if self.all_cols else self.x[rows][:, self.cols]
-
     def fitted(self, theta):
         """M theta."""
         stack = theta.shape[:-1]
-        slopes = theta[..., :self.p]
-        if not self.all_cols:
-            slopes = np.zeros(stack + (self.x.shape[1],))
-            slopes[..., self.cols] = theta[..., :self.p]
-        rows = slopes @ self.x.T
+        rows = theta[..., :self.p] @ self.x.T
         if self.m > self.p:  # one intercept per level (only these have levels)
             rows = (rows[..., None, :] + theta[..., self.p:, None]).reshape(stack + (-1,))
         if not self.pen.size:
@@ -346,9 +342,8 @@ class _DualRows:
 
     def adjoint(self, v):
         """M'v."""
-        xv = self._row_sums(v) @ self.x
         out = np.empty(v.shape[:-1] + (self.m,))
-        out[..., :self.p] = xv if self.all_cols else xv[..., self.cols]
+        out[..., :self.p] = self._row_sums(v) @ self.x
         if self.m > self.p:
             out[..., self.p:] = self._per_level(v).sum(axis=-1)
         if self.pen.size:
@@ -358,11 +353,11 @@ class _DualRows:
     def normal(self, q):
         """M' diag(q) M, for a stack of q's (B, rows) -> (B, m, m)."""
         g = np.zeros((len(q), self.m, self.m))
-        g[:, :self.p, :self.p] = _weighted_grams(self._x_cols, self._row_sums(q), self.p,
-                                                 _row_blocks(self.x, len(q)))
+        g[:, :self.p, :self.p] = _weighted_grams(lambda rows: self.x[rows], self._row_sums(q),
+                                                 self.p, _row_blocks(self.x, len(q)))
         if self.m > self.p:
             per_level = self._per_level(q)
-            cross = (per_level @ self.x)[..., self.cols]
+            cross = per_level @ self.x
             g[:, self.p:, :self.p] = cross
             g[:, :self.p, self.p:] = cross.transpose(0, 2, 1)
             at = np.arange(self.p, self.m)
@@ -377,7 +372,7 @@ class _DualRows:
         out = np.zeros(rows.shape + (self.m,))
         obs = rows < self.n_obs
         level, i = np.divmod(rows[obs], len(self.x))
-        out[obs, :self.p] = self._x_cols(i)
+        out[obs, :self.p] = self.x[i]
         if self.m > self.p:
             out[obs, self.p + level] = 1.0
         out[~obs, self.pen[rows[~obs] - self.n_obs]] = 1.0
@@ -775,7 +770,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
         if dependent is not None:
             cols = np.setdiff1d(cols, dependent)
         boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[cols])
-        lp = _DualRows(x, z, w, levels, has_intercepts, boxes, cols)
+        lp = _DualRows(x if len(cols) == p else x.take(cols, axis=1), z, w, levels,
+                       has_intercepts, boxes)
         count = len(lp.lo)
         if lp.m:
             normal_u = lp.normal(lp.hi - lp.lo)
@@ -785,7 +781,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
                 if found.size:
                     kept = np.delete(np.arange(lp.m), found)
                     cols, boxes = np.delete(cols, found), np.delete(boxes, found, axis=1)
-                    lp = _DualRows(x, z, w, levels, has_intercepts, boxes, cols)
+                    lp = _DualRows(np.delete(lp.x, found, axis=1), z, w, levels,
+                                   has_intercepts, boxes)
                     normal_u = normal_u[:, kept][:, :, kept]
             a, theta, steps, failures = _frisch_newton(lp, normal_u, tol, max_iter)
         else:  # every coordinate dropped: the vertex is theta = ()
@@ -1053,7 +1050,7 @@ def fit_adaptive_lasso(
     x, z, w = _active_rows(dataset, weights)
     if len(beta_tilde) != x.shape[1]:
         raise DimensionMismatch("beta_tilde length must equal p")
-    omega = adaptive_weights(beta_tilde, config.gamma, config.beta_floor)
+    omega = adaptive_weights(beta_tilde, config.gamma)
     fits = _fit_path(x, z, w, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
     return _raised(fits[0]) if single else AdaptiveLassoPath(fits)
 
@@ -1157,22 +1154,21 @@ def kkt_residual(
     lam: float,
     adaptive_weights_vec,
     result: EstimatorResult,
-    zero_tol: float = 1e-7,
 ) -> float:
     """Max over coordinates of the distance of 0 from the subdifferential.
 
     Each level contributes its rows' derivative intervals (`LossLevel.slopes`:
-    check-loss residuals within zero_tol of 0 take their whole interval),
+    check-loss residuals within _ZERO_TOL of 0 take their whole interval),
     summed per column.  Intercept coordinates are included without penalty.
     """
     x, z, w = _active_rows(dataset, weights)
     lam_w = lam * np.asarray(adaptive_weights_vec, dtype=float)
     intercepts = np.asarray(result.intercepts, dtype=float)
-    return float(_certificates(x, z, w, loss, lam_w[None], result.beta[None], intercepts[None],
-                               zero_tol)[1][0])
+    return float(_certificates(x, z, w, loss, lam_w[None], result.beta[None],
+                               intercepts[None])[1][0])
 
 
-def _certificates(x, z, w, loss, lam_ws, betas, intercepts, zero_tol: float = 1e-7):
+def _certificates(x, z, w, loss, lam_ws, betas, intercepts):
     """Per fit (a row of lam_ws, betas and intercepts, on the active rows):
     its penalized objective and its `kkt_residual`.
 
@@ -1191,7 +1187,7 @@ def _certificates(x, z, w, loss, lam_ws, betas, intercepts, zero_tol: float = 1e
         shift = intercepts[:, k, None] if intercepts.shape[1] else 0.0
         resid = z - shift - fitted
         objectives += [float(w @ values) for values in level.values(resid)]
-        d_lo, d_hi = level.slopes(resid, zero_tol)
+        d_lo, d_hi = level.slopes(resid)
         # sum_i c_i [d_lo_i, d_hi_i] = c'mid -/+ |c|'half, and half is 0
         # off the check loss's kink
         mid, half = w * (d_lo + d_hi) / 2.0, w * (d_hi - d_lo) / 2.0

@@ -350,6 +350,26 @@ def test_simulate_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("text, code, prefix", [
+    (CONFIG_TEXT.replace("[generation]\n", "", 1), 4, "configuration error"),
+    (CONFIG_TEXT.replace("p = 4\n", "p = 4\np = 5\n"), 4, "configuration error"),
+    (CONFIG_TEXT.replace("beta0 = 1,-2", "beta0 = 1,%"), 4, "configuration error"),
+    (None, 2, "input error"),  # a directory, not a file
+], ids=["no-section-header", "repeated-key", "bad-interpolation", "directory"])
+def test_malformed_config_exit_code(command, text, code, prefix, tmp_path, capsys):
+    cfg = tmp_path / "study.ini"
+    if text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    target = ["--output-dir" if command == "simulate" else "--output", str(out)]
+    assert main([command, "--config", str(cfg)] + target) == code
+    assert capsys.readouterr().err.startswith(f"censlasso: {prefix}: ")
+    assert not out.exists()
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "study.ini"
     cfg.write_text(CONFIG_TEXT)

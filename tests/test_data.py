@@ -22,6 +22,7 @@ from censlasso.data import (
 )
 from censlasso.errors import (
     CensLassoError,
+    InputError,
     MissingColumn,
     NonBinaryDelta,
     NonFiniteCovariate,
@@ -237,6 +238,17 @@ def test_load_csv_names_the_physical_line_after_a_quoted_newline(tmp_path):
     with pytest.raises(NonFiniteCovariate) as info:
         load_csv(path)
     assert str(info.value).startswith(f"{path}:4: ")
+
+
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
+    # a Latin-1 byte in a data row: an input error (exit 2) naming the
+    # file, not the ValueError that UnicodeDecodeError also is
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"y,delta,x1\n1.5,1,2\n2.5,0,caf\xe9\n")
+    with pytest.raises(InputError) as info:
+        load_csv(path)
+    assert info.value.exit_code == 2
+    assert str(info.value).startswith(f"{path}: not UTF-8 text")
 
 
 def test_write_csv_format_is_pinned(tmp_path):

@@ -232,6 +232,43 @@ def test_lp_screening_bound_is_tight():
         assert abs(res.objective - best) <= 1e-9 * best
 
 
+def test_dual_rows_products_are_the_dense_ones(monkeypatch):
+    # the kernel on a stack's kept columns against the dense M its docstring
+    # defines: observation rows (x_i[cols], e_k) per level k, then a
+    # pseudo-row e_j per penalized coordinate.  Composite quantile (J = 3)
+    # with intercepts, column 1 dropped, coordinate 2 unpenalized, and row
+    # blocks of a few rows so `normal` sums over several of them
+    monkeypatch.setattr(solvers, "_BLOCK", 16)
+    rng = np.random.default_rng(3)
+    n, cols = 11, np.array([0, 2, 3, 4])
+    x, z, w = rng.normal(size=(n, 5)), rng.normal(size=n), rng.uniform(0.5, 2.0, n)
+    levels = solvers.loss_levels(LossKind("composite_quantile", n_levels=3))
+    lam_w = np.array([[0.5, 1.5, 0.0, 2.0], [0.7, 0.2, 0.0, 3.0]])
+    lp = solvers._DualRows(x.take(cols, axis=1), z, w, levels, True, lam_w)
+    pen = np.array([0, 1, 3])
+    obs = np.hstack([np.tile(x[:, cols], (3, 1)), np.repeat(np.eye(3), n, axis=0)])
+    dense = np.vstack([obs, np.eye(7)[pen]])
+    assert (lp.p, lp.m, lp.n_obs) == (4, 7, 3 * n)
+    assert np.array_equal(lp.pen, pen)
+    assert np.array_equal(lp.resp, np.r_[np.tile(z, 3), np.zeros(3)])
+    for k, level in enumerate(levels):
+        rows = slice(k * n, (k + 1) * n)
+        assert np.array_equal(lp.lo[:, rows], np.tile(-(1.0 - level.tau) * w, (2, 1)))
+        assert np.array_equal(lp.hi[:, rows], np.tile(level.tau * w, (2, 1)))
+    assert np.array_equal(lp.hi[:, 3 * n:], lam_w[:, pen])
+    assert np.array_equal(lp.lo[:, 3 * n:], -lam_w[:, pen])
+    theta, v = rng.normal(size=(2, 7)), rng.normal(size=(2, len(dense)))
+    q = rng.uniform(0.1, 3.0, size=(2, len(dense)))
+    np.testing.assert_allclose(lp.fitted(theta), theta @ dense.T, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(lp.fitted(theta[0]), dense @ theta[0], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(lp.adjoint(v), v @ dense, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(lp.normal(q), [dense.T @ (qb[:, None] * dense) for qb in q],
+                               rtol=1e-13, atol=1e-13)
+    at = np.array([[0, n + 4, 2 * n + 10, 3 * n], [3 * n + 2, 5, 3 * n + 1, 2 * n]])
+    assert np.array_equal(lp.design(at), dense[at])
+    assert np.array_equal(lp.col_reach, np.r_[np.abs(x[:, cols]).max(axis=0), np.ones(3)])
+
+
 # --- lockstep paths against per-point fits ----------------------------------
 
 def assert_path_matches_per_point_fits(ds, w, loss, fit_intercept, beta_tilde, lams):
@@ -796,7 +833,7 @@ def test_degenerate_weights_raises():
 
 
 def test_adaptive_weights_floor():
-    om = adaptive_weights([2.0, 0.0, -0.5], gamma=1.0, beta_floor=1e-10)
+    om = adaptive_weights([2.0, 0.0, -0.5], gamma=1.0)
     assert om[0] == pytest.approx(0.5)
     assert om[1] == pytest.approx(1e10)
     assert om[2] == pytest.approx(2.0)

@@ -221,10 +221,9 @@ def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
         # grid point 3's own problem, whose pseudo-row boxes are lam_3 * omega
         # where it does not clip them, gets no vertex
         own = ~clipped[:, lp.pen]
-        boxes = grid[3] * omega[lp.cols[lp.pen]]
         return {k: vertex for k, vertex in real(lp, live, a, theta, clipped).items()
-                if not (own[k].any() and np.array_equal(lp.hi[k, lp.n_obs:][own[k]],
-                                                         boxes[own[k]]))}
+                if not (own[k].any() and np.isin(lp.hi[k, lp.n_obs:][own[k]],
+                                                  grid[3] * omega).all())}
 
     monkeypatch.setattr(solvers, "_polish", failing)
     path = select_lambda(ds, w, loss, grid, BicConfig())
