@@ -39,7 +39,6 @@ from .losses import (
     estimate_expectile_index,
     estimate_quantile_index,
     expectile_grad,
-    expectile_hess,
     expectile_loss,
 )
 from .simulation import (
@@ -67,7 +66,6 @@ from .tuning import (
     BicConfig,
     BicPath,
     bic_score,
-    composite_tang_bic_score,
     fixed_lambda,
     lambda_grid,
     select_lambda,
@@ -96,11 +94,9 @@ __all__ = [
     "bic_score",
     "calibrate_censoring_bound",
     "check_loss",
-    "composite_tang_bic_score",
     "estimate_expectile_index",
     "estimate_quantile_index",
     "expectile_grad",
-    "expectile_hess",
     "expectile_loss",
     "fit_adaptive_lasso",
     "fit_aggregated",

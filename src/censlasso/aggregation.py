@@ -186,7 +186,7 @@ def fit_aggregated(
                 fit_config=config,
             )
             return path.best.result, path.best.lam
-        pilot = fit_unpenalized(sub, weights, config.loss, config.replace(lam=0.0))
+        pilot = fit_unpenalized(sub, weights, config.loss, config)
         result = fit_adaptive_lasso(sub, weights, config, pilot.beta)
         return result, config.lam
 

@@ -172,8 +172,11 @@ def _parse_bool(text: str) -> bool:
 def load_simulation_spec(path, overrides=()) -> SimulationSpec:
     """Build a SimulationSpec from an INI file plus section.key=value overrides."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, encoding="utf-8") as fh:
-        cfg.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg.read_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -253,7 +256,7 @@ def cmd_simulate(args) -> int:
     fh = open(report_path, "w", encoding="utf-8")
     try:
         with fh:
-            fh.write(report.to_json(include_timings=False))
+            fh.write(report.to_json())
             fh.write("\n")
         # a failed table write removes its own tables; the report goes here
         report.write_csv_tables(args.output_dir)

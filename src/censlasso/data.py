@@ -12,7 +12,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,16 +144,7 @@ class GenerationSpec:
         return np.asarray(self.beta0, dtype=float)
 
     def with_seed(self, seed: int) -> "GenerationSpec":
-        return GenerationSpec(
-            n=self.n,
-            p=self.p,
-            beta0=self.beta0,
-            intercept=self.intercept,
-            design_mean=self.design_mean,
-            error_family=self.error_family,
-            target_censoring_rate=self.target_censoring_rate,
-            seed=int(seed),
-        )
+        return replace(self, seed=int(seed))
 
 
 @dataclass(frozen=True, eq=False)

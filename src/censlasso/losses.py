@@ -107,15 +107,6 @@ def expectile_grad(tau: float, u) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def expectile_hess(tau: float, u) -> np.ndarray | float:
-    """Second derivative in the location parameter: 2 tau 1{u>=0} + 2(1-tau) 1{u<0}."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie strictly inside (0, 1)")
-    u = np.asarray(u, dtype=float)
-    out = np.where(u >= 0.0, 2.0 * tau, 2.0 * (1.0 - tau))
-    return float(out) if out.ndim == 0 else out
-
-
 def pointwise_loss(kind: LossKind, u) -> np.ndarray:
     """Per-residual loss for the non-composite families."""
     if kind.family == LossKind.MEDIAN:

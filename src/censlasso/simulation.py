@@ -144,8 +144,9 @@ class MethodPlanReport:
     normality: dict[int, dict]
     bic_minimizer_counts: list[int] | None
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The entry without its timing, which `timings.csv` holds."""
+        return {
             "method": self.method,
             "plan": self.plan,
             "replications_used": self.replications_used,
@@ -156,9 +157,6 @@ class MethodPlanReport:
             "normality": {str(j): v for j, v in self.normality.items()},
             "bic_minimizer_counts": self.bic_minimizer_counts,
         }
-        if include_timings:
-            out["mean_fit_seconds"] = self.mean_fit_seconds
-        return out
 
 
 @dataclass
@@ -169,13 +167,13 @@ class SimulationReport:
     n: int
     p: int
 
-    def to_json(self, include_timings: bool = True) -> str:
+    def to_json(self) -> str:
         payload = {
             "n": self.n,
             "p": self.p,
             "active_set": self.active_set,
             "failed_replications": self.failed_replications,
-            "entries": [e.to_dict(include_timings) for e in self.entries],
+            "entries": [e.to_dict() for e in self.entries],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -644,53 +644,40 @@ def _snapped(lp: _DualRows, basic, a, lo, hi, theta, snap):
     return theta
 
 
-def _polish(lp: _DualRows, live, a, theta, clipped):
+def _polish(lp: _DualRows, live, a, theta):
     """The vertices of the problems `live` of a stack that the stack's
-    interior solution (a, theta) points at; clipped (a row per problem of the
-    stack, lp.p columns) marks the slopes each problem screens out.
+    interior solution (a, theta) points at.
 
     Each problem's rows are ranked by how far inside its box each dual is,
     and, for the problems that ranking leaves, by how small each residual is
-    at theta with the clipped slopes at 0.  In both rankings the pseudo-rows
-    of the clipped coordinates come first, so that those are pinned at 0,
-    and their boxes are widened to the whole line: what is left is the
-    screened problem's own ranking.  The first m rows of a ranking are its
-    basic rows when they are independent on the problem's own columns (one
-    batched QR, the `_first_independent` test); else `_first_independent`
-    searches the ranking for them.  Problems with the same number of basic
-    observation rows get their vertices from one batched `_vertices`, each
-    alone if that is singular, and a certified vertex is `_snapped`.
-    Returns {problem: (theta, dual objective)} for the certified problems.
+    at theta.  The first m rows of a ranking are its basic rows when they
+    are independent (one batched QR, the `_first_independent` test); else
+    `_first_independent` searches the whole ranking for them.  Problems with
+    the same number of basic observation rows get their vertices from one
+    batched `_vertices`, each alone if that is singular, and a certified
+    vertex is `_snapped`.  Returns {problem: (theta, dual objective)} for
+    the certified problems.
     """
     n_obs, m = lp.n_obs, lp.m
-    lo, hi, a, clipped = lp.lo[live], lp.hi[live], a[live], clipped[live]
-    clipped_rows = clipped[:, lp.pen]
+    lo, hi, a = lp.lo[live], lp.hi[live], a[live]
     key = -np.minimum(a - lo, hi - a) / (hi - lo)
-    # a clipped coordinate's dual constraint is not its screened problem's
-    lo[:, n_obs:][clipped_rows], hi[:, n_obs:][clipped_rows] = -np.inf, np.inf
-    own = np.concatenate([~clipped, np.ones((len(live), m - lp.p), dtype=bool)], axis=1)
     polished, left = {}, np.arange(len(live))
     for ranking in ("inside", "residual"):
         if ranking == "residual":
             left = np.array([k for k in left if live[k] not in polished], dtype=int)
             if not left.size:
                 break
-            key = np.abs(lp.resp - lp.fitted(np.where(own[left], theta[live[left]], 0.0)))
-        key[:, n_obs:][clipped_rows[left]] = -np.inf
+            key = np.abs(lp.resp - lp.fitted(theta[live[left]]))
         order = np.argsort(key, axis=1, kind="stable")
         basic = order[:, :m]
         rows = lp.design(basic)
-        rows[..., :lp.p][(basic < n_obs)[:, :, None] & clipped[left][:, None, :]] = 0.0
         r = np.linalg.qr(rows.transpose(0, 2, 1), mode="r")
         found = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2))
                        > _DEPENDENT * np.linalg.norm(rows, axis=2), axis=1)
         for g in np.flatnonzero(~found):
-            cols = np.flatnonzero(own[left[g]])
-            rest = order[g, m - len(cols):]  # after the clipped pseudo-rows
-            chosen = _first_independent(lambda at: lp.design(rest[at])[:, cols],
-                                        len(rest), len(cols), len(cols))
-            if len(chosen) == len(cols):
-                basic[g, m - len(cols):], found[g] = rest[chosen], True
+            chosen = _first_independent(lambda at: lp.design(order[g, at]), order.shape[1], m, m)
+            if len(chosen) == m:
+                basic[g], found[g] = order[g, chosen], True
         counts = np.count_nonzero(basic < n_obs, axis=1)
         for count in np.unique(counts[found]):
             tries = [np.flatnonzero(found & (counts == count))]
@@ -726,11 +713,14 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     constraint is then slack at every feasible a, so it is 0 at every
     optimum and the problem's optimum set is its screened problem's (this
     also keeps the pilot-zero floor's huge penalties out of the
-    iterations).  An unpenalized coordinate whose column depends on the
-    others (`_dependent_columns`: duplicated covariates, a constant one
-    beside an intercept, fewer active rows than coordinates) is dropped from
-    every problem; only intercepts and unpenalized columns enter that test,
-    so the first stack answers for all.  Problems that penalize different
+    iterations).  `_polish` then ranks and certifies such a problem as it is
+    posed: a vertex with every observation dual in its box has |x_j'a| <=
+    reach_j, so any vertex it certifies is optimal for the screened problem
+    too.  An unpenalized coordinate whose column depends on the others
+    (`_dependent_columns`: duplicated covariates, a constant one beside an
+    intercept, fewer active rows than coordinates) is dropped from every
+    problem; only intercepts and unpenalized columns enter that test, so
+    the first stack answers for all.  Problems that penalize different
     coordinates (a lambda of 0 beside positive ones) run apart, since a
     pseudo-row's box cannot be empty.
 
@@ -789,7 +779,7 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             a, theta = np.zeros(lp.lo.shape), np.zeros((count, 0))
             steps, failures = np.zeros(count, dtype=int), [None] * count
         live = np.flatnonzero([failure is None for failure in failures])
-        polished = _polish(lp, live, a, theta, ~own[at][:, cols])
+        polished = _polish(lp, live, a, theta)
         for k, b in enumerate(range(start, start + count)):
             if failures[k] is not None:
                 outcomes.append(NoConvergence(f"{loss.label()} fit {failures[k]}"))

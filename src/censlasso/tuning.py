@@ -24,7 +24,6 @@ from .solvers import (
     fit_adaptive_lasso,
     fit_unpenalized,
     objective_value,
-    weighted_loss,
 )
 
 PENALTY_MODES = ("log_n_over_n", "log_nu_over_nu")
@@ -123,31 +122,6 @@ def bic_score(
     return numer / normalizer + len(result.support) * math.log(m) / m
 
 
-def composite_tang_bic_score(
-    dataset: SurvivalDataset,
-    weights: IpcwWeights,
-    result: EstimatorResult,
-    config: BicConfig,
-) -> float:
-    """Alternative composite-quantile criterion: log of the mean weighted
-    absolute residual across levels, plus the same support penalty."""
-    levels = len(result.intercepts)
-    if levels == 0:
-        raise ValueError("composite criterion needs level intercepts")
-    z = np.log(dataset.y)
-    fitted = dataset.x @ result.beta
-    # a level's weighted absolute residual is the median loss at its intercept
-    median = LossKind(LossKind.MEDIAN)
-    avg = 0.0
-    for b in result.intercepts:
-        avg += weighted_loss(median, weights.w, z, fitted, (b,)) / dataset.n
-    avg /= levels
-    if avg <= 0.0:
-        raise ZeroNormalizer("mean absolute residual is zero; log undefined")
-    m = _penalty_count(dataset, config.penalty_mode)
-    return math.log(avg) + len(result.support) * math.log(m) / m
-
-
 def select_lambda(
     dataset: SurvivalDataset,
     weights: IpcwWeights,
@@ -168,7 +142,7 @@ def select_lambda(
         raise ValueError("lambda grid must be non-empty")
     if fit_config is None:
         fit_config = FitConfig(loss=loss)
-    pilot = fit_unpenalized(dataset, weights, loss, fit_config.replace(lam=0.0))
+    pilot = fit_unpenalized(dataset, weights, loss, fit_config)
     normalizer = _loss_at(dataset, weights, loss, pilot)
     entries = []
     fits = fit_adaptive_lasso(

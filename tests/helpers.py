@@ -161,6 +161,23 @@ def check_loss_levels(loss):
     return [(float(t), 1.0) for t in loss.taus]
 
 
+def clip_boxes(dataset, weights, loss):
+    """2 reach_j for each column j: the pseudo-row box of a coordinate that
+    a lockstep stack clips, reach_j = sum_i |x_ij| w_i sum_k scale_k
+    max(tau_k, 1 - tau_k) over the rows with positive weight."""
+    w = np.asarray(weights.w, dtype=float)
+    keep = w > 0.0
+    widest = w[keep] * sum(scale * max(tau, 1.0 - tau) for tau, scale in check_loss_levels(loss))
+    return 2.0 * (np.abs(dataset.x[keep]).T @ widest)
+
+
+def clipped_rows(lp, boxes):
+    """Per problem of a stack and pseudo-row: whether its box is a clipped
+    one, 2 reach_j for some column j (`boxes`, from `clip_boxes`)."""
+    pseudo = lp.hi[:, lp.n_obs:]
+    return np.isclose(pseudo[..., None], boxes, rtol=1e-12, atol=0.0).any(axis=-1)
+
+
 def check_loss_primal_lp(x, z, w, levels, intercepts, lam_w):
     """The penalized weighted check-loss fit as HiGHS solves its primal LP.
 

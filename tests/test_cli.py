@@ -356,17 +356,21 @@ def test_simulate_missing_config_exits_2(tmp_path):
     (CONFIG_TEXT.replace("p = 4\n", "p = 4\np = 5\n"), 4, "configuration error"),
     (CONFIG_TEXT.replace("beta0 = 1,-2", "beta0 = 1,%"), 4, "configuration error"),
     (None, 2, "input error"),  # a directory, not a file
-], ids=["no-section-header", "repeated-key", "bad-interpolation", "directory"])
+    (b"# caf\xe9\n" + CONFIG_TEXT.encode(), 4, "configuration error"),
+], ids=["no-section-header", "repeated-key", "bad-interpolation", "directory", "not-utf8"])
 def test_malformed_config_exit_code(command, text, code, prefix, tmp_path, capsys):
     cfg = tmp_path / "study.ini"
     if text is None:
         cfg.mkdir()
+    elif isinstance(text, bytes):
+        cfg.write_bytes(text)
     else:
         cfg.write_text(text)
     out = tmp_path / "out"
     target = ["--output-dir" if command == "simulate" else "--output", str(out)]
     assert main([command, "--config", str(cfg)] + target) == code
-    assert capsys.readouterr().err.startswith(f"censlasso: {prefix}: ")
+    named = f"{cfg}: not UTF-8 text (" if isinstance(text, bytes) else ""
+    assert capsys.readouterr().err.startswith(f"censlasso: {prefix}: {named}")
     assert not out.exists()
 
 

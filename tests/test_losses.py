@@ -10,7 +10,6 @@ from censlasso.losses import (
     estimate_expectile_index,
     estimate_quantile_index,
     expectile_grad,
-    expectile_hess,
     expectile_loss,
 )
 
@@ -61,17 +60,11 @@ def test_expectile_half_is_least_squares():
     u = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
     assert np.allclose(expectile_loss(0.5, u), u * u / 2.0)
     assert np.allclose(expectile_grad(0.5, u), -u)
-    assert np.allclose(expectile_hess(0.5, u), np.ones_like(u))
 
 
 def test_expectile_grad_sign_convention():
     assert expectile_grad(0.3, 2.0) == pytest.approx(-1.2)
     assert expectile_grad(0.3, -2.0) == pytest.approx(2.8)
-
-
-def test_expectile_hess_values():
-    assert expectile_hess(0.3, 2.0) == pytest.approx(0.6)
-    assert expectile_hess(0.3, -2.0) == pytest.approx(1.4)
 
 
 def test_expectile_grad_matches_finite_difference():

@@ -152,7 +152,7 @@ def test_run_study_deterministic_serialization():
     spec = tiny_spec()
     r1 = run_study(spec)
     r2 = run_study(spec)
-    assert r1.to_json(include_timings=False) == r2.to_json(include_timings=False)
+    assert r1.to_json() == r2.to_json()
 
 
 def test_run_study_k1_plan_equals_full_data_fit():
@@ -198,9 +198,7 @@ def test_run_study_parallel_matches_serial():
     spec = tiny_spec(M=3)
     serial = run_study(spec, n_jobs=1)
     parallel = run_study(spec, n_jobs=2)
-    assert serial.to_json(include_timings=False) == parallel.to_json(
-        include_timings=False
-    )
+    assert serial.to_json() == parallel.to_json()
 
 
 def test_run_study_auto_indices_match_gumbel_shape():

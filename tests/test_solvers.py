@@ -32,6 +32,8 @@ from helpers import (
     check_loss_levels,
     check_loss_primal_lp,
     check_objective_on_grid,
+    clip_boxes,
+    clipped_rows,
     make_weights,
     naive_objective,
     small_dataset,
@@ -420,29 +422,30 @@ def test_lp_path_points_stop_on_their_own():
             assert f"did not converge ({cap} iterations)" in str(got)
 
 
-def polished_path(monkeypatch, stacked, *args):
-    """fit_adaptive_lasso(*args) with each stack polished at once, or
-    (stacked False) with `_polish` run on one problem of the stack at a
-    time; also counts the stacks polished, the points certified and the
-    points with clipped columns."""
+def polished_path(monkeypatch, stacked, ds, w, cfg, *args):
+    """fit_adaptive_lasso(ds, w, cfg, *args) with each stack polished at
+    once, or (stacked False) with `_polish` run on one problem of the stack
+    at a time; also counts the stacks polished, the points certified and
+    the points with clipped columns (a pseudo-row box of 2 reach_j)."""
     seen = {"stacks": 0, "certified": 0, "clipped": 0}
     polish = solvers._polish
+    boxes = clip_boxes(ds, w, cfg.loss)
 
-    def spy(lp, live, a, theta, clipped):
+    def spy(lp, live, a, theta):
         if stacked:
-            polished = polish(lp, live, a, theta, clipped)
+            polished = polish(lp, live, a, theta)
         else:
             polished = {}
             for k in live:
-                polished.update(polish(lp, np.array([k]), a, theta, clipped))
+                polished.update(polish(lp, np.array([k]), a, theta))
         seen["stacks"] += 1
         seen["certified"] += len(polished)
-        seen["clipped"] += int(np.count_nonzero(clipped[live].any(axis=1)))
+        seen["clipped"] += int(np.count_nonzero(clipped_rows(lp, boxes)[live].any(axis=1)))
         return polished
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_polish", spy)
-        return fit_adaptive_lasso(*args), seen
+        return fit_adaptive_lasso(ds, w, cfg, *args), seen
 
 
 def clipped_path_case(seed=1):
@@ -456,9 +459,9 @@ def clipped_path_case(seed=1):
                                   LossKind("composite_quantile", n_levels=3)],
                          ids=["median", "quantile0.3", "composite3"])
 def test_stack_polish_is_the_per_problem_polish(monkeypatch, loss):
-    # the stack's clipped pseudo-rows are ranked first and pinned up front:
-    # polishing the stack at once or one problem at a time from the same
-    # interior solution gives the same vertices
+    # each problem is ranked and certified as the stack poses it, clipped
+    # boxes included: polishing the stack at once or one problem at a time
+    # from the same interior solution gives the same vertices
     ds, w, grid = clipped_path_case()
     cfg = FitConfig(loss=loss)
     pilot = fit_unpenalized(ds, w, loss, cfg)

@@ -13,13 +13,12 @@ from censlasso.solvers import EstimatorResult, FitConfig, adaptive_weights, fit_
 from censlasso.tuning import (
     BicConfig,
     bic_score,
-    composite_tang_bic_score,
     fixed_lambda,
     lambda_grid,
     select_lambda,
 )
 
-from helpers import make_weights, small_dataset
+from helpers import clip_boxes, clipped_rows, make_weights, small_dataset
 
 
 def problem(seed=0, n=200, p=5):
@@ -120,20 +119,6 @@ def test_bic_score_zero_normalizer():
         bic_score(ds, w, pilot, pilot, loss, BicConfig())
 
 
-def test_composite_tang_variant():
-    ds, w = problem(seed=6, n=80, p=3)
-    loss = LossKind("composite_quantile", n_levels=3)
-    pilot = fit_unpenalized(ds, w, loss)
-    score = composite_tang_bic_score(ds, w, pilot, BicConfig())
-    z = np.log(ds.y)
-    fitted = ds.x @ pilot.beta
-    avg = np.mean([
-        float(w.w @ np.abs(z - b - fitted)) / ds.n for b in pilot.intercepts
-    ])
-    expected = math.log(avg) + len(pilot.support) * math.log(ds.n) / ds.n
-    assert score == pytest.approx(expected, rel=1e-12)
-
-
 def test_bic_penalty_mode_uses_event_count():
     ds, w = problem(seed=8)
     loss = LossKind("median")
@@ -216,12 +201,13 @@ def test_select_lambda_isolates_a_failing_lp_grid_point(monkeypatch):
     clean = select_lambda(ds, w, loss, grid, BicConfig())
     omega = adaptive_weights(fit_unpenalized(ds, w, loss).beta)
     real = solvers._polish
+    boxes = clip_boxes(ds, w, loss)
 
-    def failing(lp, live, a, theta, clipped):
+    def failing(lp, live, a, theta):
         # grid point 3's own problem, whose pseudo-row boxes are lam_3 * omega
-        # where it does not clip them, gets no vertex
-        own = ~clipped[:, lp.pen]
-        return {k: vertex for k, vertex in real(lp, live, a, theta, clipped).items()
+        # where it does not clip them (to 2 reach_j), gets no vertex
+        own = ~clipped_rows(lp, boxes)
+        return {k: vertex for k, vertex in real(lp, live, a, theta).items()
                 if not (own[k].any() and np.isin(lp.hi[k, lp.n_obs:][own[k]],
                                                   grid[3] * omega).all())}
 
