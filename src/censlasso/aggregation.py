@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+# Unused here since the groups run as stacks in the calling thread; it stays
+# bound because the traced benchmark run (perfbench/spans.py) replaces it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SurvivalDataset
-from .errors import DimensionMismatch, InvalidK
+from .errors import CensLassoError, DimensionMismatch, InvalidK
 from .kaplan_meier import CensoringSurvivalCurve, fit_censoring_km, ipcw_weights
 from .solvers import EstimatorResult, FitConfig, fit_adaptive_lasso, fit_unpenalized
 from .tuning import BicConfig, lambda_grid, select_lambda
@@ -158,10 +160,14 @@ def fit_aggregated(
     """Split, fit each group (pilot then adaptive LASSO), vote, aggregate.
 
     With per_group_tuning each group scans its own BIC grid; otherwise every
-    group uses config.lam.  A failing group, one whose fit did not converge
-    included, aborts the whole fit.  Group fits
-    are independent and may run on a thread pool; the reduction is ordered by
-    group index, so the result does not depend on completion order.
+    group uses config.lam, and the K groups' pilots are fitted in one call
+    of `fit_unpenalized`, then their penalized fits in one call of
+    `fit_adaptive_lasso`: each call runs the groups as lockstep stacks, each
+    group on its own rows (large groups one at a time), in the calling
+    thread.  A failing group, one
+    whose fit did not converge included, aborts the whole fit with its own
+    error (the first in group order, pilots before penalized fits).  n_jobs
+    has no effect; it stays for callers that still pass it.
     """
     assignment = interleaved_split(dataset.n, plan.K)
     if plan.per_group_tuning and bic_config is None:
@@ -175,29 +181,21 @@ def fit_aggregated(
         )
         global_curve = fit_censoring_km(used)
 
-    def fit_group(k: int) -> tuple[EstimatorResult, float]:
-        # one group is the whole dataset, which is immutable: no copy
-        sub = dataset if plan.K == 1 else dataset.subset(assignment.groups[k])
-        curve = global_curve if global_curve is not None else fit_censoring_km(sub)
-        weights = ipcw_weights(sub, curve)
-        if plan.per_group_tuning:
-            path = select_lambda(
-                sub, weights, config.loss, lambda_grid(sub.n), bic_config,
-                fit_config=config,
-            )
-            return path.best.result, path.best.lam
-        pilot = fit_unpenalized(sub, weights, config.loss, config)
-        result = fit_adaptive_lasso(sub, weights, config, pilot.beta)
-        return result, config.lam
-
-    if n_jobs > 1 and plan.K > 1:
-        with ThreadPoolExecutor(max_workers=min(n_jobs, plan.K)) as pool:
-            fitted = list(pool.map(fit_group, range(plan.K)))
+    # one group is the whole dataset, which is immutable: no copy
+    subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
+    weights = [ipcw_weights(sub, global_curve if global_curve is not None
+                            else fit_censoring_km(sub)) for sub in subsets]
+    if plan.per_group_tuning:
+        best = [select_lambda(sub, w, config.loss, lambda_grid(sub.n), bic_config,
+                              fit_config=config).best for sub, w in zip(subsets, weights)]
+        results = tuple(b.result for b in best)
+        lambdas = tuple(b.lam for b in best)
     else:
-        fitted = [fit_group(k) for k in range(plan.K)]
+        pilots = _group_results(fit_unpenalized(subsets, weights, config.loss, config))
+        results = _group_results(fit_adaptive_lasso(subsets, weights, config,
+                                                    [pilot.beta for pilot in pilots]))
+        lambdas = (config.lam,) * plan.K
 
-    results = tuple(r for r, _ in fitted)
-    lambdas = tuple(l for _, l in fitted)
     vote_counts = np.zeros(dataset.p, dtype=np.int64)
     for r in results:
         vote_counts[r.beta != 0.0] += 1
@@ -210,3 +208,11 @@ def fit_aggregated(
         vote_counts=vote_counts,
         group_lambdas=lambdas,
     )
+
+
+def _group_results(fits) -> tuple[EstimatorResult, ...]:
+    """The groups' results in order; the first group's error is raised."""
+    for fit in fits:
+        if isinstance(fit, CensLassoError):
+            raise fit
+    return tuple(fits)

@@ -285,6 +285,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="censlasso",
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_threads(p, default, text):
-        p.add_argument("--threads", type=int, default=default, help=text)
+        p.add_argument("--threads", type=_positive_int, default=default, help=text)
 
     def add_fit_flags(p):
         p.add_argument("--data", required=True, help="input CSV (y,delta,x1..xp)")
@@ -339,9 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--km-scope", default="per_group",
                        choices=["per_group", "global"])
     p_agg.add_argument("--output", required=True)
-    # serial by default: the group fits are numpy-bound, and a thread pool
-    # over them measured slower than one thread on a 2-core host
-    add_threads(p_agg, 1, "threads that fit the groups (default 1: serial)")
+    # the groups run as lockstep stacks in the calling thread (a thread pool
+    # over single group fits had measured slower than serial); the flag
+    # stays, without effect, until the benchmark's aggregate command line
+    # stops passing it
+    add_threads(p_agg, 1, "accepted for compatibility; has no effect (the groups "
+                          "are fitted as lockstep stacks in one thread)")
     p_agg.set_defaults(func=cmd_aggregate, needs_lambda_choice=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study from a config file")

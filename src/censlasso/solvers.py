@@ -37,11 +37,18 @@ carries its KKT residual.  Two solver routes:
   Ng 2005): per iteration one batched solve of their normal matrices and
   per-problem step lengths, then the polish for the whole stack in batched
   calls; each keeps its own vertex, certificates, iteration count and
-  failure.  A single fit is a stack of one.  A fit whose iterations stop
-  short raises `NoConvergence`.  After the polish there are two outcomes
-  for a fit left without a certified vertex: one whose stack clipped its
-  penalties (its central path is the stack's, not its own) is fitted again
-  alone, and any other raises `NoConvergence`.
+  failure.  A single fit is a stack of one.  The groups of an aggregated
+  fit (`fit_unpenalized` and `fit_adaptive_lasso` given sequences) run as
+  stacks too, each problem on rows of its own: x (B, n, p), each group's
+  rows padded with inert zero rows up to the stack's longest (`_padded`),
+  and each group with its own columns, padded with zero columns
+  (`_own_columns`); groups too large to gain from it (`_OWN_STACK`) run one
+  at a time.  A fit whose iterations stop short raises `NoConvergence`.  A
+  fit the polish leaves without a certified vertex is fitted again alone:
+  one whose stack clipped its penalties (its central path is the stack's,
+  not its own) as it is, any other at tol / 100 (down to 1e-10), as its
+  iterations stopped too far from a near-degenerate optimum to tell its
+  basic rows; if that fails too it raises `NoConvergence`.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -58,11 +65,13 @@ carries its KKT residual.  Two solver routes:
   each problem stops once it converges.
   Every product is a problem's own, so its fit does not depend on its
   stack.  Pilot and penalized fits, with or without an intercept, all take
-  this one route; a single fit is a stack of one.
+  this one route; a single fit is a stack of one, and the groups of an
+  aggregated fit run as stacks on rows of their own, padding with weight 0.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,30 +255,68 @@ _RIDGE = 1e-12
 # share of a column's squared norm that it must keep beyond the columns
 # before it to count as clearly independent of them
 _CLEAR = 1e-6
+# the tightest tol at which a problem that the polish leaves without a
+# vertex is fitted again
+_RETRY_TOL = 1e-10
 # doubles per block of design rows that is copied at a time
 _BLOCK = 1 << 18
 # doubles per stacked vector of problems that run in lockstep: a stack's
 # iterations hold a few dozen such vectors
 _STACK = 1 << 14
+# the most doubles of a group's design (active rows x p) for the groups of
+# an aggregated fit to run as stacks: a group alone keeps its rows in cache
+# through its iterations, and past about 0.5 MB re-reading every group's
+# rows on each pass costs a stack more than the per-call overhead it saves
+# (at p = 50 the crossover measured between 1000 and 2000 rows per group)
+_OWN_STACK = 1 << 16
 
 
 def _row_blocks(x, stack=1):
-    """Slices covering x's rows, a few MB of x (times the stack's size) at a time."""
-    step = max(1, _BLOCK // max(x.shape[1] * stack, 1))
-    return [slice(s, s + step) for s in range(0, len(x), step)]
+    """Slices covering the rows of x (n, p), or of each problem's x_b in a
+    stack (B, n, p), a few MB of x (times the stack's size) at a time."""
+    step = max(1, _BLOCK // max(x.shape[-1] * stack, 1))
+    return [slice(s, s + step) for s in range(0, x.shape[-2], step)]
 
 
 def _weighted_grams(block, q, dim, blocks):
     """M' diag(q_b) M for each row q_b of q, (B, n) -> (B, dim, dim), summed
     over the row slices `blocks`, where block(rows) gives M's rows as a
-    (rows, dim) array.  Each problem's sum is its own matmul slice per
-    block; the largest temporary is one block's (B, rows, dim) weighted
-    copy."""
+    (rows, dim) array, or each problem's own as a (B, rows, dim) one.  Each
+    problem's sum is its own matmul slice per block; the largest temporary
+    is one block's (B, rows, dim) weighted copy."""
     g = np.zeros((len(q), dim, dim))
     for rows in blocks:
         mb = block(rows)
-        g += np.matmul(mb.T, mb * q[:, rows, None])
+        g += np.matmul(np.swapaxes(mb, -1, -2), mb * q[:, rows, None])
     return g
+
+
+def _times_x(v, x):
+    """v_b'x for each row v_b of v, or v_b'x_b when x is a stack (B, n, p)
+    of the problems' own rows."""
+    return v @ x if x.ndim == 2 else np.matmul(v[:, None, :], x)[:, 0]
+
+
+def _padded(rows):
+    """Problems' own active rows, a list of (x_b, z_b, w_b), as one stack:
+    x (B, n, p), z and w (B, n), each problem's rows first and then zero
+    rows (w = 0 marks them) up to the longest problem's n."""
+    n = max(len(z) for _, z, _ in rows)
+    x = np.zeros((len(rows), n, rows[0][0].shape[1]))
+    z, w = np.zeros((len(rows), n)), np.zeros((len(rows), n))
+    for b, (xb, zb, wb) in enumerate(rows):
+        x[b, :len(zb)], z[b, :len(zb)], w[b, :len(zb)] = xb, zb, wb
+    return x, z, w
+
+
+def _stack_of(x, z, w, at):
+    """The rows of the problems `at` (a slice or index array) of a stack:
+    x, z and w themselves when the problems share them, else the problems'
+    own, padded only to the longest of them."""
+    if x.ndim == 2:
+        return x, z, w
+    n = int(np.count_nonzero(w[at] > 0.0, axis=1).max())
+    return x[at, :n], z[at, :n], w[at, :n]
 
 
 def _clearly_independent(grams):
@@ -293,33 +340,67 @@ class _DualRows:
     intercepts.  Row (k, i), stored at k * n + i, is observation i at level
     k: design (x_i, e_k), response z_i, box scale * w_i * [tau_k - 1, tau_k].
     Then one pseudo-row per penalized coordinate j: design e_j, response 0,
-    box [-lam_j, lam_j].  Problems that share M and resp and differ only in
-    their penalties form a stack: lam_w is (p,) for one problem and then lo
-    and hi are vectors, or (B, p) for B problems that penalize the same
-    coordinates and then lo and hi have one row per problem.  `fitted` and
-    `adjoint` act on the last axis and `normal` on each row of a 2-d q, so
-    one call serves a stack.
+    box [-lam_j, lam_j].  Problems that differ only in their penalties form
+    a stack: lam_w is (p,) for one problem and then lo and hi are vectors,
+    or (B, p) for B problems that penalize the same coordinates and then lo
+    and hi have one row per problem.  Problems on rows of their own (the
+    groups of an aggregated fit) give x as (B, n, p) and z, w as (B, n):
+    resp, col_reach and the products are then per problem, and a problem
+    with fewer rows than n is padded with zero rows of w = 0.  A padded row
+    of M is zero, intercept columns included, with response 0.  A problem
+    with fewer penalized columns than the stack is padded with zero columns
+    whose penalty is 0: their pseudo-rows e_j pin those coordinates at 0.
+    Padded rows of either kind get the box [-1/2, 1/2] (an interior point
+    needs positive width); `real` is 1.0 on each problem's own rows and 0.0
+    on its padding (None without padding), and `widest` is the widest box
+    of each problem's own observation rows.
+    `fitted` and `adjoint` act on the last axis and `normal` on each row of
+    a 2-d q, so one call serves a stack.
     M is not formed: every level shares x, and products with x run over all
     its columns or over blocks of its rows.
     """
 
     def __init__(self, x, z, w, levels, has_intercepts, lam_w):
         self.x, self.n_levels = x, len(levels)
-        n, self.p = x.shape
-        self.n_obs = self.n_levels * n
+        self.n, self.p = x.shape[-2:]
+        self.n_obs = self.n_levels * self.n
         self.m = self.p + (self.n_levels if has_intercepts else 0)
         self.pen = np.flatnonzero(np.any(lam_w > 0.0, axis=tuple(range(lam_w.ndim - 1))))
         # the largest |entry| of each design column
-        self.col_reach = np.r_[np.maximum(x.max(axis=0, initial=0.0), -x.min(axis=0, initial=0.0)),
-                               np.ones(self.m - self.p)]
-        self.resp = np.concatenate([np.tile(z, self.n_levels), np.zeros(len(self.pen))])
+        reach = np.maximum(x.max(axis=-2, initial=0.0), -x.min(axis=-2, initial=0.0))
+        self.col_reach = np.concatenate([reach, np.ones(reach.shape[:-1] + (self.m - self.p,))],
+                                        axis=-1)
+        self.resp = np.concatenate([np.tile(z, self.n_levels),
+                                    np.zeros(z.shape[:-1] + (len(self.pen),))], axis=-1)
         stack = lam_w.shape[:-1]
-        obs_lo = np.concatenate([-lv.scale * (1.0 - lv.tau) * w for lv in levels])
-        obs_hi = np.concatenate([lv.scale * lv.tau * w for lv in levels])
-        self.lo = np.concatenate([np.broadcast_to(obs_lo, stack + obs_lo.shape),
+        obs_lo = np.concatenate([-lv.scale * (1.0 - lv.tau) * w for lv in levels], axis=-1)
+        obs_hi = np.concatenate([lv.scale * lv.tau * w for lv in levels], axis=-1)
+        self.lo = np.concatenate([np.broadcast_to(obs_lo, stack + obs_lo.shape[-1:]),
                                   -lam_w[..., self.pen]], axis=-1)
-        self.hi = np.concatenate([np.broadcast_to(obs_hi, stack + obs_hi.shape),
+        self.hi = np.concatenate([np.broadcast_to(obs_hi, stack + obs_hi.shape[-1:]),
                                   lam_w[..., self.pen]], axis=-1)
+        self.real = None
+        if x.ndim == 3:
+            real = np.concatenate([np.tile(w > 0.0, self.n_levels), lam_w[..., self.pen] > 0.0],
+                                  axis=-1)
+            if not real.all():
+                self.real = real.astype(float)
+                self.lo, self.hi = np.where(real, self.lo, -0.5), np.where(real, self.hi, 0.5)
+        width = self.hi[..., :self.n_obs] - self.lo[..., :self.n_obs]
+        self.widest = np.max(width if self.real is None else width * self.real[:, :self.n_obs],
+                             axis=-1)
+
+    def take(self, keep):
+        """The problems `keep` (indices into the stack) as a stack of their own."""
+        if len(keep) == len(self.lo) and np.array_equal(keep, np.arange(len(keep))):
+            return self
+        out = copy.copy(self)
+        out.lo, out.hi, out.widest = self.lo[keep], self.hi[keep], self.widest[keep]
+        if self.x.ndim == 3:
+            out.x, out.resp, out.col_reach = self.x[keep], self.resp[keep], self.col_reach[keep]
+            if self.real is not None:
+                out.real = self.real[keep]
+        return out
 
     def _per_level(self, v):
         return v[..., :self.n_obs].reshape(v.shape[:-1] + (self.n_levels, -1))
@@ -330,12 +411,23 @@ class _DualRows:
             return v[..., :self.n_obs]
         return self._per_level(v).sum(axis=-2)
 
+    def _own_per_level(self, v):
+        """v's observation rows per level, 0 on the padding."""
+        per_level = self._per_level(v)
+        return per_level if self.real is None else per_level * self._per_level(self.real)
+
     def fitted(self, theta):
         """M theta."""
         stack = theta.shape[:-1]
-        rows = theta[..., :self.p] @ self.x.T
+        if self.x.ndim == 2:
+            rows = theta[..., :self.p] @ self.x.T
+        else:
+            rows = np.matmul(self.x, theta[..., :self.p, None])[..., 0]
         if self.m > self.p:  # one intercept per level (only these have levels)
-            rows = (rows[..., None, :] + theta[..., self.p:, None]).reshape(stack + (-1,))
+            shift = theta[..., self.p:, None]
+            if self.real is not None:
+                shift = shift * self._per_level(self.real)
+            rows = (rows[..., None, :] + shift).reshape(stack + (-1,))
         if not self.pen.size:
             return rows
         return np.concatenate([rows, theta[..., self.pen]], axis=-1)
@@ -343,9 +435,9 @@ class _DualRows:
     def adjoint(self, v):
         """M'v."""
         out = np.empty(v.shape[:-1] + (self.m,))
-        out[..., :self.p] = self._row_sums(v) @ self.x
+        out[..., :self.p] = _times_x(self._row_sums(v), self.x)
         if self.m > self.p:
-            out[..., self.p:] = self._per_level(v).sum(axis=-1)
+            out[..., self.p:] = self._own_per_level(v).sum(axis=-1)
         if self.pen.size:
             out[..., self.pen] += v[..., self.n_obs:]
         return out
@@ -353,10 +445,11 @@ class _DualRows:
     def normal(self, q):
         """M' diag(q) M, for a stack of q's (B, rows) -> (B, m, m)."""
         g = np.zeros((len(q), self.m, self.m))
-        g[:, :self.p, :self.p] = _weighted_grams(lambda rows: self.x[rows], self._row_sums(q),
-                                                 self.p, _row_blocks(self.x, len(q)))
+        g[:, :self.p, :self.p] = _weighted_grams(lambda rows: self.x[..., rows, :],
+                                                 self._row_sums(q), self.p,
+                                                 _row_blocks(self.x, len(q)))
         if self.m > self.p:
-            per_level = self._per_level(q)
+            per_level = self._own_per_level(q)
             cross = per_level @ self.x
             g[:, self.p:, :self.p] = cross
             g[:, :self.p, self.p:] = cross.transpose(0, 2, 1)
@@ -366,17 +459,23 @@ class _DualRows:
         return g
 
     def design(self, rows):
-        """The rows of M with the given indices (an array of any shape), each
-        as a length-m vector on a new last axis."""
+        """The rows of M with the given indices (an array of any shape, whose
+        first axis runs over the problems when they have rows of their own),
+        each as a length-m vector on a new last axis."""
         rows = np.asarray(rows)
         out = np.zeros(rows.shape + (self.m,))
         obs = rows < self.n_obs
-        level, i = np.divmod(rows[obs], len(self.x))
-        out[obs, :self.p] = self.x[i]
+        level, i = np.divmod(rows[obs], self.n)
+        problem = np.nonzero(obs)[0]
+        out[obs, :self.p] = self.x[i] if self.x.ndim == 2 else self.x[problem, i]
         if self.m > self.p:
-            out[obs, self.p + level] = 1.0
+            out[obs, self.p + level] = 1.0 if self.real is None else self.real[problem, i]
         out[~obs, self.pen[rows[~obs] - self.n_obs]] = 1.0
         return out
+
+    def dual_objective(self, a):
+        """resp'a for each problem's row of a."""
+        return a @ self.resp if self.resp.ndim == 1 else _row_dot(a, self.resp)
 
 
 def _step_length(fastest):
@@ -429,11 +528,14 @@ def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
     forms their m x m matrices M' Q M, solves them as one stack twice
     (predictor, then corrector) and takes each problem's own step lengths.
     A problem stops once its complementarity gap x'z + s'w is at most tol
-    times its objective, or when it cannot go on.  Returns (a, theta,
-    iterations, failures), a row or entry per problem: failures[b] is None
-    when problem b met tol, else why its iterations stopped.
+    times its objective, or when it cannot go on.  A padded row (`lp.real`
+    0) never moves: its targets are 0, so it adds nothing to a problem's
+    gap, centering target, pair count, step lengths or products.  Returns
+    (a, theta, iterations, failures), a row or entry per problem:
+    failures[b] is None when problem b met tol, else why its iterations
+    stopped.
     """
-    lo, resp = lp.lo, lp.resp
+    lo, resp, real = lp.lo, lp.resp, lp.real
     x, s = -lo, lp.hi.copy()
     rhs = lp.adjoint((lp.hi - lo) * resp)
     try:
@@ -441,16 +543,21 @@ def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
     except np.linalg.LinAlgError:
         theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(normal_u, rhs)])
     r = resp - lp.fitted(theta)
-    # z - w = -r exactly, both strictly positive
-    shift = 1e-3 * np.maximum(np.mean(np.abs(r), axis=1, keepdims=True), 1e-12)
+    # z - w = -r exactly, both strictly positive (a padded row's r is 0)
+    pairs = x.shape[1] if real is None else real.sum(axis=1, keepdims=True)
+    shift = 1e-3 * np.maximum(np.sum(np.abs(r), axis=1, keepdims=True) / pairs, 1e-12)
     z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
     a_out, theta_out = np.empty_like(x), np.empty_like(theta)
     steps, failures = np.zeros(len(x), dtype=int), [None] * len(x)
     live = np.arange(len(x))  # the problems still iterating, in the rows of the state arrays
     stuck = []  # rows that hit a singular system: they stay put and stop at the next check
+
+    def own(v):  # v on each problem's own rows, 0 on its padding
+        return v if real is None else v * real
+
     for it in range(int(max_iter) + 1):
-        gap = _row_dot(z, x) + _row_dot(w, s)
-        met = gap <= tol * np.maximum(1.0, np.abs((lo + x) @ resp))
+        gap = _row_dot(own(z), x) + _row_dot(own(w), s)
+        met = gap <= tol * np.maximum(1.0, np.abs(lp.dual_objective(lo + x)))
         stop = met | ~np.isfinite(gap)
         if stuck or it == max_iter:
             stop[stuck if it < max_iter else slice(None)] = True
@@ -462,16 +569,21 @@ def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
                     steps[b] = it
                     if not met[k]:
                         failures[b] = f"did not converge ({it} iterations)"
-            keep = ~stop
-            live, lo, x, s, z, w, theta, gap = (v[keep] for v in (live, lo, x, s, z, w, theta, gap))
+            keep = np.flatnonzero(~stop)
+            live, x, s, z, w, theta, gap = (v[keep] for v in (live, x, s, z, w, theta, gap))
             if not len(live):
                 break
+            lp = lp.take(keep)
+            lo, real = lp.lo, lp.real
+            if real is not None:
+                pairs = pairs[keep]
         q = 1.0 / (z / x + w / s)
         normal = lp.normal(q)
         stuck = []
 
         def direction(sig_x, sig_s):
             # x dz + z dx = sig_x, s dw - w dx = sig_s, M'dx = 0, dz - dw = M dtheta
+            sig_x, sig_s = own(sig_x), own(sig_s)
             g = sig_x / x - sig_s / s
             dtheta, singular = _solve_stack(normal, lp.adjoint(q * g))
             stuck.extend(singular)
@@ -489,8 +601,9 @@ def _frisch_newton(lp: _DualRows, normal_u, tol, max_iter):
         centred = np.count_nonzero(centre)
         if centred:
             # Mehrotra's centering: aim at mu = gap (affine gap / gap)^3 / pairs
-            affine = _row_dot(z + td * dz, x + tp * dx) + _row_dot(w + td * dw, s - tp * dx)
-            mu = (gap * (affine / gap) ** 3 / (2 * x.shape[1]))[:, None]
+            affine = (_row_dot(own(z + td * dz), x + tp * dx)
+                      + _row_dot(own(w + td * dw), s - tp * dx))
+            mu = (gap * (affine / gap) ** 3)[:, None] / (2 * pairs)
             corrected = direction(mu - x * z - dx * dz, mu - s * w + dx * dw)
             if centred == len(centre):
                 dtheta, dx, dz, dw = corrected
@@ -546,61 +659,65 @@ def _first_independent(vectors, count, dim, want):
 
 
 def _dependent_columns(lp: _DualRows, normal_u):
-    """Unpenalized slope coordinates whose columns of M are linearly
-    dependent on the intercepts' and on the unpenalized columns before them.
+    """Per problem of lp, the unpenalized slope coordinates whose columns of
+    M are linearly dependent on the intercepts' and on the unpenalized
+    columns before them.
 
     Only these can leave M without full column rank, since a penalized
     coordinate has its own pseudo-row; they add nothing to the fit and no
     penalty, so an optimum leaves them at 0.  normal_u = M' diag(u) M with
-    u > 0 answers at once when the columns are clearly independent; else
-    the triangular factor of the observation rows on these columns, which
-    has their inner products, is built a block of rows at a time and its
+    u > 0 (a stack of them) answers at once, in one batched call, for the
+    problems whose columns are clearly independent; for any other, the
+    triangular factor of its observation rows on these columns, which has
+    their inner products, is built a block of rows at a time and its
     columns are tried in turn.
     """
     free = np.r_[lp.p:lp.m, np.setdiff1d(np.arange(lp.p), lp.pen)]
-    if _clearly_independent(normal_u[np.ix_(free, free)]):
-        return np.zeros(0, dtype=int)
-    r = np.zeros((0, len(free)))
-    n = len(lp.x)
-    for k in range(lp.n_levels):
-        for rows in _row_blocks(lp.x):
-            block = lp.design(k * n + np.arange(n)[rows])[:, free]
-            r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    kept = _first_independent(lambda at: r[:, at].T, len(free), len(r), len(free))
-    return np.setdiff1d(free, free[kept])
+    found = []
+    for k, clear in enumerate(np.atleast_1d(_clearly_independent(normal_u[:, free][:, :, free]))):
+        if clear:
+            found.append(np.zeros(0, dtype=int))
+            continue
+        one, r, n = lp.take([k]), np.zeros((0, len(free))), lp.n
+        for level in range(lp.n_levels):
+            for rows in _row_blocks(lp.x):
+                block = one.design((level * n + np.arange(n)[rows])[None])[0][:, free]
+                r = np.linalg.qr(np.vstack([r, block]), mode="r")
+        kept = _first_independent(lambda at: r[:, at].T, len(free), len(r), len(free))
+        found.append(np.setdiff1d(free, free[kept]))
+    return found
 
 
 def _vertex_points(lp: _DualRows, obs, free):
-    """Per problem g, the point with residual 0 on the observation rows
-    obs[g] and its coordinates outside free[g] at exactly 0 (obs and free
-    are G x r, free sorted); returns (theta, the square systems solved,
+    """Per problem g of lp, the point with residual 0 on the observation
+    rows obs[g] and its coordinates outside free[g] at exactly 0 (obs and
+    free are G x r, free sorted); returns (theta, the square systems solved,
     residuals, flat), `flat` marking the residuals that are 0 up to
     rounding.  Raises LinAlgError if a system is singular."""
     square = np.take_along_axis(lp.design(obs), free[:, None, :], axis=2)
     theta = np.zeros((len(obs), lp.m))
-    np.put_along_axis(theta, free, np.linalg.solve(square, lp.resp[obs][..., None])[..., 0],
-                      axis=1)
+    resp = np.take_along_axis(np.broadcast_to(lp.resp, (len(obs), lp.resp.shape[-1])), obs, axis=1)
+    np.put_along_axis(theta, free, np.linalg.solve(square, resp[..., None])[..., 0], axis=1)
     fitted = lp.fitted(theta)
     resid = lp.resp - fitted
     flat = np.abs(resid) <= _ROUNDING * (np.abs(lp.resp) + np.abs(fitted) + 1.0)
     return theta, square, resid, flat
 
 
-def _vertices(lp: _DualRows, basic, a_interior, lo, hi):
-    """The vertices of G problems on lp's rows, problem g with basic rows
-    basic[g] (G x m, the same number of observation rows in each) and boxes
-    lo[g], hi[g].
+def _vertices(lp: _DualRows, basic, a_interior):
+    """The vertices of the G problems of lp, problem g with basic rows
+    basic[g] (G x m, the same number of observation rows in each).
 
     Basic observation rows get residual 0 and a basic pseudo-row pins its
     coordinate to exactly 0.  Every non-basic dual sits at the end of its
     box that its residual's sign selects (a residual 0 up to rounding, as at
-    ties and duplicated rows, keeps its interior dual), and the basic duals
-    solve M'a = 0.  The vertex is optimal iff they lie in their boxes.
-    Returns (theta, a, certified, snap, dual objective), a row or entry per
-    problem: `snap` marks coordinates that are 0 up to rounding, which
-    `_snapped` pins.  Raises LinAlgError if a system is singular.
+    ties, duplicated rows and padding, keeps its interior dual), and the
+    basic duals solve M'a = 0.  The vertex is optimal iff they lie in their
+    boxes.  Returns (theta, a, certified, snap, dual objective), a row or
+    entry per problem: `snap` marks coordinates that are 0 up to rounding,
+    which `_snapped` pins.  Raises LinAlgError if a system is singular.
     """
-    count, n_obs = len(basic), lp.n_obs
+    count, n_obs, lo, hi = len(basic), lp.n_obs, lp.lo, lp.hi
     is_obs = basic < n_obs
     obs = basic[is_obs].reshape(count, -1)
     free = np.ones((count, lp.m), dtype=bool)
@@ -617,28 +734,28 @@ def _vertices(lp: _DualRows, basic, a_interior, lo, hi):
     # a basic pseudo-row's dual closes its coordinate's constraint
     closing = -(pull + (a_obs[:, None, :] @ lp.design(obs))[:, 0, :])
     a[:, n_obs:] = np.where(pinned, closing[:, lp.pen], a[:, n_obs:])
-    slack = 1e-9 * np.max(hi[:, :n_obs] - lo[:, :n_obs], axis=1, keepdims=True)
+    slack = 1e-9 * lp.widest[:, None]
     certified = np.take_along_axis((a >= lo - slack) & (a <= hi + slack), basic, axis=1)
-    rounding = _ROUNDING * (1.0 + np.max(np.abs(lp.resp)))
+    rounding = _ROUNDING * (1.0 + np.max(np.abs(lp.resp), axis=-1, keepdims=True))
     snap = (theta != 0.0) & (np.abs(theta) * lp.col_reach <= rounding)
-    return theta, a, certified.all(axis=1), snap, a @ lp.resp
+    return theta, a, certified.all(axis=1), snap, lp.dual_objective(a)
 
 
 def _snapped(lp: _DualRows, basic, a, lo, hi, theta, snap):
-    """theta, one problem's certified vertex with basic rows `basic`, duals a
-    and boxes lo, hi, with its coordinates marked `snap` (0 up to rounding,
-    as at a degenerate vertex) pinned at 0 as well, as long as the same
-    duals certify the re-solved point; else theta as it is."""
+    """theta, the certified vertex of the one problem of lp with basic rows
+    `basic`, duals a and boxes lo, hi, with its coordinates marked `snap` (0
+    up to rounding, as at a degenerate vertex) pinned at 0 as well, as long
+    as the same duals certify the re-solved point; else theta as it is."""
     obs = basic[basic < lp.n_obs]
     pins = np.union1d(lp.pen[basic[basic >= lp.n_obs] - lp.n_obs], np.flatnonzero(snap))
     free = np.setdiff1d(np.arange(lp.m), pins)
-    rows = _first_independent(lambda at: lp.design(obs[at])[:, free],
+    rows = _first_independent(lambda at: lp.design(obs[at][None])[0][:, free],
                               len(obs), len(free), len(free))
     if len(rows) < len(free):
         return theta
     snapped, _, resid, flat = _vertex_points(lp, obs[rows][None], free[None])
     # complementary slackness of `a` with the re-solved residuals
-    slack = 1e-9 * float(np.max(hi[:lp.n_obs] - lo[:lp.n_obs]))
+    slack = 1e-9 * float(lp.widest[0])
     if np.all(flat | ((resid > 0.0) & (a >= hi - slack)) | ((resid < 0.0) & (a <= lo + slack))):
         return snapped[0]
     return theta
@@ -650,32 +767,39 @@ def _polish(lp: _DualRows, live, a, theta):
 
     Each problem's rows are ranked by how far inside its box each dual is,
     and, for the problems that ranking leaves, by how small each residual is
-    at theta.  The first m rows of a ranking are its basic rows when they
-    are independent (one batched QR, the `_first_independent` test); else
-    `_first_independent` searches the whole ranking for them.  Problems with
-    the same number of basic observation rows get their vertices from one
-    batched `_vertices`, each alone if that is singular, and a certified
-    vertex is `_snapped`.  Returns {problem: (theta, dual objective)} for
-    the certified problems.
+    at theta; padded observation rows rank last and padded pseudo-rows
+    first, as only they pin their zero columns.  The first m rows of a
+    ranking are its basic rows when they are independent (one batched QR,
+    the `_first_independent` test); else `_first_independent` searches the
+    whole ranking for them.  Problems with the same number of basic observation
+    rows get their vertices from one batched `_vertices`, each alone if that
+    is singular, and a certified vertex is `_snapped`.  Returns {problem:
+    (theta, dual objective)} for the certified problems.
     """
     n_obs, m = lp.n_obs, lp.m
-    lo, hi, a = lp.lo[live], lp.hi[live], a[live]
-    key = -np.minimum(a - lo, hi - a) / (hi - lo)
-    polished, left = {}, np.arange(len(live))
+    lp, a = lp.take(live), a[live]
+    key = -np.minimum(a - lp.lo, lp.hi - a) / (lp.hi - lp.lo)
+    polished, left, ranked = {}, np.arange(len(live)), lp
     for ranking in ("inside", "residual"):
         if ranking == "residual":
             left = np.array([k for k in left if live[k] not in polished], dtype=int)
             if not left.size:
                 break
-            key = np.abs(lp.resp - lp.fitted(theta[live[left]]))
+            ranked = lp.take(left)
+            key = np.abs(ranked.resp - ranked.fitted(theta[live[left]]))
+        if ranked.real is not None:  # padded observations last, padded pseudo-rows first
+            key = np.where(ranked.real > 0.0, key, np.r_[np.full(n_obs, np.inf),
+                                                         np.full(len(lp.pen), -np.inf)])
         order = np.argsort(key, axis=1, kind="stable")
         basic = order[:, :m]
-        rows = lp.design(basic)
+        rows = ranked.design(basic)
         r = np.linalg.qr(rows.transpose(0, 2, 1), mode="r")
         found = np.all(np.abs(np.diagonal(r, axis1=1, axis2=2))
                        > _DEPENDENT * np.linalg.norm(rows, axis=2), axis=1)
         for g in np.flatnonzero(~found):
-            chosen = _first_independent(lambda at: lp.design(order[g, at]), order.shape[1], m, m)
+            one = ranked.take([g])
+            chosen = _first_independent(lambda at: one.design(order[g, at][None])[0],
+                                        order.shape[1], m, m)
             if len(chosen) == m:
                 basic[g], found[g] = order[g, chosen], True
         counts = np.count_nonzero(basic < n_obs, axis=1)
@@ -685,15 +809,15 @@ def _polish(lp: _DualRows, live, a, theta):
                 group = tries.pop()
                 k = left[group]
                 try:
-                    vertex, duals, certified, snap, dual = _vertices(lp, basic[group], a[k],
-                                                                     lo[k], hi[k])
+                    vertex, duals, certified, snap, dual = _vertices(lp.take(k), basic[group], a[k])
                 except np.linalg.LinAlgError:
                     if len(group) > 1:
                         tries += [group[i:i + 1] for i in range(len(group))]
                     continue
                 for i in np.flatnonzero(certified):
                     if snap[i].any():
-                        vertex[i] = _snapped(lp, basic[group[i]], duals[i], lo[k[i]], hi[k[i]],
+                        one = lp.take(k[i:i + 1])
+                        vertex[i] = _snapped(one, basic[group[i]], duals[i], one.lo[0], one.hi[0],
                                              vertex[i], snap[i])
                     polished[live[k[i]]] = vertex[i], float(dual[i])
     return polished
@@ -702,71 +826,106 @@ def _polish(lp: _DualRows, live, a, theta):
 def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
     """Fit an LP-family loss at each row of penalties lam_w (B x p):
     interior points on the duals in lockstep, then a vertex per problem.
+    The problems share the rows x (n, p), z and w, or each has its own, as
+    x (B, n, p), z and w (B, n) padded with rows of w = 0 (`_padded`).
 
-    A coordinate whose penalty is at least reach_j = sum_r |m_rj|
-    max(|lo_r|, |hi_r|), the most its dual constraint can see, is 0 at every
-    optimum, and a problem screens it out.  A penalty below eps reach_j, the
-    rounding of x_j'a, is fitted as 0.  Problems run in lockstep stacks
-    of about _STACK doubles per stacked vector, and a stack keeps the union
-    of its problems' columns.  Where a problem screens a column of the
-    union, its penalty is clipped to 2 reach_j: that coordinate's dual
-    constraint is then slack at every feasible a, so it is 0 at every
-    optimum and the problem's optimum set is its screened problem's (this
-    also keeps the pilot-zero floor's huge penalties out of the
-    iterations).  `_polish` then ranks and certifies such a problem as it is
-    posed: a vertex with every observation dual in its box has |x_j'a| <=
-    reach_j, so any vertex it certifies is optimal for the screened problem
-    too.  An unpenalized coordinate whose column depends on the others
-    (`_dependent_columns`: duplicated covariates, a constant one beside an
-    intercept, fewer active rows than coordinates) is dropped from every
-    problem; only intercepts and unpenalized columns enter that test, so
-    the first stack answers for all.  Problems that penalize different
-    coordinates (a lambda of 0 beside positive ones) run apart, since a
-    pseudo-row's box cannot be empty.
+    A coordinate whose penalty is at least its problem's reach_j = sum_r
+    |m_rj| max(|lo_r|, |hi_r|), the most its dual constraint can see, is 0
+    at every optimum, and the problem screens it out.  A penalty below eps
+    reach_j, the rounding of x_j'a, is fitted as 0.  Problems run in
+    lockstep stacks of about _STACK doubles per stacked vector (padded rows
+    included), and a stack keeps the union of its problems' columns.  Where
+    a problem screens a column of the union, its penalty is clipped to twice
+    the stack's largest reach_j: that coordinate's dual constraint is then
+    slack at every feasible a, so it is 0 at every optimum and the problem's
+    optimum set is its screened problem's (this also keeps the pilot-zero
+    floor's huge penalties out of the iterations).  `_polish` then ranks and
+    certifies such a problem as it is posed: a vertex with every observation
+    dual in its box has |x_j'a| <= reach_j, so any vertex it certifies is
+    optimal for the screened problem too.  An unpenalized coordinate whose
+    column depends on the others (`_dependent_columns`: duplicated
+    covariates, a constant one beside an intercept, fewer active rows than
+    coordinates) is dropped.  On shared rows only intercepts and unpenalized
+    columns enter that test, so the first stack answers for all; a problem
+    on rows of its own that has such a column is fitted alone.  Problems
+    that penalize different coordinates (a lambda of 0 beside positive
+    ones) run apart, since a pseudo-row's box cannot be empty.
 
     Each stack's vertices are polished at once (`_polish`).  With clipped
     columns the stack's central path is not the problem's own, and at a
     degenerate optimum its duals can stop too far from their box ends for
     the vertex check; such a problem that the polish leaves is fitted again
-    alone.  Returns, per problem, (beta, intercepts, iterations, dual
-    objective), or the NoConvergence it raised because its iterations
-    stopped short or no vertex was certified.
+    alone.  Any other problem it leaves stopped too far from a
+    near-degenerate optimum to tell its basic rows (a row off the vertex
+    with a residual of 1e-7, say), and is fitted again alone at tol / 100,
+    down to _RETRY_TOL.  Returns, per problem, (beta, intercepts,
+    iterations, dual objective), or the NoConvergence it raised because its
+    iterations stopped short or no vertex was certified.
     """
     levels = loss_levels(loss)
+    grouped = x.ndim == 3
     widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
-    reach = sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
+
+    def reach_of(x, widest):
+        return sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
+
+    if grouped:
+        n_own = np.count_nonzero(w > 0.0, axis=1)  # each problem's own rows come first
+        reach = np.array([reach_of(x[b, :n], widest[b, :n]) for b, n in enumerate(n_own)])
+    else:
+        reach = reach_of(x, widest)
     # the interior point divides by the width of a pseudo-row's box, which
     # overflows at such penalties (a subnormal lam_j, say)
     lam_w = np.where(lam_w < np.finfo(float).eps * reach, 0.0, lam_w)
+
+    def alone(b, tol=tol):  # problem b as a stack of one, on its own rows
+        rows = (x[b, :n_own[b]], z[b, :n_own[b]], w[b, :n_own[b]]) if grouped else (x, z, w)
+        return _solve_lp_family(*rows, loss, lam_w[b:b + 1], fit_intercept, tol, max_iter)[0]
+
     patterns = {}
     for b, row in enumerate(lam_w > 0.0):
         patterns.setdefault(row.tobytes(), []).append(b)
     if len(patterns) > 1:
         outcomes = [None] * len(lam_w)
         for group in patterns.values():
-            solved = _solve_lp_family(x, z, w, loss, lam_w[group], fit_intercept, tol, max_iter)
+            rows = (x[group], z[group], w[group]) if grouped else (x, z, w)
+            solved = _solve_lp_family(*rows, loss, lam_w[group], fit_intercept, tol, max_iter)
             for b, outcome in zip(group, solved):
                 outcomes[b] = outcome
         return outcomes
-    p = x.shape[1]
+    p = x.shape[-1]
     has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
     own = lam_w < reach
-    size = max(1, _STACK // (len(levels) * len(x) + p))
-    dependent = None  # found on the first stack with coordinates
-    outcomes = []
+    size = max(1, _STACK // (len(levels) * x.shape[-2] + p))
+    dependent = None  # on shared rows, found on the first stack with coordinates
+    outcomes = [None] * len(lam_w)
     for start in range(0, len(lam_w), size):
-        at = slice(start, start + size)
-        cols = np.flatnonzero(own[at].any(axis=0))
-        if dependent is not None:
-            cols = np.setdiff1d(cols, dependent)
-        boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[cols])
-        lp = _DualRows(x if len(cols) == p else x.take(cols, axis=1), z, w, levels,
-                       has_intercepts, boxes)
-        count = len(lp.lo)
+        at = np.arange(start, min(start + size, len(lam_w)))
+        xs, zs, ws = _stack_of(x, z, w, slice(start, start + len(at)))
+        if grouped:
+            kept, xs, boxes = _own_columns(xs, lam_w[at], own[at])
+            cols = dict(zip(at, kept))
+        else:
+            cols = np.flatnonzero(own[at].any(axis=0))
+            if dependent is not None:
+                cols = np.setdiff1d(cols, dependent)
+            boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[cols])
+            xs = xs if len(cols) == p else xs.take(cols, axis=-1)
+        lp = _DualRows(xs, zs, ws, levels, has_intercepts, boxes)
         if lp.m:
             normal_u = lp.normal(lp.hi - lp.lo)
-            if dependent is None:
-                found = _dependent_columns(lp, normal_u[0])
+            if grouped:
+                apart = [k for k, found in enumerate(_dependent_columns(lp, normal_u))
+                         if found.size]
+                for k in apart:
+                    outcomes[at[k]] = alone(at[k])
+                if apart:
+                    stay = np.delete(np.arange(len(at)), apart)
+                    at, lp, normal_u = at[stay], lp.take(stay), normal_u[stay]
+                    if not len(at):
+                        continue
+            elif dependent is None:
+                found = _dependent_columns(lp.take([0]), normal_u[:1])[0]
                 dependent = cols[found]
                 if found.size:
                     kept = np.delete(np.arange(lp.m), found)
@@ -776,26 +935,49 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
                     normal_u = normal_u[:, kept][:, :, kept]
             a, theta, steps, failures = _frisch_newton(lp, normal_u, tol, max_iter)
         else:  # every coordinate dropped: the vertex is theta = ()
-            a, theta = np.zeros(lp.lo.shape), np.zeros((count, 0))
-            steps, failures = np.zeros(count, dtype=int), [None] * count
+            a, theta = np.zeros(lp.lo.shape), np.zeros((len(at), 0))
+            steps, failures = np.zeros(len(at), dtype=int), [None] * len(at)
         live = np.flatnonzero([failure is None for failure in failures])
         polished = _polish(lp, live, a, theta)
-        for k, b in enumerate(range(start, start + count)):
+        for k, b in enumerate(at):
             if failures[k] is not None:
-                outcomes.append(NoConvergence(f"{loss.label()} fit {failures[k]}"))
+                outcomes[b] = NoConvergence(f"{loss.label()} fit {failures[k]}")
             elif k in polished:
                 coef, dual_objective = polished[k]
                 beta = np.zeros(p)
-                beta[cols] = coef[:lp.p]
-                outcomes.append((beta, coef[lp.p:], int(steps[k]), dual_objective))
-            elif not own[b, cols].all():  # clipped: the stack's central path is not its own
-                outcomes += _solve_lp_family(x, z, w, loss, lam_w[b:b + 1], fit_intercept,
-                                             tol, max_iter)
+                used = cols[b] if grouped else cols
+                beta[used] = coef[:len(used)]
+                outcomes[b] = (beta, coef[lp.p:], int(steps[k]), dual_objective)
+            elif not grouped and not own[b, cols].all():
+                # clipped: the stack's central path is not its own
+                outcomes[b] = alone(b)
+            elif tol > _RETRY_TOL:  # stopped too far from a near-degenerate vertex
+                outcomes[b] = alone(b, max(tol * 1e-2, _RETRY_TOL))
             else:
-                outcomes.append(NoConvergence(
+                outcomes[b] = NoConvergence(
                     f"{loss.label()} fit: the interior point converged in {steps[k]} "
-                    "iterations but no vertex it ranked passed the optimality check"))
+                    "iterations but no vertex it ranked passed the optimality check")
     return outcomes
+
+
+def _own_columns(x, lam_w, own):
+    """Each problem of a stack on rows of its own (x (B, n, p), penalties
+    lam_w (B, p)) given only the columns it keeps (`own`): the unpenalized
+    ones first, the same for all, then its own penalized ones, then zero
+    columns up to the stack's most, whose penalty 0 marks them as padding
+    for `_DualRows`.  Returns (each problem's columns, its x, its
+    penalties), the last two as stacks (B, n, slots) and (B, slots)."""
+    free = np.flatnonzero(lam_w[0] == 0.0)  # the stack's problems share this pattern
+    kept = [np.r_[free, np.flatnonzero(keep & (row > 0.0))] for keep, row in zip(own, lam_w)]
+    every = np.arange(x.shape[2])
+    if all(np.array_equal(cols, every) for cols in kept):
+        return kept, x, lam_w
+    slots = max(len(cols) for cols in kept)
+    xs, boxes = np.zeros(x.shape[:2] + (slots,)), np.zeros((len(x), slots))
+    for b, cols in enumerate(kept):
+        xs[b, :, :len(cols)] = x[b][:, cols]
+        boxes[b, :len(cols)] = lam_w[b, cols]
+    return kept, xs, boxes
 
 
 # --- expectile / least squares: Newton on the frozen sign pattern ----------
@@ -897,8 +1079,10 @@ def _frozen_lasso(gram, lin, lam_w, beta, tol, max_iter):
 
 def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
     """Weighted expectile (adaptive) lasso by Newton steps on sign patterns,
-    for a stack of problems on the same rows: a row of penalties lam_w each,
-    all from the start beta.
+    for a stack of problems: a row of penalties lam_w each, from the start
+    beta (one for all, or a row per problem), on the shared rows x (n, p),
+    z, w or on rows of their own, x (B, n, p), z and w (B, n), where
+    padding has w = 0 and zero design and response, and so adds nothing.
 
     The loss w_i |tau - 1{r_i < 0}| r_i^2 is quadratic while the residual
     signs stay put, so each step freezes every live problem's signs, forms
@@ -915,16 +1099,23 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
     """
     count, dim = lam_w.shape
     blocks = _row_blocks(x)
+    grouped = x.ndim == 3  # then x, z and w keep the live problems' rows only
 
-    def objective(b, lam):
-        r = z - np.matmul(x, b[:, :, None])[:, :, 0]
+    def objective(b, lam, at=slice(None)):
+        xs, zs, ws = (x[at], z[at], w[at]) if grouped else (x, z, w)
+        r = zs - np.matmul(xs, b[:, :, None])[:, :, 0]
         asym = np.where(r < 0.0, 1.0 - tau, tau)
-        return _row_dot(asym * r * r, w) + _row_dot(lam, np.abs(b)), r
+        return _row_dot(asym * r * r, ws) + _row_dot(lam, np.abs(b)), r
 
     def design(rows):
+        if grouped:
+            return xz[:, rows]
         return np.column_stack([x[rows], z[rows]])
 
-    b = np.repeat(np.asarray(beta, dtype=float)[None], count, axis=0)
+    if grouped:  # each problem's design with its response as one more column
+        xz = np.concatenate([x, z[..., None]], axis=2)
+
+    b = np.array(np.broadcast_to(np.asarray(beta, dtype=float), (count, dim)))
     beta_out, steps, converged = b.copy(), np.full(count, int(max_iter)), np.zeros(count, bool)
     obj, r = objective(b, lam_w)
     live = np.arange(count)
@@ -937,8 +1128,9 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
                                           lam, b, tol, max_iter)
         new_obj, new_r = objective(target, lam)
         # where the signs repeat, the frozen quadratic is exact on the segment;
-        # a residual 0 up to rounding (an interpolated row) keeps its sign, as
-        # it adds nothing to the gradient whichever weight it was frozen with
+        # a residual 0 up to rounding (an interpolated row, or padding) keeps
+        # its sign, as it adds nothing to the gradient whichever weight it
+        # was frozen with
         flat = np.abs(new_r) <= _ROUNDING * (np.abs(z) + np.abs(z - new_r) + 1.0)
         same = np.all(((new_r < 0.0) == negative) | flat, axis=1)
         direction, t = target - b, np.ones(len(live))
@@ -951,7 +1143,7 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
             stalled[trying[flat]] = True
             trying, trial = trying[~flat], trial[~flat]
             if trying.size:
-                new_obj[trying], new_r[trying] = objective(trial, lam[trying])
+                new_obj[trying], new_r[trying] = objective(trial, lam[trying], trying)
                 trying = trying[new_obj[trying] >= obj[trying]]
         moved = np.where(same[:, None], target, b + t[:, None] * direction)
         b, obj, r = np.where(stalled[:, None], b, moved), new_obj, new_r
@@ -961,28 +1153,34 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
         live, b, obj, r = live[~done], b[~done], obj[~done], r[~done]
         if not len(live):
             break
+        if grouped and done.any():
+            x, z, w, xz = x[~done], z[~done], w[~done], xz[~done]
     beta_out[live] = b
     return beta_out, steps, converged
 
 
 def _solve_expectile(x, z, w, loss: LossKind, lam_ws, config: FitConfig, beta_start):
     """Fit an expectile / least-squares loss at each row of penalties lam_ws
-    (B x p); an intercept is one more column, never penalized.  Problems run
-    in lockstep stacks of about _STACK / n problems (`_expectile_newton`).
-    Returns, per problem, (beta, intercepts, iterations, None), as
-    `_solve_lp_family` does but without a dual objective, or the
-    NoConvergence it raised."""
+    (B x p) on shared or own rows, as `_solve_lp_family` takes them, from
+    beta_start (one for all, or a row per problem); an intercept is one more
+    column, never penalized (0 on padding).  Problems run in lockstep stacks
+    of about _STACK / n problems (`_expectile_newton`).  Returns, per
+    problem, (beta, intercepts, iterations, None), as `_solve_lp_family`
+    does but without a dual objective, or the NoConvergence it raised."""
     k = int(config.fit_intercept)
-    start = np.zeros(x.shape[1]) if beta_start is None else beta_start
+    start = np.zeros(x.shape[-1]) if beta_start is None else np.asarray(beta_start, dtype=float)
     if k:
-        x = np.column_stack([np.ones(len(z)), x])
+        ones = np.ones(len(z)) if x.ndim == 2 else (w > 0.0).astype(float)
+        x = np.concatenate([ones[..., None], x], axis=-1)
         lam_ws = np.column_stack([np.zeros(len(lam_ws)), lam_ws])
-        start = np.concatenate(([0.0], start))
-    size = max(1, _STACK // len(x))
+        start = np.concatenate([np.zeros(start.shape[:-1] + (1,)), start], axis=-1)
+    size = max(1, _STACK // x.shape[-2])
     outcomes = []
     for at in range(0, len(lam_ws), size):
+        stack = slice(at, at + size)
         coefs, steps, converged = _expectile_newton(
-            x, z, w, loss.tau, lam_ws[at:at + size], start, config.tol, config.max_iter)
+            *_stack_of(x, z, w, stack), loss.tau, lam_ws[stack],
+            start if start.ndim == 1 else start[stack], config.tol, config.max_iter)
         for coef, count, ok in zip(coefs, steps, converged):
             outcomes.append((coef[k:], coef[:k], int(count), None) if ok else NoConvergence(
                 f"{loss.label()} fit did not converge ({count} iterations)"))
@@ -996,18 +1194,25 @@ def fit_unpenalized(
     weights: IpcwWeights,
     loss: LossKind | None = None,
     config: FitConfig | None = None,
-) -> EstimatorResult:
+) -> "EstimatorResult | AdaptiveLassoPath":
     """Minimize the IPCW-weighted empirical loss over the coefficient vector.
 
     Composite quantile jointly fits its level intercepts and the shared
     slope; other families fit an intercept only when config.fit_intercept.
+
+    dataset and weights may also be equal-length sequences (the groups of an
+    aggregated fit): every group is then fitted on its own rows, all in
+    lockstep stacks as a path's points are, and the groups' fits come back
+    in order as an `AdaptiveLassoPath`, each its EstimatorResult or the
+    error it raised.
     """
     if config is None:
         config = FitConfig(loss=loss if loss is not None else LossKind(LossKind.MEDIAN))
     if loss is None:
         loss = config.loss
-    x, z, w = _active_rows(dataset, weights)
-    return _raised(_fit_path(x, z, w, loss, np.zeros((1, x.shape[1])), config)[0])
+    rows, groups = _rows_of(dataset, weights)
+    fits = _fit_groups(rows, loss, np.zeros((len(rows), rows[0][0].shape[1])), config)
+    return _raised(fits[0]) if groups is None else AdaptiveLassoPath(fits)
 
 
 def fit_adaptive_lasso(
@@ -1031,18 +1236,56 @@ def fit_adaptive_lasso(
     sign-pattern Newton steps for expectile.  A point's fit is the same bit
     for bit as its single fit.  Errors of the data themselves (weights,
     beta_tilde) are raised either way.
+
+    dataset, weights and beta_tilde may also be equal-length sequences (the
+    groups of an aggregated fit, without lams): each group is fitted at
+    config.lam on its own rows with its own pilot, all in lockstep stacks,
+    and the groups' fits come back in order as an `AdaptiveLassoPath`.  A
+    group's fit is its single fit up to rounding.
     """
     single = lams is None
     lams = np.asarray([config.lam] if single else lams, dtype=float)
     if np.any(lams < 0.0):
         raise ValueError("lam must be >= 0")
     beta_tilde = np.asarray(beta_tilde, dtype=float)
-    x, z, w = _active_rows(dataset, weights)
-    if len(beta_tilde) != x.shape[1]:
+    rows, groups = _rows_of(dataset, weights)
+    if groups is not None and not single:
+        raise ValueError("a lambda path is fitted on one dataset")
+    p = rows[0][0].shape[1]
+    if beta_tilde.shape != ((p,) if groups is None else (groups, p)):
         raise DimensionMismatch("beta_tilde length must equal p")
     omega = adaptive_weights(beta_tilde, config.gamma)
-    fits = _fit_path(x, z, w, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
-    return _raised(fits[0]) if single else AdaptiveLassoPath(fits)
+    fits = _fit_groups(rows, config.loss, lams[:, None] * omega, config, beta_start=beta_tilde)
+    return _raised(fits[0]) if single and groups is None else AdaptiveLassoPath(fits)
+
+
+def _rows_of(dataset, weights):
+    """(rows, groups): [(x, z, w)], the active rows of one dataset (groups
+    None), or those of each of a sequence of datasets (groups its length)."""
+    if isinstance(dataset, SurvivalDataset):
+        return [_active_rows(dataset, weights)], None
+    if len(dataset) != len(weights):
+        raise DimensionMismatch("one weight vector per dataset")
+    if not len(dataset):
+        raise ValueError("no datasets to fit")
+    rows = [_active_rows(d, wts) for d, wts in zip(dataset, weights)]
+    if len({x.shape[1] for x, _, _ in rows}) > 1:
+        raise DimensionMismatch("datasets disagree on p")
+    return rows, len(rows)
+
+
+def _fit_groups(rows, loss, lam_ws, config, beta_start=None) -> list:
+    """`_fit_path` for each row of penalties lam_ws: all on the one set of
+    rows given, or each on its own rows (rows[k], and beta_start[k] if
+    given).  Groups run as one `_padded` stack while every group's design
+    holds at most _OWN_STACK doubles, else one group at a time."""
+    if len(rows) == 1:  # a single group is its own rows, with no padding
+        return _fit_path(*rows[0], loss, lam_ws, config, beta_start)
+    if max(x.size for x, _, _ in rows) <= _OWN_STACK:
+        return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
+    return [fit for k, row in enumerate(rows)
+            for fit in _fit_path(*row, loss, lam_ws[k:k + 1], config,
+                                 None if beta_start is None else beta_start[k])]
 
 
 class AdaptiveLassoPath(tuple):
@@ -1072,20 +1315,21 @@ def _raised(fit):
 
 def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     """A fit per row of penalties lam_ws, each its EstimatorResult or the
-    CensLassoError it raised: solved in lockstep stacks (`_solve_lp_family`,
-    `_solve_expectile`), then certified as many fits at a time as a stack
-    holds."""
+    CensLassoError it raised, on shared or own rows (`_solve_lp_family`):
+    solved in lockstep stacks (`_solve_lp_family`, `_solve_expectile`), then
+    certified as many fits at a time as a stack holds."""
     if loss.is_lp_family:
         solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
                                   config.tol, config.max_iter)
     else:
         solved = _solve_expectile(x, z, w, loss, lam_ws, config, beta_start)
     fits = [k for k, fit in enumerate(solved) if not isinstance(fit, CensLassoError)]
-    size = max(1, _STACK // len(x))
+    size = max(1, _STACK // x.shape[-2])
     for some in (fits[start:start + size] for start in range(0, len(fits), size)):
         betas = np.array([solved[k][0] for k in some])
         intercepts = np.array([solved[k][1] for k in some]).reshape(len(some), -1)
-        certificates = _certificates(x, z, w, loss, lam_ws[some], betas, intercepts)
+        certificates = _certificates(*_stack_of(x, z, w, some), loss, lam_ws[some], betas,
+                                     intercepts)
         for k, objective, kkt in zip(some, *certificates):
             solved[k] = _attempt(_certified, *solved[k], float(objective), float(kkt))
     return solved
@@ -1165,25 +1409,31 @@ def _certificates(x, z, w, loss, lam_ws, betas, intercepts):
     Each fit's fitted values and loss sums are its own products, as in
     `objective_value`; the subdifferential sums of all fits are one product
     with x per level, and with |x| on the rows at some fit's kink, with no
-    n x p copy of x.
+    n x p copy of x.  On rows of their own (x (B, n, p), z and w (B, n))
+    each fit's products are with its own rows, and padding, with w = 0,
+    adds nothing.
     """
     count, p = betas.shape
     levels = loss_levels(loss)
-    fitted = np.stack([x @ beta for beta in betas])
+    if x.ndim == 2:
+        fitted = np.stack([x @ beta for beta in betas])
+    else:
+        fitted = np.matmul(x, betas[:, :, None])[:, :, 0]
     objectives = np.zeros(count)
     lo = np.zeros((count, p + len(levels)))
     hi = np.zeros((count, p + len(levels)))
     for k, level in enumerate(levels):
         shift = intercepts[:, k, None] if intercepts.shape[1] else 0.0
         resid = z - shift - fitted
-        objectives += [float(w @ values) for values in level.values(resid)]
+        objectives += [float(wb @ values) for wb, values
+                       in zip(np.broadcast_to(w, resid.shape), level.values(resid))]
         d_lo, d_hi = level.slopes(resid)
         # sum_i c_i [d_lo_i, d_hi_i] = c'mid -/+ |c|'half, and half is 0
         # off the check loss's kink
         mid, half = w * (d_lo + d_hi) / 2.0, w * (d_hi - d_lo) / 2.0
         kink = np.flatnonzero(half.any(axis=0))
-        spread = half[:, kink] @ np.abs(x[kink])
-        center = mid @ x
+        spread = _times_x(half[:, kink], np.abs(x[..., kink, :]))
+        center = _times_x(mid, x)
         lo[:, :p] += center - spread
         hi[:, :p] += center + spread
         total, width = mid.sum(axis=1), half.sum(axis=1)

@@ -20,8 +20,10 @@ from censlasso.losses import LossKind
 from censlasso.solvers import (
     EstimatorResult,
     FitConfig,
+    adaptive_weights,
     fit_adaptive_lasso,
     fit_unpenalized,
+    kkt_residual,
 )
 
 
@@ -182,14 +184,124 @@ def test_fit_aggregated_support_containment_and_votes():
         assert agg.beta_check[j] == pytest.approx(stacked[:, j].mean())
 
 
-def test_fit_aggregated_parallel_matches_serial():
+@pytest.mark.parametrize("loss", [LossKind("expectile", tau=0.4), LossKind("median")],
+                         ids=["expectile", "median"])
+def test_fit_aggregated_n_jobs_changes_nothing(loss, monkeypatch):
+    # the groups run as stacks in the calling thread whatever n_jobs is
+    from censlasso import aggregation
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("fit_aggregated started a thread pool")
+
+    monkeypatch.setattr(aggregation, "ThreadPoolExecutor", no_pool)
     ds = make_problem(400, p=4, seed=5)
-    loss = LossKind("expectile", tau=0.4)
     config = FitConfig(loss=loss, lam=100 ** 0.4)
     plan = AggregationPlan(K=4, w=2)
     serial = fit_aggregated(ds, plan, config, n_jobs=1)
-    threaded = fit_aggregated(ds, plan, config, n_jobs=4)
-    assert np.array_equal(serial.beta_check, threaded.beta_check)
+    other = fit_aggregated(ds, plan, config, n_jobs=4)
+    assert np.array_equal(serial.beta_check, other.beta_check)
+    for a, b in zip(serial.group_results, other.group_results):
+        assert np.array_equal(a.beta, b.beta) and a.objective == b.objective
+        assert a.iterations == b.iterations
+
+
+# --- group stacks against groups fitted alone ---------------------------------
+
+STACK_LOSSES = [LossKind("median"), LossKind("quantile", tau=0.3),
+                LossKind("composite_quantile", n_levels=3), LossKind("expectile", tau=0.3)]
+
+
+def group_stack_case(seed, n, p, K, ties, one_event):
+    """A dataset for K groups: tied follow-up times (log scale on a 0.25
+    grid, so that ties fall across group boundaries), and group 0 left with
+    exactly one event; censoring makes the groups' active-row counts differ."""
+    ds = make_problem(n, p=p, seed=seed)
+    y, delta = ds.y, ds.delta.copy()
+    if ties:
+        y = np.exp(np.round(np.log(y) * 4.0) / 4.0)
+    if one_event:
+        group = np.arange(0, K * (n // K), K)
+        delta[group] = 0
+        delta[group[len(group) // 2]] = 1
+    return SurvivalDataset(y, delta, ds.x)
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", STACK_LOSSES,
+                         ids=["median", "quantile0.3", "composite3", "expectile0.3"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 160), p=st.integers(2, 4),
+       K=st.integers(2, 6), ties=st.booleans(), one_event=st.booleans())
+def test_group_stack_fits_are_the_groups_fitted_alone(loss, fit_intercept, seed, n, p, K,
+                                                      ties, one_event):
+    # the K pilots run as one stack and the K penalized fits as another, each
+    # group on its own rows padded to the stack's longest: each group's fit
+    # must be the one it gets alone (same support, objective within 1e-9
+    # relative) and meet its KKT bound
+    import warnings
+
+    ds = group_stack_case(seed, n, p, K, ties, one_event)
+    plan = AggregationPlan(K=K, w=1)
+    config = FitConfig(loss=loss, lam=(n // K) ** 0.4, fit_intercept=fit_intercept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # K need not divide n
+        groups = interleaved_split(ds.n, K).groups
+        agg = fit_aggregated(ds, plan, config)
+    subs = [ds.subset(g) for g in groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    pilots = fit_unpenalized(subs, weights, loss, config)
+    for sub, w, pilot, fit in zip(subs, weights, pilots, agg.group_results):
+        bound = (1e-9 if loss.is_lp_family else 1e-6) * sub.n
+        alone_pilot = fit_unpenalized(sub, w, loss, config)
+        alone = fit_adaptive_lasso(sub, w, config, alone_pilot.beta)
+        for got, want in ((pilot, alone_pilot), (fit, alone)):
+            assert got.support == want.support
+            assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+        assert pilot.kkt_residual <= bound
+        omega = adaptive_weights(pilot.beta, config.gamma)
+        assert kkt_residual(sub, w, loss, config.lam, omega, fit) <= bound
+        assert fit.kkt_residual <= bound
+
+
+def test_group_stacks_pad_and_split(monkeypatch):
+    # 25 groups of different active-row counts: padding is used, and the
+    # groups split into stacks of _STACK // (rows + p), rows being the
+    # longest group's active-row count; groups too large to stack run apart
+    from censlasso import solvers
+
+    ds = make_problem(2500, p=5, seed=2)
+    subs = [ds.subset(g) for g in interleaved_split(ds.n, 25).groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    active = {int(np.count_nonzero(w.w)) for w in weights}
+    assert len(active) > 1
+    seen = []
+    real = solvers._frisch_newton
+
+    def spy(lp, *args):
+        seen.append((len(lp.lo), lp.real is not None))
+        return real(lp, *args)
+
+    loss = LossKind("median")
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
+        patch.setattr(solvers, "_STACK", 10 * (max(active) + 5))
+        fits = fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
+    assert [count for count, _ in seen] == [10, 10, 5] and all(padded for _, padded in seen)
+    # groups whose designs pass _OWN_STACK doubles run one at a time, each on
+    # its own rows with no padding: its single fit bit for bit
+    seen.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
+        patch.setattr(solvers, "_OWN_STACK", min(w.w.astype(bool).sum() for w in weights) * 5 - 1)
+        apart = fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
+    assert seen == [(1, False)] * 25
+    for sub, w, fit in zip(subs, weights, apart):
+        alone = fit_unpenalized(sub, w, loss)
+        assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
+    for sub, w, fit in zip(subs, weights, fits):
+        alone = fit_unpenalized(sub, w, loss)
+        assert fit.support == alone.support
+        assert abs(fit.objective - alone.objective) <= 1e-9 * alone.objective
 
 
 def test_fit_aggregated_km_scopes_both_run():

@@ -202,6 +202,20 @@ def test_serial_commands_take_no_threads_flag(command, tmp_path, capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "study.ini", "--output-dir", "out"],
+    ["aggregate", "--data", "d.csv", "--method", "median", "--lambda", "1.0", "--K", "2",
+     "--output", "o"],
+], ids=["simulate", "aggregate"])
+@pytest.mark.parametrize("threads", ["0", "-3", "-1"])
+def test_threads_below_one_is_rejected(command, threads, capsys):
+    # argparse rejects the value, and names the flag, before any input is read
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "argument --threads: must be a positive integer" in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_optimize_and_sparse_unloaded():
     # a fresh interpreter pays ~0.3 s for scipy.optimize and scipy.sparse,
     # which no fit needs; scipy.stats is loaded only by the study report

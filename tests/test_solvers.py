@@ -270,6 +270,50 @@ def test_dual_rows_products_are_the_dense_ones(monkeypatch):
     assert np.array_equal(lp.design(at), dense[at])
     assert np.array_equal(lp.col_reach, np.r_[np.abs(x[:, cols]).max(axis=0), np.ones(3)])
 
+    # the same two problems on rows of their own, 11 and 7 of them, the
+    # second padded with 4 zero rows (w = 0): each problem's products are
+    # those of its own dense M, whose padded rows are zero (intercept
+    # columns included), and whatever sits on the padding adds exactly 0
+    lengths = (n, 7)
+    own = [(rng.normal(size=(k, 4)), rng.normal(size=k), rng.uniform(0.5, 2.0, k))
+           for k in lengths]
+    lp = solvers._DualRows(*solvers._padded(own), levels, True, lam_w)
+    real = np.arange(n)[None, :] < np.array(lengths)[:, None]
+    denses = []
+    for (xb, _, _), mask in zip(own, real):
+        xpad = np.zeros((n, 4))
+        xpad[mask] = xb
+        ones = np.repeat(np.eye(3), n, axis=0) * np.tile(mask, 3)[:, None]
+        obs = np.hstack([np.tile(xpad, (3, 1)), ones])
+        denses.append(np.vstack([obs, np.eye(7)[pen]]))
+    assert (lp.p, lp.m, lp.n_obs) == (4, 7, 3 * n)
+    assert np.array_equal(lp.real, np.hstack([np.tile(real, 3), np.ones((2, 3))]))
+    for b, ((xb, zb, wb), dense_b) in enumerate(zip(own, denses)):
+        k = len(zb)
+        zpad = np.r_[zb, np.zeros(n - k)]
+        assert np.array_equal(lp.resp[b], np.r_[np.tile(zpad, 3), np.zeros(3)])
+        for j, level in enumerate(levels):
+            rows = slice(j * n, j * n + k)
+            assert np.array_equal(lp.lo[b, rows], -(1.0 - level.tau) * wb)
+            assert np.array_equal(lp.hi[b, rows], level.tau * wb)
+            assert np.all(lp.lo[b, j * n + k:(j + 1) * n] == -0.5)
+            assert np.all(lp.hi[b, j * n + k:(j + 1) * n] == 0.5)
+        assert lp.widest[b] == np.max(wb)
+        assert np.array_equal(lp.col_reach[b], np.r_[np.abs(xb).max(axis=0), np.ones(3)])
+        np.testing.assert_allclose(lp.fitted(theta)[b], dense_b @ theta[b], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(lp.adjoint(v)[b], v[b] @ dense_b, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(lp.normal(q)[b], dense_b.T @ (q[b][:, None] * dense_b),
+                                   rtol=1e-13, atol=1e-13)
+        assert np.array_equal(lp.design(at)[b], dense_b[at[b]])
+    padding = np.hstack([np.tile(~real, 3), np.zeros((2, 3), dtype=bool)])
+    assert np.all(lp.fitted(theta)[padding] == 0.0)
+    elsewhere_v, elsewhere_q = v.copy(), q.copy()
+    elsewhere_v[padding] = rng.normal(size=np.count_nonzero(padding))
+    elsewhere_q[padding] = rng.uniform(0.1, 3.0, size=np.count_nonzero(padding))
+    assert np.array_equal(lp.adjoint(elsewhere_v), lp.adjoint(v))
+    assert np.array_equal(lp.normal(elsewhere_q), lp.normal(q))
+    assert np.all(lp.design(np.flatnonzero(padding[1])[None].repeat(2, axis=0))[1] == 0.0)
+
 
 # --- lockstep paths against per-point fits ----------------------------------
 
@@ -547,6 +591,41 @@ def test_failed_stack_polish_refits_the_point_alone(monkeypatch):
     assert np.array_equal(path[1].intercepts, alone.intercepts)
     assert path[1].objective == alone.objective and path[1].iterations == alone.iterations
     assert_path_matches_per_point_fits(ds, w, loss, True, beta_tilde, [5.0, 1e6])
+
+
+def test_unpolished_fit_is_fitted_again_at_a_tighter_tol(monkeypatch):
+    # the full-data median pilot of a 2e4-row design (seed 7): at tol 1e-8
+    # the interior point stops with 51 residuals below 5e-7, too close to
+    # tell its 50 basic rows, and neither ranking certifies a vertex; the
+    # fit is run again alone at tol 1e-10, which does
+    from censlasso import data
+
+    spec = GenerationSpec(n=20_000, p=50, beta0=(1.0, -2.0) + (0.0,) * 48, seed=7)
+    ds, _ = data.generate_with_latents(
+        spec, bound=data.calibrate_censoring_bound(spec, spec.target_censoring_rate))
+    w = ipcw_weights(ds, fit_censoring_km(ds))
+    loss = LossKind("median")
+    tols, newton = [], solvers._frisch_newton
+
+    def spy(lp, normal_u, tol, max_iter):
+        tols.append(tol)
+        return newton(lp, normal_u, tol, max_iter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
+        fit = fit_unpenalized(ds, w, loss)
+    assert tols == [1e-8, 1e-10]
+    tight = fit_unpenalized(ds, w, loss, FitConfig(loss=loss, tol=1e-10))
+    assert np.array_equal(fit.beta, tight.beta) and fit.iterations == tight.iterations
+    assert fit.kkt_residual <= 1e-9 * ds.n
+    # a fit no tolerance certifies still raises, after one tighter try
+    tols.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
+        patch.setattr(solvers, "_polish", lambda *args: {})
+        with pytest.raises(NoConvergence, match="no vertex it ranked passed"):
+            fit_unpenalized(ds, w, loss)
+    assert tols == [1e-8, 1e-10]
 
 
 @pytest.mark.parametrize("loss, fit_intercept", [
