@@ -30,17 +30,16 @@ KM_SCOPES = ("per_group", "global")
 
 @dataclass(frozen=True)
 class AggregationPlan:
-    """How to split, tune, and vote.
+    """How to split and vote.
 
     w may be an integer threshold or the rule "sqrt_K" for floor(sqrt(K)).
-    per_group_tuning switches between a per-group BIC scan and the shared
-    penalty level carried by the fit configuration.  km_scope picks whether
-    each group estimates its own censoring curve or reuses a full-data one.
+    km_scope picks whether each group estimates its own censoring curve or
+    reuses a full-data one.  How each group's penalty level is chosen is not
+    part of the plan: `fit_aggregated` tunes it when given a `BicConfig`.
     """
 
     K: int
     w: int | str = "sqrt_K"
-    per_group_tuning: bool = False
     km_scope: str = "per_group"
 
     def __post_init__(self):
@@ -159,19 +158,18 @@ def fit_aggregated(
 ) -> AggregatedResult:
     """Split, fit each group (pilot then adaptive LASSO), vote, aggregate.
 
-    With per_group_tuning each group scans its own BIC grid; otherwise every
-    group uses config.lam, and the K groups' pilots are fitted in one call
-    of `fit_unpenalized`, then their penalized fits in one call of
+    The penalty rule is the bic_config: given one, each group scans its own
+    BIC grid under it and config.lam is not used.  Given None, every group
+    uses the fixed level config.lam, and the K groups' pilots are fitted in
+    one call of `fit_unpenalized`, then their penalized fits in one call of
     `fit_adaptive_lasso`: each call runs the groups as lockstep stacks, each
     group on its own rows (large groups one at a time), in the calling
-    thread.  A failing group, one
-    whose fit did not converge included, aborts the whole fit with its own
-    error (the first in group order, pilots before penalized fits).  n_jobs
-    has no effect; it stays for callers that still pass it.
+    thread.  A failing group, one whose fit did not converge included,
+    aborts the whole fit with its own error (the first in group order,
+    pilots before penalized fits).  n_jobs has no effect; it stays for
+    callers that still pass it.
     """
     assignment = interleaved_split(dataset.n, plan.K)
-    if plan.per_group_tuning and bic_config is None:
-        bic_config = BicConfig()
     global_curve: CensoringSurvivalCurve | None = None
     if plan.km_scope == "global":
         used = (
@@ -185,7 +183,7 @@ def fit_aggregated(
     subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
     weights = [ipcw_weights(sub, global_curve if global_curve is not None
                             else fit_censoring_km(sub)) for sub in subsets]
-    if plan.per_group_tuning:
+    if bic_config is not None:
         best = [select_lambda(sub, w, config.loss, lambda_grid(sub.n), bic_config,
                               fit_config=config).best for sub, w in zip(subsets, weights)]
         results = tuple(b.result for b in best)

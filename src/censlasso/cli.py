@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .aggregation import AggregationPlan, fit_aggregated
+from .aggregation import KM_SCOPES, AggregationPlan, fit_aggregated
 from .data import GenerationSpec, load_csv
 from .errors import CensLassoError, ConfigError, InputError
 from .kaplan_meier import fit_censoring_km, ipcw_weights
@@ -30,7 +30,7 @@ from .simulation import (
     timing_rows_to_csv,
 )
 from .solvers import FitConfig
-from .tuning import BicConfig, lambda_grid, select_lambda
+from .tuning import PENALTY_MODES, BicConfig, lambda_grid, select_lambda
 
 # These run inside fit_aggregated.  They stay bound here because the traced
 # benchmark run (perfbench/spans.py) wraps them under this module's name.
@@ -69,12 +69,20 @@ def _choose_lambda_args(args) -> None:
 
 
 def _fit_config(args, loss) -> FitConfig:
-    return FitConfig(
-        loss=loss,
-        lam=0.0 if args.lam is None else args.lam,
-        gamma=args.gamma,
-        fit_intercept=args.fit_intercept,
-    )
+    config = FitConfig(loss=loss, gamma=args.gamma, fit_intercept=args.fit_intercept)
+    return config if args.lam is None else config.replace(lam=args.lam)
+
+
+def _bic_config(args) -> BicConfig | None:
+    """The penalty rule of fit and aggregate: a BIC scan, or None for --lambda."""
+    return BicConfig(penalty_mode=args.penalty_mode) if args.bic else None
+
+
+def _parse_vote_rule(text: str) -> int | str:
+    """The vote threshold w of --w and the study INI: an integer, or "sqrt"
+    (also "sqrt_K") for floor(sqrt(K))."""
+    text = text.strip()
+    return "sqrt_K" if text in ("sqrt", "sqrt_K") else int(text)
 
 
 def cmd_fit(args) -> int:
@@ -82,12 +90,8 @@ def cmd_fit(args) -> int:
     method = parse_method(args.method)
     loss = _loss_for_fit(method)
     # the full-data fit is the aggregated fit with one group
-    agg = fit_aggregated(
-        dataset,
-        AggregationPlan(K=1, w=1, per_group_tuning=args.bic),
-        _fit_config(args, loss),
-        bic_config=BicConfig(penalty_mode=args.penalty_mode),
-    )
+    agg = fit_aggregated(dataset, AggregationPlan(K=1, w=1), _fit_config(args, loss),
+                         bic_config=_bic_config(args))
     result, lam = agg.group_results[0], agg.group_lambdas[0]
     payload = result.to_dict()
     payload["lambda"] = lam
@@ -130,18 +134,9 @@ def cmd_aggregate(args) -> int:
     dataset = load_csv(args.data)
     method = parse_method(args.method)
     loss = _loss_for_fit(method)
-    if args.w == "sqrt":
-        w = "sqrt_K"
-    else:
-        w = int(args.w)
-    plan = AggregationPlan(
-        K=args.K, w=w, per_group_tuning=args.bic, km_scope=args.km_scope
-    )
-    agg = fit_aggregated(
-        dataset, plan, _fit_config(args, loss),
-        bic_config=BicConfig(penalty_mode=args.penalty_mode),
-        n_jobs=args.threads,
-    )
+    plan = AggregationPlan(K=args.K, w=_parse_vote_rule(args.w), km_scope=args.km_scope)
+    agg = fit_aggregated(dataset, plan, _fit_config(args, loss),
+                         bic_config=_bic_config(args), n_jobs=args.threads)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(agg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -152,12 +147,17 @@ def cmd_aggregate(args) -> int:
 
 # --- config-file driven commands -------------------------------------------
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str, fallback=None):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    if fallback is None:
+def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
+    if not cfg.has_option(section, key):
         raise ConfigError(f"missing config key [{section}] {key}")
-    return fallback
+    return cfg.get(section, key)
+
+
+def _set_keys(cfg: configparser.ConfigParser, section: str, parsers) -> dict:
+    """The keys of section that the file sets, each through its parser; a
+    key the file leaves out takes the default of the type it configures."""
+    return {key: parse(cfg.get(section, key))
+            for key, parse in parsers.items() if cfg.has_option(section, key)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -169,8 +169,24 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
+def _parse_lambda_rule(text: str) -> LambdaRule:
+    """A study's lambda_rule: "bic", or "fixed:j" (plain "fixed" is j = 1)."""
+    text = text.strip()
+    if text == "bic":
+        return LambdaRule(LambdaRule.BIC_GRID)
+    if text.startswith("fixed"):
+        _, colon, j = text.partition(":")
+        return LambdaRule(LambdaRule.FIXED, int(j)) if colon else LambdaRule(LambdaRule.FIXED)
+    raise ConfigError(f"unknown lambda_rule {text!r}")
+
+
 def load_simulation_spec(path, overrides=()) -> SimulationSpec:
-    """Build a SimulationSpec from an INI file plus section.key=value overrides."""
+    """Build a SimulationSpec from an INI file plus section.key=value overrides.
+
+    Only the keys a file sets are passed on; every other setting keeps the
+    default of the type it configures.  [generation] seed is not read: each
+    replication is seeded from [simulation] master_seed.
+    """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, encoding="utf-8") as fh:
@@ -193,41 +209,22 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
     if len(beta_head) > p:
         raise ConfigError("beta0 cannot have more than p entries")
     beta0 = tuple(beta_head) + (0.0,) * (p - len(beta_head))
-    generation = GenerationSpec(
-        n=n,
-        p=p,
-        beta0=beta0,
-        intercept=float(_get(cfg, "generation", "intercept", "0")),
-        design_mean=float(_get(cfg, "generation", "design_mean", "1")),
-        error_family=_get(cfg, "generation", "error_family", "standard_gumbel"),
-        target_censoring_rate=float(
-            _get(cfg, "generation", "target_censoring_rate", "0.25")
-        ),
-        seed=int(_get(cfg, "generation", "seed", "0")),
-    )
+    generation = GenerationSpec(n=n, p=p, beta0=beta0, **_set_keys(cfg, "generation", {
+        "intercept": float, "design_mean": float, "error_family": str,
+        "target_censoring_rate": float}))
 
     methods = tuple(
         parse_method(tok)
         for tok in _get(cfg, "simulation", "methods").split(",")
         if tok.strip()
     )
-    rule_text = _get(cfg, "simulation", "lambda_rule", "fixed:1").strip()
-    if rule_text == "bic":
-        rule = LambdaRule(LambdaRule.BIC_GRID)
-    elif rule_text.startswith("fixed"):
-        j = int(rule_text.split(":", 1)[1]) if ":" in rule_text else 1
-        rule = LambdaRule(LambdaRule.FIXED, j)
-    else:
-        raise ConfigError(f"unknown lambda_rule {rule_text!r}")
-
-    master_seed = int(_get(cfg, "simulation", "master_seed", "0"))
-
-    w_text = _get(cfg, "aggregation", "w", "sqrt").strip()
-    w = "sqrt_K" if w_text in ("sqrt", "sqrt_K") else int(w_text)
-    km_scope = _get(cfg, "aggregation", "km_scope", "per_group")
+    simulation = _set_keys(cfg, "simulation", {
+        "lambda_rule": _parse_lambda_rule, "master_seed": int,
+        "compare_full_data": _parse_bool})
+    plan_keys = _set_keys(cfg, "aggregation", {"w": _parse_vote_rule, "km_scope": str})
     plans = tuple(
-        AggregationPlan(K=int(k), w=w, km_scope=km_scope)
-        for k in _get(cfg, "aggregation", "K", "1").split(",")
+        AggregationPlan(K=int(k), **plan_keys)
+        for k in cfg.get("aggregation", "K", fallback="1").split(",")
         if k.strip()
     )
 
@@ -236,15 +233,9 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
         generation=generation,
         methods=methods,
         plans=plans,
-        lambda_rule=rule,
-        master_seed=master_seed,
-        compare_full_data=_parse_bool(
-            _get(cfg, "simulation", "compare_full_data", "false")
-        ),
-        penalty_mode=_get(cfg, "tuning", "penalty_mode", "log_n_over_n"),
-        gamma=float(_get(cfg, "solvers", "gamma", "1")),
-        tol=float(_get(cfg, "solvers", "tol", "1e-8")),
-        max_iter=int(_get(cfg, "solvers", "max_iter", "10000")),
+        **simulation,
+        **_set_keys(cfg, "tuning", {"penalty_mode": str}),
+        **_set_keys(cfg, "solvers", {"gamma": float, "tol": float, "max_iter": int}),
     )
 
 
@@ -308,6 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_threads(p, default, text):
         p.add_argument("--threads", type=_positive_int, default=default, help=text)
 
+    def add_gamma_and_penalty_mode(p):
+        p.add_argument("--gamma", type=float, default=FitConfig.gamma,
+                       help="adaptive-weight power")
+        p.add_argument("--penalty-mode", default=BicConfig.penalty_mode,
+                       choices=PENALTY_MODES)
+
     def add_fit_flags(p):
         p.add_argument("--data", required=True, help="input CSV (y,delta,x1..xp)")
         p.add_argument("--method", required=True,
@@ -317,10 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed penalty level")
         p.add_argument("--bic", action="store_true",
                        help="choose the penalty by the BIC grid scan")
-        p.add_argument("--gamma", type=float, default=1.0,
-                       help="adaptive-weight power")
-        p.add_argument("--penalty-mode", default="log_n_over_n",
-                       choices=["log_n_over_n", "log_nu_over_nu"])
+        add_gamma_and_penalty_mode(p)
         p.add_argument("--fit-intercept", action="store_true")
 
     p_fit = sub.add_parser("fit", help="one adaptive-LASSO fit on a CSV dataset")
@@ -336,19 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="BIC path over the default lambda grid")
     p_tune.add_argument("--data", required=True)
     p_tune.add_argument("--method", required=True)
-    p_tune.add_argument("--gamma", type=float, default=1.0)
-    p_tune.add_argument("--penalty-mode", default="log_n_over_n",
-                        choices=["log_n_over_n", "log_nu_over_nu"])
+    add_gamma_and_penalty_mode(p_tune)
     p_tune.add_argument("--output", required=True, help="path CSV")
     p_tune.set_defaults(func=cmd_tune, needs_lambda_choice=False)
 
     p_agg = sub.add_parser("aggregate", help="interleaved-group aggregated fit")
     add_fit_flags(p_agg)
     p_agg.add_argument("--K", type=int, required=True, help="number of groups")
-    p_agg.add_argument("--w", default="sqrt",
+    p_agg.add_argument("--w", default=AggregationPlan.w,
                        help="vote threshold (integer or 'sqrt')")
-    p_agg.add_argument("--km-scope", default="per_group",
-                       choices=["per_group", "global"])
+    p_agg.add_argument("--km-scope", default=AggregationPlan.km_scope,
+                       choices=KM_SCOPES)
     p_agg.add_argument("--output", required=True)
     # the groups run as lockstep stacks in the calling thread (a thread pool
     # over single group fits had measured slower than serial); the flag

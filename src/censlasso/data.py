@@ -48,7 +48,7 @@ class SurvivalDataset:
 
     def __init__(self, y, delta, x):
         y = np.ascontiguousarray(y, dtype=float)
-        delta = np.ascontiguousarray(delta, dtype=np.int8)
+        delta = np.asarray(delta, dtype=float)  # checked before its int8 cast
         x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2 or y.ndim != 1 or delta.ndim != 1:
             raise ValueError("y and delta must be 1-d, x must be 2-d")
@@ -60,8 +60,9 @@ class SurvivalDataset:
             raise NonFiniteCovariate("covariates must be finite")
         if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
             raise NonPositiveTime("all follow-up times must be finite and > 0")
-        if not np.all((delta == 0) | (delta == 1)):
+        if not np.all((delta == 0.0) | (delta == 1.0)):
             raise NonBinaryDelta("event indicators must be 0 or 1")
+        delta = np.ascontiguousarray(delta, dtype=np.int8)
         for a in (y, delta, x):
             a.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -264,9 +265,9 @@ def load_csv(path) -> SurvivalDataset:
     """Read a dataset from CSV with header ``y,delta,x1,...,xp``.
 
     The rows go through numpy's C parser.  Whatever it rejects, or any
-    value that fails a check, is read again by the row parser, which
-    accepts the rest of Python's float syntax and names ``path:line`` in
-    its errors; an input that cannot be read twice (a pipe) goes to the
+    table that `SurvivalDataset` rejects, is read again by the row parser,
+    which accepts the rest of Python's float syntax and names ``path:line``
+    in its errors; an input that cannot be read twice (a pipe) goes to the
     row parser alone.  A file that is not UTF-8 text is an input error.
     """
     try:
@@ -276,7 +277,10 @@ def load_csv(path) -> SurvivalDataset:
             if fh.seekable():
                 table = _load_table(fh, p)
                 if table is not None:
-                    return SurvivalDataset(table[:, 0], table[:, 1], table[:, 2:])
+                    try:
+                        return SurvivalDataset(table[:, 0], table[:, 1], table[:, 2:])
+                    except InputError:
+                        pass  # the row parser names the offending line
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)  # the header, checked above
@@ -314,11 +318,6 @@ def _load_table(fh, p) -> np.ndarray | None:
     except ValueError:
         return None
     if table.shape[0] < 1 or table.shape[1] != p + 2:
-        return None
-    delta = table[:, 1]
-    if not (np.all((delta == 0.0) | (delta == 1.0))
-            and np.all((table[:, 0] > 0.0) & (table[:, 0] < np.inf))
-            and np.all(np.isfinite(table[:, 2:]))):
         return None
     return table
 

@@ -110,10 +110,10 @@ class SimulationSpec:
     lambda_rule: LambdaRule = LambdaRule(LambdaRule.FIXED, 1)
     master_seed: int = 0
     compare_full_data: bool = False
-    penalty_mode: str = "log_n_over_n"
-    gamma: float = 1.0
-    tol: float = 1e-8
-    max_iter: int = 10_000
+    penalty_mode: str = BicConfig.penalty_mode
+    gamma: float = FitConfig.gamma
+    tol: float = FitConfig.tol
+    max_iter: int = FitConfig.max_iter
 
     def __post_init__(self):
         if self.M < 1:
@@ -122,6 +122,11 @@ class SimulationSpec:
             raise ValueError("need at least one aggregation plan")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "plans", tuple(self.plans))
+        if not self.methods:
+            raise ConfigError("need at least one method")
+        # the settings are checked by the types that use them, before any fit
+        BicConfig(penalty_mode=self.penalty_mode)
+        _fit_config(self, LossKind(LossKind.MEDIAN), 0.0)
         # results are keyed by label: a repeated one would be fitted twice
         # and reported as two identical entries
         for kind, items in (("method", self.methods), ("plan", self.plans)):
@@ -338,20 +343,16 @@ def _run_replication(
     t0 = time.perf_counter()
     dataset, latents = generate_with_latents(gen, bound=bound)
     generate_seconds = time.perf_counter() - t0
-    bic_config = BicConfig(penalty_mode=spec.penalty_mode)
     tuned = spec.lambda_rule.kind == LambdaRule.BIC_GRID
+    bic_config = BicConfig(penalty_mode=spec.penalty_mode) if tuned else None
     records: dict[tuple[str, str], dict] = {}
     for method in spec.methods:
         loss = method.resolve(latents.errors)
         for label, plan in _labelled_plans(spec):
             lam = 0.0 if tuned else fixed_lambda(dataset.n // plan.K, spec.lambda_rule.j)
             t0 = time.perf_counter()
-            agg = fit_aggregated(
-                dataset,
-                replace(plan, per_group_tuning=tuned),
-                _fit_config(spec, loss, lam),
-                bic_config=bic_config,
-            )
+            agg = fit_aggregated(dataset, plan, _fit_config(spec, loss, lam),
+                                 bic_config=bic_config)
             seconds = time.perf_counter() - t0
             bic_indices = []
             if tuned:
@@ -381,6 +382,10 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     else is a deterministic function of the spec (timing fields excepted).
     """
     gen = spec.generation
+    active = sorted(gen.active_set)
+    if not 0 < len(active) < gen.p:
+        raise ConfigError("a study scores selection, so beta0 needs both a zero "
+                          "and a nonzero coordinate")
     bound = _censoring_bound(gen)
     jobs = [(spec, m, bound) for m in range(spec.M)]
     if n_jobs > 1:
@@ -406,7 +411,6 @@ def run_study(spec: SimulationSpec, n_jobs: int = 1) -> SimulationReport:
     keys = [(method.label(), label)
             for method in spec.methods for label, _ in _labelled_plans(spec)]
 
-    active = sorted(gen.active_set)
     beta0 = gen.beta0_array
     entries = []
     for key in keys:

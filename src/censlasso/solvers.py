@@ -100,12 +100,13 @@ class FitConfig:
     fit_intercept: bool = False
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        # chained comparisons reject NaN as well as the out-of-range values
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and > 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
 
     def replace(self, **kwargs) -> "FitConfig":
         from dataclasses import replace
@@ -1245,8 +1246,8 @@ def fit_adaptive_lasso(
     """
     single = lams is None
     lams = np.asarray([config.lam] if single else lams, dtype=float)
-    if np.any(lams < 0.0):
-        raise ValueError("lam must be >= 0")
+    if not np.all((lams >= 0.0) & (lams < np.inf)):
+        raise ValueError("lam must be finite and >= 0")
     beta_tilde = np.asarray(beta_tilde, dtype=float)
     rows, groups = _rows_of(dataset, weights)
     if groups is not None and not single:

@@ -25,6 +25,7 @@ from censlasso.solvers import (
     fit_unpenalized,
     kkt_residual,
 )
+from censlasso.tuning import BicConfig
 
 
 def result_with_beta(beta):
@@ -323,8 +324,8 @@ def test_fit_aggregated_per_group_tuning():
     ds = make_problem(400, p=4, seed=7)
     loss = LossKind("expectile", tau=0.4)
     config = FitConfig(loss=loss)
-    plan = AggregationPlan(K=2, w=1, per_group_tuning=True)
-    agg = fit_aggregated(ds, plan, config)
+    plan = AggregationPlan(K=2, w=1)
+    agg = fit_aggregated(ds, plan, config, bic_config=BicConfig())
     assert len(agg.group_lambdas) == 2
     grid = (ds.n // 2) ** np.array([0.5 - 1 / (10 * j) for j in range(1, 21)])
     for lam in agg.group_lambdas:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from censlasso import cli, errors
+from censlasso.aggregation import AggregationPlan
 from censlasso.cli import main
 from censlasso.data import GenerationSpec, generate_dataset, write_csv
+from censlasso.simulation import MethodSpec, SimulationSpec
 
 CONFIG_TEXT = """\
 [generation]
@@ -426,3 +428,100 @@ def test_set_override_wins_over_config(tmp_path):
         "--set", "simulation.master_seed=12345",
     ]) == 0
     assert (out1 / "report.json").read_text() != (out2 / "report.json").read_text()
+
+
+@pytest.mark.parametrize("setting", [
+    ["--lambda", "nan"], ["--lambda", "inf"],
+    ["--lambda", "1.0", "--gamma", "nan"], ["--lambda", "1.0", "--gamma", "inf"],
+], ids=["lambda-nan", "lambda-inf", "gamma-nan", "gamma-inf"])
+def test_fit_non_finite_setting_is_config_error(setting, dataset_csv, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--data", dataset_csv, "--method", "median",
+                 "--output", str(out)] + setting)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("censlasso: configuration error: ")
+    assert not out.exists()
+
+
+def _simulate_before_any_replication(tmp_path, monkeypatch, *overrides):
+    """Exit code of a serial simulate that must fail before its first replication."""
+    from censlasso import simulation
+
+    def no_replication(args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "_worker", no_replication)
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    outdir = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--output-dir", str(outdir), "--threads", "1"]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv)
+    assert not (outdir / "report.json").exists()
+    return code
+
+
+@pytest.mark.parametrize("override", [
+    "solvers.tol=nan", "solvers.tol=inf", "solvers.gamma=nan", "solvers.gamma=inf",
+])
+def test_simulate_non_finite_solver_setting_is_config_error(override, tmp_path,
+                                                            monkeypatch, capsys):
+    assert _simulate_before_any_replication(tmp_path, monkeypatch, override) == 4
+    setting = override.split(".")[1].split("=")[0]
+    assert capsys.readouterr().err.startswith(
+        f"censlasso: configuration error: {setting} must be finite")
+
+
+@pytest.mark.parametrize("override, message", [
+    ("generation.beta0=0", "a study scores selection, so beta0 needs both a zero "
+                           "and a nonzero coordinate"),
+    ("generation.beta0=1,-2,3,4", "a study scores selection, so beta0 needs both a zero "
+                                  "and a nonzero coordinate"),
+    ("simulation.methods= ", "need at least one method"),
+], ids=["no-active", "all-active", "no-methods"])
+def test_simulate_unscorable_study_is_config_error(override, message, tmp_path,
+                                                   monkeypatch, capsys):
+    assert _simulate_before_any_replication(tmp_path, monkeypatch, override) == 4
+    assert capsys.readouterr().err == f"censlasso: configuration error: {message}\n"
+
+
+def test_bench_times_a_design_without_zero_coordinates(tmp_path):
+    # bench scores no selection, so any beta0 will do
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    out = tmp_path / "timings.csv"
+    assert main(["bench", "--config", str(cfg), "--output", str(out),
+                 "--set", "generation.beta0=1,-2,3,4", "--set", "aggregation.K=1"]) == 0
+    assert out.read_text().splitlines()[0] == "K,phase,seconds"
+
+
+def test_generation_seed_is_not_read(tmp_path):
+    # every replication is seeded from master_seed alone
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    outputs = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["simulate", "--config", str(cfg), "--output-dir", str(out),
+                     "--threads", "1", "--set", f"generation.seed={seed}"]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))
+                        if name != "timings.csv"})
+    assert outputs[0] == outputs[1]
+
+
+def test_study_keys_left_out_take_the_defaults_of_their_types(tmp_path):
+    cfg = tmp_path / "study.ini"
+    cfg.write_text("[generation]\nn = 100\np = 3\nbeta0 = 1\n"
+                   "[simulation]\nreplications = 2\nmethods = median\n")
+    assert cli.load_simulation_spec(cfg) == SimulationSpec(
+        M=2,
+        generation=GenerationSpec(n=100, p=3, beta0=(1.0, 0.0, 0.0)),
+        methods=(MethodSpec("median"),),
+        plans=(AggregationPlan(K=1),),
+    )
+
+
+@pytest.mark.parametrize("text, w", [("sqrt", "sqrt_K"), (" sqrt_K ", "sqrt_K"), ("2", 2)])
+def test_vote_rule_parser(text, w):
+    assert cli._parse_vote_rule(text) == w

@@ -183,6 +183,25 @@ def test_clean_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
     assert load_csv(path).n == 4
 
 
+def test_fractional_delta_falls_back_to_the_row_parser(tmp_path, monkeypatch):
+    # the C parser reads the table; SurvivalDataset rejects its delta, and
+    # the row parser then names the line
+    tables = []
+    load_table = data._load_table
+
+    def recording_load_table(fh, p):
+        tables.append(load_table(fh, p))
+        return tables[-1]
+
+    monkeypatch.setattr(data, "_load_table", recording_load_table)
+    path = tmp_path / "d.csv"
+    path.write_text(with_row("3,0.5,1,2"))
+    with pytest.raises(NonBinaryDelta) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}:3: delta=0.5 is not 0 or 1"
+    assert [t.shape for t in tables] == [(4, 4)]
+
+
 def through_pipe(load, path, text):
     """load(path) with path a named pipe that a thread fills with text."""
     os.mkfifo(path)
@@ -388,6 +407,19 @@ def test_dataset_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteCovariate):
             SurvivalDataset(np.array([1.0, 2.0]), np.array([1, 0]), np.array([[0.5], [bad]]))
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.7, -0.5, np.nan, np.inf])
+def test_dataset_checks_delta_before_its_int8_cast(delta):
+    # a cast first would store 0.5 and -0.5 as 0 and 1.7 as 1
+    with pytest.raises(NonBinaryDelta):
+        SurvivalDataset(np.array([1.0, 2.0]), np.array([delta, 1.0]), np.ones((2, 1)))
+
+
+def test_dataset_stores_a_binary_delta_as_int8():
+    for delta in ([0.0, 1.0], [False, True], np.array([0, 1], dtype=np.int64)):
+        ds = SurvivalDataset(np.array([1.0, 2.0]), delta, np.ones((2, 1)))
+        assert ds.delta.dtype == np.int8 and ds.delta.tolist() == [0, 1]
 
 
 def test_dataset_immutable():

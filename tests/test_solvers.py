@@ -785,6 +785,24 @@ def test_path_rejects_negative_lambda():
         fit_adaptive_lasso(ds, w, FitConfig(loss=LossKind("median")), np.ones(3), [1.0, -1.0])
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_path_rejects_non_finite_lambda(lam):
+    ds, w = random_problem(1, n=60, p=3)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        fit_adaptive_lasso(ds, w, FitConfig(loss=LossKind("median")), np.ones(3), [1.0, lam])
+
+
+@pytest.mark.parametrize("setting, value", [
+    (setting, value)
+    for setting in ("lam", "gamma", "tol")
+    for value in (np.nan, np.inf, -np.inf, -1.0)
+] + [("gamma", 0.0), ("tol", 0.0)])
+def test_fit_config_rejects_out_of_range_settings(setting, value):
+    # NaN fails every comparison, so the range checks must not pass it
+    with pytest.raises(ValueError, match=f"{setting} must be finite"):
+        FitConfig(loss=LossKind("median"), **{setting: value})
+
+
 # --- adaptive lasso ---------------------------------------------------------
 
 @pytest.mark.parametrize("loss", [
