@@ -147,6 +147,19 @@ def cmd_aggregate(args) -> int:
 
 # --- config-file driven commands -------------------------------------------
 
+# every key a study INI may set, by section; [generation] seed is accepted
+# and not read (each replication is seeded from [simulation] master_seed)
+_STUDY_KEYS = {
+    "generation": {"n", "p", "beta0", "intercept", "design_mean", "error_family",
+                   "target_censoring_rate", "seed"},
+    "simulation": {"replications", "methods", "lambda_rule", "master_seed",
+                   "compare_full_data"},
+    "aggregation": {"K", "w", "km_scope"},
+    "tuning": {"penalty_mode"},
+    "solvers": {"gamma", "tol", "max_iter"},
+}
+
+
 def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
     if not cfg.has_option(section, key):
         raise ConfigError(f"missing config key [{section}] {key}")
@@ -185,7 +198,9 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
 
     Only the keys a file sets are passed on; every other setting keeps the
     default of the type it configures.  [generation] seed is not read: each
-    replication is seeded from [simulation] master_seed.
+    replication is seeded from [simulation] master_seed.  A key that is not
+    one of `_STUDY_KEYS`, from the file or an override, is a ConfigError
+    naming its section.key.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -202,6 +217,11 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
         if not cfg.has_section(section):
             cfg.add_section(section)
         cfg.set(section, key, value.strip())
+    for section in cfg.sections():
+        known = {cfg.optionxform(key) for key in _STUDY_KEYS.get(section, ())}
+        for key in cfg.options(section):
+            if key not in known:
+                raise ConfigError(f"unknown config key {section}.{key}")
 
     n = int(_get(cfg, "generation", "n"))
     p = int(_get(cfg, "generation", "p"))

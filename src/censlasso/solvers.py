@@ -162,15 +162,21 @@ def adaptive_weights(beta_tilde, gamma: float = 1.0) -> np.ndarray:
     return np.maximum(bt, _BETA_FLOOR) ** (-gamma)
 
 
-def _active_rows(dataset: SurvivalDataset, weights: IpcwWeights):
+def _group(dataset: SurvivalDataset, weights: IpcwWeights):
+    """(dataset, w, keep): the dataset, its checked weights as an array and
+    the mask of its active rows (positive weight), none of them copied."""
     w = np.asarray(weights.w, dtype=float)
     if len(w) != dataset.n:
         raise DimensionMismatch("weights and dataset disagree on n")
     keep = w > 0.0
     if not np.any(keep):
         raise DegenerateWeights("no observation carries positive weight")
-    z = np.log(dataset.y[keep])
-    return dataset.x[keep], z, w[keep]
+    return dataset, w, keep
+
+
+def _active_rows(dataset: SurvivalDataset, w, keep):
+    """A `_group`'s active rows (x, z, w), z the log follow-up times."""
+    return dataset.x[keep], np.log(dataset.y[keep]), w[keep]
 
 
 @dataclass(frozen=True)
@@ -298,15 +304,19 @@ def _times_x(v, x):
     return v @ x if x.ndim == 2 else np.matmul(v[:, None, :], x)[:, 0]
 
 
-def _padded(rows):
-    """Problems' own active rows, a list of (x_b, z_b, w_b), as one stack:
-    x (B, n, p), z and w (B, n), each problem's rows first and then zero
-    rows (w = 0 marks them) up to the longest problem's n."""
-    n = max(len(z) for _, z, _ in rows)
-    x = np.zeros((len(rows), n, rows[0][0].shape[1]))
-    z, w = np.zeros((len(rows), n)), np.zeros((len(rows), n))
-    for b, (xb, zb, wb) in enumerate(rows):
-        x[b, :len(zb)], z[b, :len(zb)], w[b, :len(zb)] = xb, zb, wb
+def _padded(groups):
+    """The active rows of `_group`s as one stack: x (B, n, p), z and w
+    (B, n), each problem's rows first and then zero rows (w = 0 marks them)
+    up to the longest problem's n.  Each group's rows are gathered straight
+    into the stack, with no copy of them beside it."""
+    counts = [int(np.count_nonzero(keep)) for _, _, keep in groups]
+    n = max(counts)
+    x = np.zeros((len(groups), n, groups[0][0].p))
+    z, w = np.zeros((len(groups), n)), np.zeros((len(groups), n))
+    for b, ((dataset, wb, keep), k) in enumerate(zip(groups, counts)):
+        np.compress(keep, dataset.x, axis=0, out=x[b, :k])
+        np.compress(keep, wb, out=w[b, :k])
+        z[b, :k] = np.log(dataset.y[keep])
     return x, z, w
 
 
@@ -1212,7 +1222,7 @@ def fit_unpenalized(
     if loss is None:
         loss = config.loss
     rows, groups = _rows_of(dataset, weights)
-    fits = _fit_groups(rows, loss, np.zeros((len(rows), rows[0][0].shape[1])), config)
+    fits = _fit_groups(rows, loss, np.zeros((len(rows), rows[0][0].p)), config)
     return _raised(fits[0]) if groups is None else AdaptiveLassoPath(fits)
 
 
@@ -1252,7 +1262,7 @@ def fit_adaptive_lasso(
     rows, groups = _rows_of(dataset, weights)
     if groups is not None and not single:
         raise ValueError("a lambda path is fitted on one dataset")
-    p = rows[0][0].shape[1]
+    p = rows[0][0].p
     if beta_tilde.shape != ((p,) if groups is None else (groups, p)):
         raise DimensionMismatch("beta_tilde length must equal p")
     omega = adaptive_weights(beta_tilde, config.gamma)
@@ -1261,31 +1271,33 @@ def fit_adaptive_lasso(
 
 
 def _rows_of(dataset, weights):
-    """(rows, groups): [(x, z, w)], the active rows of one dataset (groups
-    None), or those of each of a sequence of datasets (groups its length)."""
+    """(rows, groups): [`_group`], the checked rows of one dataset (groups
+    None), or those of each of a sequence of datasets (groups its length).
+    Every check is made here, before any fit; no active row is copied."""
     if isinstance(dataset, SurvivalDataset):
-        return [_active_rows(dataset, weights)], None
+        return [_group(dataset, weights)], None
     if len(dataset) != len(weights):
         raise DimensionMismatch("one weight vector per dataset")
     if not len(dataset):
         raise ValueError("no datasets to fit")
-    rows = [_active_rows(d, wts) for d, wts in zip(dataset, weights)]
-    if len({x.shape[1] for x, _, _ in rows}) > 1:
+    rows = [_group(d, wts) for d, wts in zip(dataset, weights)]
+    if len({d.p for d, _, _ in rows}) > 1:
         raise DimensionMismatch("datasets disagree on p")
     return rows, len(rows)
 
 
 def _fit_groups(rows, loss, lam_ws, config, beta_start=None) -> list:
-    """`_fit_path` for each row of penalties lam_ws: all on the one set of
-    rows given, or each on its own rows (rows[k], and beta_start[k] if
-    given).  Groups run as one `_padded` stack while every group's design
-    holds at most _OWN_STACK doubles, else one group at a time."""
+    """`_fit_path` for each row of penalties lam_ws: all on the one
+    `_group`'s active rows, or each on its own group's (rows[k], and
+    beta_start[k] if given).  Groups run as one `_padded` stack while every
+    group's design holds at most _OWN_STACK doubles, else one group at a
+    time, each group's active rows copied just before its own fit."""
     if len(rows) == 1:  # a single group is its own rows, with no padding
-        return _fit_path(*rows[0], loss, lam_ws, config, beta_start)
-    if max(x.size for x, _, _ in rows) <= _OWN_STACK:
+        return _fit_path(*_active_rows(*rows[0]), loss, lam_ws, config, beta_start)
+    if max(np.count_nonzero(keep) for _, _, keep in rows) * rows[0][0].p <= _OWN_STACK:
         return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
     return [fit for k, row in enumerate(rows)
-            for fit in _fit_path(*row, loss, lam_ws[k:k + 1], config,
+            for fit in _fit_path(*_active_rows(*row), loss, lam_ws[k:k + 1], config,
                                  None if beta_start is None else beta_start[k])]
 
 
@@ -1396,7 +1408,7 @@ def kkt_residual(
     check-loss residuals within _ZERO_TOL of 0 take their whole interval),
     summed per column.  Intercept coordinates are included without penalty.
     """
-    x, z, w = _active_rows(dataset, weights)
+    x, z, w = _active_rows(*_group(dataset, weights))
     lam_w = lam * np.asarray(adaptive_weights_vec, dtype=float)
     intercepts = np.asarray(result.intercepts, dtype=float)
     return float(_certificates(x, z, w, loss, lam_w[None], result.beta[None],

@@ -152,6 +152,18 @@ def small_dataset(y, delta, x):
                            np.asarray(x, float))
 
 
+def padded_rows(rows):
+    """Reference stack of problems' own rows, a list of (x_b, z_b, w_b):
+    x (B, n, p), z and w (B, n), each problem's rows first and then zero
+    rows (w = 0) up to the longest problem's n, copied from the lists."""
+    n = max(len(z) for _, z, _ in rows)
+    x = np.zeros((len(rows), n, rows[0][0].shape[1]))
+    z, w = np.zeros((len(rows), n)), np.zeros((len(rows), n))
+    for b, (xb, zb, wb) in enumerate(rows):
+        x[b, :len(zb)], z[b, :len(zb)], w[b, :len(zb)] = xb, zb, wb
+    return x, z, w
+
+
 def check_loss_levels(loss):
     """(tau, scale) of each check-loss level: sum_k scale_k rho_tau_k(u)."""
     if loss.family == "median":

@@ -522,6 +522,40 @@ def test_study_keys_left_out_take_the_defaults_of_their_types(tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("text, overrides, named", [
+    (CONFIG_TEXT, ["solvers.gama=0.5"], "solvers.gama"),
+    (CONFIG_TEXT, ["simulaton.replications=9"], "simulaton.replications"),
+    (CONFIG_TEXT.replace("w = sqrt", "w = sqrt\nkm_scop = global"), [],
+     "aggregation.km_scop"),
+], ids=["override-key", "override-section", "file-key"])
+def test_unknown_study_key_is_config_error(command, text, overrides, named, tmp_path, capsys):
+    # a misspelt key would otherwise leave its setting at the default
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg),
+            "--output-dir" if command == "simulate" else "--output", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"censlasso: configuration error: unknown config key {named}\n")
+    assert not out.exists()
+
+
+def test_every_study_key_is_accepted(tmp_path):
+    # every key set, [generation] seed included, which is accepted and not
+    # read; K is matched whatever its case, as before
+    text = CONFIG_TEXT.replace("seed = 0\n", "seed = 0\nerror_family = standard_gumbel\n")
+    assert all(f"\n{key} =" in text for keys in cli._STUDY_KEYS.values() for key in keys)
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(text)
+    spec = cli.load_simulation_spec(cfg)
+    assert cli.load_simulation_spec(cfg, ["generation.seed=5"]) == spec
+    assert cli.load_simulation_spec(cfg, ["aggregation.k=1,2"]) == spec
+
+
 @pytest.mark.parametrize("text, w", [("sqrt", "sqrt_K"), (" sqrt_K ", "sqrt_K"), ("2", 2)])
 def test_vote_rule_parser(text, w):
     assert cli._parse_vote_rule(text) == w

@@ -376,6 +376,47 @@ def test_calibrate_then_generate_large_sample():
     assert 0.23 <= rate <= 0.27
 
 
+def whole_design_failures(p, beta0, intercept, design_mean):
+    """The calibration failure times from the whole (sample, p) design drawn
+    at once: the reference the blocked draw must reproduce bit for bit."""
+    rng = np.random.default_rng(data._CALIBRATION_SEED)
+    x = rng.normal(design_mean, 1.0, size=(data._CALIBRATION_SAMPLE, p))
+    eps = data._sample_gumbel(rng, data._CALIBRATION_SAMPLE)
+    return np.exp(intercept + x @ np.asarray(beta0) + eps)
+
+
+@pytest.mark.parametrize("p, beta0, intercept, design_mean", [
+    (1, (1.0,), 0.0, 1.0),
+    (10, PAPER_BETA, 0.0, 1.0),
+    (33, tuple(np.random.default_rng(33).normal(size=33)), 0.5, -0.3),
+    (50, (1.0, -2.0) + (0.0,) * 48, 0.0, 1.0),
+], ids=["p1", "p10", "p33-dense", "p50"])
+def test_calibration_blocks_reproduce_the_whole_design(p, beta0, intercept, design_mean):
+    # the design is drawn _CALIBRATION_BLOCK rows at a time (the last block
+    # shorter), from the one generator stream
+    assert data._CALIBRATION_SAMPLE % data._CALIBRATION_BLOCK != 0
+    key = (p, beta0, intercept, design_mean)
+    assert np.array_equal(data._calibration_failures.__wrapped__(key),
+                          whole_design_failures(*key))
+
+
+def test_calibration_memory_is_bounded_by_its_blocks():
+    # the whole design at p = 50 would be 80 MB; the blocked draw holds one
+    # 4096 x 50 block (1.6 MB) beside a few sample-long vectors (1.6 MB
+    # each, the cached result one of them).  Measured: 7.2 MB at peak
+    import tracemalloc
+
+    spec = GenerationSpec(n=10, p=50, beta0=(1.0, -2.0) + (0.0,) * 48)
+    data._calibration_failures.cache_clear()
+    tracemalloc.start()
+    try:
+        calibrate_censoring_bound(spec, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data._CALIBRATION_SAMPLE * 8 + 10e6
+
+
 def test_calibrate_rejects_bad_target():
     with pytest.raises(ValueError):
         calibrate_censoring_bound(paper_spec(10), 0.0)

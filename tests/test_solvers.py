@@ -36,6 +36,7 @@ from helpers import (
     clipped_rows,
     make_weights,
     naive_objective,
+    padded_rows,
     small_dataset,
     weighted_median_interval,
 )
@@ -277,7 +278,7 @@ def test_dual_rows_products_are_the_dense_ones(monkeypatch):
     lengths = (n, 7)
     own = [(rng.normal(size=(k, 4)), rng.normal(size=k), rng.uniform(0.5, 2.0, k))
            for k in lengths]
-    lp = solvers._DualRows(*solvers._padded(own), levels, True, lam_w)
+    lp = solvers._DualRows(*padded_rows(own), levels, True, lam_w)
     real = np.arange(n)[None, :] < np.array(lengths)[:, None]
     denses = []
     for (xb, _, _), mask in zip(own, real):
