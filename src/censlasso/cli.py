@@ -147,32 +147,6 @@ def cmd_aggregate(args) -> int:
 
 # --- config-file driven commands -------------------------------------------
 
-# every key a study INI may set, by section; [generation] seed is accepted
-# and not read (each replication is seeded from [simulation] master_seed)
-_STUDY_KEYS = {
-    "generation": {"n", "p", "beta0", "intercept", "design_mean", "error_family",
-                   "target_censoring_rate", "seed"},
-    "simulation": {"replications", "methods", "lambda_rule", "master_seed",
-                   "compare_full_data"},
-    "aggregation": {"K", "w", "km_scope"},
-    "tuning": {"penalty_mode"},
-    "solvers": {"gamma", "tol", "max_iter"},
-}
-
-
-def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
-    if not cfg.has_option(section, key):
-        raise ConfigError(f"missing config key [{section}] {key}")
-    return cfg.get(section, key)
-
-
-def _set_keys(cfg: configparser.ConfigParser, section: str, parsers) -> dict:
-    """The keys of section that the file sets, each through its parser; a
-    key the file leaves out takes the default of the type it configures."""
-    return {key: parse(cfg.get(section, key))
-            for key, parse in parsers.items() if cfg.has_option(section, key)}
-
-
 def _parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -193,14 +167,39 @@ def _parse_lambda_rule(text: str) -> LambdaRule:
     raise ConfigError(f"unknown lambda_rule {text!r}")
 
 
+def _parse_list(parse):
+    """The parser of a comma-separated list of what `parse` parses, as a
+    tuple; blank entries are skipped."""
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok.strip())
+
+
+# every key a study INI may set, by section, with the parser of its value.
+# A key the file leaves out takes the default of the type it configures,
+# except the required ones (_REQUIRED) and K, whose default is 1.
+# [generation] seed (no parser) is accepted and not read: each replication
+# is seeded from [simulation] master_seed
+_STUDY_KEYS = {
+    "generation": {"n": int, "p": int, "beta0": _parse_list(float), "intercept": float,
+                   "design_mean": float, "error_family": str,
+                   "target_censoring_rate": float, "seed": None},
+    "simulation": {"replications": int, "methods": _parse_list(parse_method),
+                   "lambda_rule": _parse_lambda_rule, "master_seed": int,
+                   "compare_full_data": _parse_bool},
+    "aggregation": {"K": _parse_list(int), "w": _parse_vote_rule, "km_scope": str},
+    "tuning": {"penalty_mode": str},
+    "solvers": {"gamma": float, "tol": float, "max_iter": int},
+}
+_REQUIRED = (("generation", "n"), ("generation", "p"), ("generation", "beta0"),
+             ("simulation", "replications"), ("simulation", "methods"))
+
+
 def load_simulation_spec(path, overrides=()) -> SimulationSpec:
     """Build a SimulationSpec from an INI file plus section.key=value overrides.
 
-    Only the keys a file sets are passed on; every other setting keeps the
-    default of the type it configures.  [generation] seed is not read: each
-    replication is seeded from [simulation] master_seed.  A key that is not
-    one of `_STUDY_KEYS`, from the file or an override, is a ConfigError
-    naming its section.key.
+    Each key the file sets is parsed by its `_STUDY_KEYS` parser and passed
+    on; every other setting keeps the default of the type it configures.  A
+    key that is not one of `_STUDY_KEYS`, from the file or an override, is a
+    ConfigError naming its section.key, and so is a missing required key.
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -222,40 +221,26 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
         for key in cfg.options(section):
             if key not in known:
                 raise ConfigError(f"unknown config key {section}.{key}")
+    for section, key in _REQUIRED:
+        if not cfg.has_option(section, key):
+            raise ConfigError(f"missing config key [{section}] {key}")
 
-    n = int(_get(cfg, "generation", "n"))
-    p = int(_get(cfg, "generation", "p"))
-    beta_head = [float(v) for v in _get(cfg, "generation", "beta0").split(",") if v.strip()]
+    keys = {section: {key: parse(cfg.get(section, key)) for key, parse in parsers.items()
+                      if parse is not None and cfg.has_option(section, key)}
+            for section, parsers in _STUDY_KEYS.items()}
+    generation, simulation, plan = keys["generation"], keys["simulation"], keys["aggregation"]
+    beta_head, p = generation.pop("beta0"), generation["p"]
     if len(beta_head) > p:
         raise ConfigError("beta0 cannot have more than p entries")
-    beta0 = tuple(beta_head) + (0.0,) * (p - len(beta_head))
-    generation = GenerationSpec(n=n, p=p, beta0=beta0, **_set_keys(cfg, "generation", {
-        "intercept": float, "design_mean": float, "error_family": str,
-        "target_censoring_rate": float}))
-
-    methods = tuple(
-        parse_method(tok)
-        for tok in _get(cfg, "simulation", "methods").split(",")
-        if tok.strip()
-    )
-    simulation = _set_keys(cfg, "simulation", {
-        "lambda_rule": _parse_lambda_rule, "master_seed": int,
-        "compare_full_data": _parse_bool})
-    plan_keys = _set_keys(cfg, "aggregation", {"w": _parse_vote_rule, "km_scope": str})
-    plans = tuple(
-        AggregationPlan(K=int(k), **plan_keys)
-        for k in cfg.get("aggregation", "K", fallback="1").split(",")
-        if k.strip()
-    )
-
+    counts = plan.pop("K", (1,))
     return SimulationSpec(
-        M=int(_get(cfg, "simulation", "replications")),
-        generation=generation,
-        methods=methods,
-        plans=plans,
+        M=simulation.pop("replications"),
+        generation=GenerationSpec(beta0=beta_head + (0.0,) * (p - len(beta_head)), **generation),
+        methods=simulation.pop("methods"),
+        plans=tuple(AggregationPlan(K=k, **plan) for k in counts),
         **simulation,
-        **_set_keys(cfg, "tuning", {"penalty_mode": str}),
-        **_set_keys(cfg, "solvers", {"gamma": float, "tol": float, "max_iter": int}),
+        **keys["tuning"],
+        **keys["solvers"],
     )
 
 

@@ -52,11 +52,12 @@ carries its KKT residual.  Two solver routes:
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
-  penalized least-squares problem in the p x p Gram matrix: solved directly
-  without a penalty, and exactly with one by a primal-dual active-set
-  iteration (Fan, Jiao & Lu 2014) whose active block is one batched linear
-  solve; a problem whose active block is singular or whose active sets
-  cycle falls back to cyclic coordinate descent with soft-thresholding.  A
+  penalized least-squares problem in the p x p Gram matrix, solved exactly
+  by a primal-dual active-set iteration (Fan, Jiao & Lu 2014) whose active
+  block is one batched linear solve (without a penalty, the whole Gram
+  system in its first round); a problem whose active block is singular or
+  whose active sets cycle falls back to the direct solve without a penalty
+  and to cyclic coordinate descent with soft-thresholding with one.  A
   backtracking step on the true objective follows, and the fit is exact
   once the signs repeat (a residual 0 up to rounding repeats either sign).
   Fits on the same rows (a BIC path) run as one stack in lockstep, as on
@@ -224,7 +225,8 @@ def loss_levels(loss: LossKind, intercepts=None) -> list[LossLevel]:
     Median is one level (tau 1/2, scale 2), quantile and expectile one at
     their tau, composite quantile one per tau_j, each with its own
     intercept.  Without intercepts (None, or an empty sequence for the
-    single-level losses) every level's intercept is 0.
+    single-level losses) every level's intercept is 0.  A count of
+    intercepts that fits no level structure raises DimensionMismatch.
     """
     if loss.family == LossKind.COMPOSITE_QUANTILE:
         if intercepts is None:
@@ -233,6 +235,8 @@ def loss_levels(loss: LossKind, intercepts=None) -> list[LossLevel]:
             raise DimensionMismatch("composite quantile needs one intercept per level")
         return [LossLevel(loss, float(t), 1.0, float(b))
                 for t, b in zip(loss.taus, intercepts)]
+    if intercepts is not None and len(intercepts) > 1:
+        raise DimensionMismatch(f"{loss.label()} takes at most one intercept")
     b = float(intercepts[0]) if intercepts is not None and len(intercepts) else 0.0
     if loss.family == LossKind.MEDIAN:
         return [LossLevel(loss, 0.5, 2.0, b)]
@@ -321,9 +325,9 @@ def _padded(groups):
 
 
 def _stack_of(x, z, w, at):
-    """The rows of the problems `at` (a slice or index array) of a stack:
-    x, z and w themselves when the problems share them, else the problems'
-    own, padded only to the longest of them."""
+    """The rows of the problems `at` (a slice) of a stack, as views: x, z
+    and w themselves when the problems share them, else the problems' own,
+    padded only to the longest of them."""
     if x.ndim == 2:
         return x, z, w
     n = int(np.count_nonzero(w[at] > 0.0, axis=1).max())
@@ -1075,14 +1079,11 @@ def _active_set_lasso(gram, lin, lam_w, beta, max_rounds):
 
 def _frozen_lasso(gram, lin, lam_w, beta, tol, max_iter):
     """Each problem k's frozen quadratic, min b'G_k b - 2c_k'b + sum_j lam_kj
-    |b_j| from beta_k: penalized ones by `_active_set_lasso`, the others and
-    those it gives up by `_gram_lasso` (the direct solve, or coordinate
-    descent of at most max_iter sweeps).  Returns (b, descended)."""
-    b, descended = beta.copy(), np.zeros(len(beta), dtype=bool)
-    penalized = np.any(lam_w > 0.0, axis=1)
-    if penalized.any():
-        b[penalized], descended[penalized] = _active_set_lasso(
-            gram[penalized], lin[penalized], lam_w[penalized], beta[penalized], max_iter)
+    |b_j| from beta_k, by `_active_set_lasso` (whose first round solves an
+    unpenalized one's G_k b = c_k), and the problems it gives up by
+    `_gram_lasso` (the direct solve, or coordinate descent of at most
+    max_iter sweeps).  Returns (b, descended)."""
+    b, descended = _active_set_lasso(gram, lin, lam_w, beta, max_iter)
     for k in np.flatnonzero(~descended):
         b[k], descended[k] = _gram_lasso(gram[k], lin[k], lam_w[k], beta[k], tol, max_iter)
     return b, descended
@@ -1098,7 +1099,8 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
     The loss w_i |tau - 1{r_i < 0}| r_i^2 is quadratic while the residual
     signs stay put, so each step freezes every live problem's signs, forms
     their Gram matrices X'A_kX and vectors X'A_kz together over blocks of
-    rows (`_weighted_grams`), minimizes the penalized quadratics exactly
+    rows (`_weighted_grams` on each block's [x | z], joined alike for both
+    row shapes), minimizes the penalized quadratics exactly
     (`_frozen_lasso`), and backtracks each on its true objective.  Once the
     signs at a problem's target equal its frozen ones, the frozen problem's
     optimality conditions are the true ones, the target is the exact
@@ -1118,13 +1120,8 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
         asym = np.where(r < 0.0, 1.0 - tau, tau)
         return _row_dot(asym * r * r, ws) + _row_dot(lam, np.abs(b)), r
 
-    def design(rows):
-        if grouped:
-            return xz[:, rows]
-        return np.column_stack([x[rows], z[rows]])
-
-    if grouped:  # each problem's design with its response as one more column
-        xz = np.concatenate([x, z[..., None]], axis=2)
+    def design(rows):  # a block of rows of [x | z], shared or each problem's own
+        return np.concatenate([x[..., rows, :], z[..., rows, None]], axis=-1)
 
     b = np.array(np.broadcast_to(np.asarray(beta, dtype=float), (count, dim)))
     beta_out, steps, converged = b.copy(), np.full(count, int(max_iter)), np.zeros(count, bool)
@@ -1165,7 +1162,7 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
         if not len(live):
             break
         if grouped and done.any():
-            x, z, w, xz = x[~done], z[~done], w[~done], xz[~done]
+            x, z, w = x[~done], z[~done], w[~done]
     beta_out[live] = b
     return beta_out, steps, converged
 
@@ -1181,8 +1178,8 @@ def _solve_expectile(x, z, w, loss: LossKind, lam_ws, config: FitConfig, beta_st
     k = int(config.fit_intercept)
     start = np.zeros(x.shape[-1]) if beta_start is None else np.asarray(beta_start, dtype=float)
     if k:
-        ones = np.ones(len(z)) if x.ndim == 2 else (w > 0.0).astype(float)
-        x = np.concatenate([ones[..., None], x], axis=-1)
+        # shared rows are active rows, so every w > 0 there
+        x = np.concatenate([(w > 0.0).astype(float)[..., None], x], axis=-1)
         lam_ws = np.column_stack([np.zeros(len(lam_ws)), lam_ws])
         start = np.concatenate([np.zeros(start.shape[:-1] + (1,)), start], axis=-1)
     size = max(1, _STACK // x.shape[-2])
@@ -1330,21 +1327,28 @@ def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     """A fit per row of penalties lam_ws, each its EstimatorResult or the
     CensLassoError it raised, on shared or own rows (`_solve_lp_family`):
     solved in lockstep stacks (`_solve_lp_family`, `_solve_expectile`), then
-    certified as many fits at a time as a stack holds."""
+    certified as many fits at a time as a stack holds, on views of the rows."""
     if loss.is_lp_family:
         solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
                                   config.tol, config.max_iter)
     else:
         solved = _solve_expectile(x, z, w, loss, lam_ws, config, beta_start)
-    fits = [k for k, fit in enumerate(solved) if not isinstance(fit, CensLassoError)]
+    ok = [not isinstance(fit, CensLassoError) for fit in solved]
+    if not any(ok):
+        return solved
+    # a failed fit is certified at 0 and its certificates dropped: every
+    # chunk reads its rows in place, and each fit's certificates are those
+    # it gets when no fit fails
+    zero = [np.zeros_like(v) for v in solved[ok.index(True)][:2]]
+    betas = np.array([fit[0] if good else zero[0] for fit, good in zip(solved, ok)])
+    intercepts = np.array([fit[1] if good else zero[1] for fit, good in zip(solved, ok)])
     size = max(1, _STACK // x.shape[-2])
-    for some in (fits[start:start + size] for start in range(0, len(fits), size)):
-        betas = np.array([solved[k][0] for k in some])
-        intercepts = np.array([solved[k][1] for k in some]).reshape(len(some), -1)
-        certificates = _certificates(*_stack_of(x, z, w, some), loss, lam_ws[some], betas,
-                                     intercepts)
-        for k, objective, kkt in zip(some, *certificates):
-            solved[k] = _attempt(_certified, *solved[k], float(objective), float(kkt))
+    for at in (slice(start, start + size) for start in range(0, len(solved), size)):
+        certificates = _certificates(*_stack_of(x, z, w, at), loss, lam_ws[at], betas[at],
+                                     intercepts[at])
+        for k, objective, kkt in zip(range(len(solved))[at], *certificates):
+            if ok[k]:
+                solved[k] = _attempt(_certified, *solved[k], float(objective), float(kkt))
     return solved
 
 
@@ -1419,19 +1423,19 @@ def _certificates(x, z, w, loss, lam_ws, betas, intercepts):
     """Per fit (a row of lam_ws, betas and intercepts, on the active rows):
     its penalized objective and its `kkt_residual`.
 
-    Each fit's fitted values and loss sums are its own products, as in
-    `objective_value`; the subdifferential sums of all fits are one product
-    with x per level, and with |x| on the rows at some fit's kink, with no
-    n x p copy of x.  On rows of their own (x (B, n, p), z and w (B, n))
-    each fit's products are with its own rows, and padding, with w = 0,
-    adds nothing.
+    The fits share the rows x (n, p), z and w, or each has its own, x
+    (B, n, p), z and w (B, n), whose padding, with w = 0, adds nothing;
+    either is read where it lies, with no copy of it.  Each fit's fitted
+    values, loss sums and subdifferential sums are its own products, as in
+    `objective_value`: with x per level, and with |x| only on that fit's
+    own rows at the check loss's kink, gathered per level and padded with
+    rows of its own where its interval is a point.
     """
     count, p = betas.shape
     levels = loss_levels(loss)
-    if x.ndim == 2:
-        fitted = np.stack([x @ beta for beta in betas])
-    else:
-        fitted = np.matmul(x, betas[:, :, None])[:, :, 0]
+    fitted = np.matmul(x, betas[:, :, None])[:, :, 0]
+    # x as a (count, n, p) view for either shape, indexed by fit on its first axis
+    rows_of, fit = np.broadcast_to(x, (count,) + x.shape[-2:]), np.arange(count)[:, None]
     objectives = np.zeros(count)
     lo = np.zeros((count, p + len(levels)))
     hi = np.zeros((count, p + len(levels)))
@@ -1444,8 +1448,13 @@ def _certificates(x, z, w, loss, lam_ws, betas, intercepts):
         # sum_i c_i [d_lo_i, d_hi_i] = c'mid -/+ |c|'half, and half is 0
         # off the check loss's kink
         mid, half = w * (d_lo + d_hi) / 2.0, w * (d_hi - d_lo) / 2.0
-        kink = np.flatnonzero(half.any(axis=0))
-        spread = _times_x(half[:, kink], np.abs(x[..., kink, :]))
+        # each fit's own kink rows in order, then rows where its half is 0,
+        # sorted out of the rows at some fit's kink
+        some = np.flatnonzero(half.any(axis=0))
+        own = half[:, some]
+        order = np.argsort(own == 0.0, axis=1, kind="stable")
+        kink = some[order[:, :np.count_nonzero(own, axis=1).max()]]
+        spread = np.matmul(half[fit, kink][:, None, :], np.abs(rows_of[fit, kink]))[:, 0]
         center = _times_x(mid, x)
         lo[:, :p] += center - spread
         hi[:, :p] += center + spread

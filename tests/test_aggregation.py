@@ -25,7 +25,7 @@ from censlasso.solvers import (
     fit_unpenalized,
     kkt_residual,
 )
-from censlasso.tuning import BicConfig
+from censlasso.tuning import BicConfig, fixed_lambda
 
 from helpers import make_weights, padded_rows
 
@@ -347,10 +347,12 @@ def test_gathered_group_stacks_are_the_padded_copies(loss):
 
 
 def test_stacked_pilot_holds_no_copy_of_the_groups_rows():
-    # an aggregated pilot of 25 groups at n = 2e4, p = 50, one stack.
-    # Measured at seeds 1-5, its peak traced memory is 3.96-4.17 times the
-    # padded stack's bytes (x alone), against 4.95-5.18 when every group's
-    # active rows were copied out before the padded copy was made
+    # the aggregated median pilot and penalized fit of 25 groups at n = 2e4,
+    # p = 50 (lambda 800^0.4), one stack each.  Their peak traced memory, in
+    # padded stacks (x alone), measured at seeds 1-7: pilot 2.75-3.16, where
+    # it was 3.93-4.17 while certification copied the stack three more
+    # times (and 4.95-5.18 before the groups were gathered in place);
+    # penalized 3.36-4.19, one of them the stack of each group's own columns
     import tracemalloc
 
     ds = make_problem(20_000, p=50, seed=1)
@@ -358,13 +360,58 @@ def test_stacked_pilot_holds_no_copy_of_the_groups_rows():
     weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
     stack_bytes = 25 * max(int(np.count_nonzero(w.w)) for w in weights) * ds.p * 8
     loss = LossKind("median")
+    config = FitConfig(loss=loss, lam=fixed_lambda(800, 1))
     tracemalloc.start()
     try:
-        fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
-        peak = tracemalloc.get_traced_memory()[1]
+        pilots = fit_unpenalized(subs, weights, loss, config)
+        pilot_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fit_adaptive_lasso(subs, weights, config, [pilot.beta for pilot in pilots])
+        penalized_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * stack_bytes
+    assert pilot_peak <= 3.4 * stack_bytes
+    assert penalized_peak <= 4.5 * stack_bytes
+
+
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("composite_quantile", n_levels=3)],
+                         ids=["median", "composite"])
+@pytest.mark.parametrize("failing", ["middle", "longest"])
+def test_failing_group_polish_leaves_the_other_groups_as_they_were(failing, loss, monkeypatch):
+    # the groups' pilots run as one stack on rows of their own.  One group's
+    # vertex fails, in the stack and when it is fitted again alone, so that
+    # group fails alone; every other group's fit and certificates are the
+    # clean run's bit for bit, also when the failing group has the most rows
+    # (its chunk still certifies it, at 0, so the chunk keeps its padding)
+    from censlasso import solvers
+
+    ds = make_problem(2000, p=10, seed=2)
+    subs = [ds.subset(g) for g in interleaved_split(ds.n, 5).groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    counts = [int(np.count_nonzero(w.w)) for w in weights]
+    bad = 2 if failing == "middle" else int(np.argmax(counts))
+    assert failing == "longest" or counts[bad] < max(counts)
+    config = FitConfig(loss=loss)
+    clean = fit_unpenalized(subs, weights, loss, config)
+    z_bad = np.log(subs[bad].y[weights[bad].w > 0.0])
+    real = solvers._polish
+
+    def polish(lp, live, a, theta):
+        resp = np.broadcast_to(lp.resp, lp.lo.shape)  # a row per problem
+        return {k: vertex for k, vertex in real(lp, live, a, theta).items()
+                if not np.array_equal(resp[k, :len(z_bad)], z_bad)}
+
+    monkeypatch.setattr(solvers, "_polish", polish)
+    fits = fit_unpenalized(subs, weights, loss, config)
+    assert isinstance(fits[bad], NoConvergence)
+    assert "no vertex it ranked passed the optimality check" in str(fits[bad])
+    for k, (got, want) in enumerate(zip(fits, clean)):
+        if k == bad:
+            continue
+        assert np.array_equal(got.beta, want.beta), k
+        assert np.array_equal(got.intercepts, want.intercepts), k
+        for attr in ("objective", "iterations", "duality_gap", "kkt_residual"):
+            assert getattr(got, attr) == getattr(want, attr), (k, attr)
 
 
 @pytest.mark.parametrize("call", ["pilot", "penalized"])

@@ -544,6 +544,16 @@ def test_unknown_study_key_is_config_error(command, text, overrides, named, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", cli._REQUIRED)
+def test_required_study_key_left_out_is_config_error(section, key, tmp_path):
+    # the required keys have no default of their type to fall back on
+    lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(f"{key} =")]
+    cfg = tmp_path / "study.ini"
+    cfg.write_text("\n".join(lines) + "\n")
+    with pytest.raises(errors.ConfigError, match=rf"missing config key \[{section}\] {key}$"):
+        cli.load_simulation_spec(cfg)
+
+
 def test_every_study_key_is_accepted(tmp_path):
     # every key set, [generation] seed included, which is accepted and not
     # read; K is matched whatever its case, as before

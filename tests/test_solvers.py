@@ -780,6 +780,43 @@ def test_singular_active_block_falls_back_to_coordinate_descent(seed, fit_interc
         assert got.objective == want.objective and got.iterations == want.iterations
 
 
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("duplicated", [False, True], ids=["independent", "duplicated"])
+def test_unpenalized_expectile_stack_goes_to_gram_lasso_only_when_singular(duplicated,
+                                                                           fit_intercept):
+    # without a penalty every coordinate is active, so the active set's first
+    # round solves the Gram system itself and an unpenalized stack (here the
+    # pilots of four groups) never reaches _gram_lasso; a singular Gram
+    # matrix (a duplicated covariate) is given up and solved there.  Either
+    # way each fit is the one where _gram_lasso solves every frozen problem
+    rng = np.random.default_rng(5)
+    n = 240
+    x = rng.normal(1.0, 1.0, (n, 3))
+    z = x @ [1.0, -2.0, 0.5] + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int),
+                       np.column_stack([x, x[:, 0]]) if duplicated else x)
+    subs = [ds.subset(np.arange(k, n, 4)) for k in range(4)]
+    weights = [make_weights(rng.uniform(0.5, 2.0, sub.n)) for sub in subs]
+    loss = LossKind("expectile", tau=0.35)
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    real, solved = solvers._gram_lasso, []
+
+    def counted(gram, lin, lam_w, beta, tol, max_sweeps):
+        solved.append(lam_w)
+        return real(gram, lin, lam_w, beta, tol, max_sweeps)
+
+    with mock.patch.object(solvers, "_gram_lasso", counted):
+        fits = fit_unpenalized(subs, weights, loss, cfg)
+    with cd_route():
+        direct = fit_unpenalized(subs, weights, loss, cfg)
+    assert len(solved) == (sum(fit.iterations for fit in fits) if duplicated else 0)
+    assert all(not np.any(lam_w) for lam_w in solved)
+    for got, want in zip(fits, direct):
+        assert np.array_equal(got.beta, want.beta)
+        assert np.array_equal(got.intercepts, want.intercepts)
+        assert got.objective == want.objective and got.iterations == want.iterations
+
+
 def test_path_rejects_negative_lambda():
     ds, w = random_problem(1, n=60, p=3)
     with pytest.raises(ValueError):
@@ -995,6 +1032,19 @@ def test_objective_value_dimension_mismatch():
             ds, w, LossKind("composite_quantile", n_levels=2), 1.0,
             np.ones(3), np.ones(3), intercepts=(0.0,),
         )
+
+
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("quantile", tau=0.3),
+                                  LossKind("expectile", tau=0.7)], ids=lambda loss: loss.family)
+def test_objective_value_rejects_extra_intercepts(loss):
+    # a single-level loss has one intercept, so a second one is an error,
+    # not left unread
+    ds, w = random_problem(9, n=30, p=3)
+    beta = np.ones(3)
+    one = objective_value(ds, w, loss, 1.0, np.ones(3), beta, [1.0])
+    assert one != objective_value(ds, w, loss, 1.0, np.ones(3), beta)
+    with pytest.raises(DimensionMismatch):
+        objective_value(ds, w, loss, 1.0, np.ones(3), beta, [1.0, 2.0])
 
 
 def test_result_serialization_roundtrip():
