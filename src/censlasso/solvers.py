@@ -68,6 +68,15 @@ carries its KKT residual.  Two solver routes:
   stack.  Pilot and penalized fits, with or without an intercept, all take
   this one route; a single fit is a stack of one, and the groups of an
   aggregated fit run as stacks on rows of their own, padding with weight 0.
+
+Penalized fits on both routes run on a working set of columns
+(`_fit_path`; Tibshirani et al. 2012, section 7): the unpenalized ones and
+the _WORKING_SET with the smallest penalties, the others at an infinite
+penalty, which the LP reach screen drops and the expectile route leaves
+out.  Every column left out is then checked on the fit's exact
+optimality condition |x_j'g| <= lam_j (g the LP vertex's duals summed over
+the levels, or the expectile loss's derivative in the fitted values);
+violators join the set and only their problems are solved again.
 """
 
 from __future__ import annotations
@@ -280,6 +289,14 @@ _STACK = 1 << 14
 # rows on each pass costs a stack more than the per-call overhead it saves
 # (at p = 50 the crossover measured between 1000 and 2000 rows per group)
 _OWN_STACK = 1 << 16
+# penalized columns in a penalized fit's first working set (`_working_sets`):
+# on `massive-fixed`'s six penalized fits (n = 2e4, p = 50, 2 to 6 columns
+# in each support, seeds 1, 3 and 7) 2 to 8 columns took 0.14-0.19 s per
+# round, 12 took 0.18-0.19 s, 16 took 0.20-0.25 s and all 50 0.40-0.46 s
+_WORKING_SET = 8
+# share of the bound max_i |x_ij| sum_i |g_i| on x_j'g within which a
+# column left out of a working set counts as reaching lam_j (`_violators`)
+_SCREEN_SLACK = 1e-9
 
 
 def _row_blocks(x, stack=1):
@@ -789,7 +806,8 @@ def _polish(lp: _DualRows, live, a, theta):
     whole ranking for them.  Problems with the same number of basic observation
     rows get their vertices from one batched `_vertices`, each alone if that
     is singular, and a certified vertex is `_snapped`.  Returns {problem:
-    (theta, dual objective)} for the certified problems.
+    (theta, dual objective, duals)} for the certified problems; a snapped
+    vertex keeps the duals that certified it.
     """
     n_obs, m = lp.n_obs, lp.m
     lp, a = lp.take(live), a[live]
@@ -834,7 +852,7 @@ def _polish(lp: _DualRows, live, a, theta):
                         one = lp.take(k[i:i + 1])
                         vertex[i] = _snapped(one, basic[group[i]], duals[i], one.lo[0], one.hi[0],
                                              vertex[i], snap[i])
-                    polished[live[k[i]]] = vertex[i], float(dual[i])
+                    polished[live[k[i]]] = vertex[i], float(dual[i]), duals[i]
     return polished
 
 
@@ -846,10 +864,12 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
 
     A coordinate whose penalty is at least its problem's reach_j = sum_r
     |m_rj| max(|lo_r|, |hi_r|), the most its dual constraint can see, is 0
-    at every optimum, and the problem screens it out.  A penalty below eps
-    reach_j, the rounding of x_j'a, is fitted as 0.  Problems run in
-    lockstep stacks of about _STACK doubles per stacked vector (padded rows
-    included), and a stack keeps the union of its problems' columns.  Where
+    at every optimum, and the problem screens it out; so does a column left
+    out of the problem's working set, whose penalty is infinite (`_fit_path`).
+    A penalty below eps reach_j, the rounding of x_j'a, is fitted as 0.
+    Problems run in lockstep stacks of about _STACK doubles per stacked
+    vector (padded rows included), and a stack keeps the union of its
+    problems' columns.  Where
     a problem screens a column of the union, its penalty is clipped to twice
     the stack's largest reach_j: that coordinate's dual constraint is then
     slack at every feasible a, so it is 0 at every optimum and the problem's
@@ -874,8 +894,11 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     near-degenerate optimum to tell its basic rows (a row off the vertex
     with a residual of 1e-7, say), and is fitted again alone at tol / 100,
     down to _RETRY_TOL.  Returns, per problem, (beta, intercepts,
-    iterations, dual objective), or the NoConvergence it raised because its
-    iterations stopped short or no vertex was certified.
+    iterations, dual objective, g), or the NoConvergence it raised because
+    its iterations stopped short or no vertex was certified.  g, given only
+    to a problem with a column left out, is its vertex's observation duals
+    summed over the levels: the full problem's dual constraint of a column j
+    left out is |x_j'g| <= lam_j.
     """
     levels = loss_levels(loss)
     grouped = x.ndim == 3
@@ -958,11 +981,13 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             if failures[k] is not None:
                 outcomes[b] = NoConvergence(f"{loss.label()} fit {failures[k]}")
             elif k in polished:
-                coef, dual_objective = polished[k]
+                coef, dual_objective, duals = polished[k]
                 beta = np.zeros(p)
                 used = cols[b] if grouped else cols
                 beta[used] = coef[:len(used)]
-                outcomes[b] = (beta, coef[lp.p:], int(steps[k]), dual_objective)
+                # a column left out at an infinite penalty is checked on x_j'g
+                g = lp._row_sums(duals) if np.isinf(lam_w[b]).any() else None
+                outcomes[b] = (beta, coef[lp.p:], int(steps[k]), dual_objective, g)
             elif not grouped and not own[b, cols].all():
                 # clipped: the stack's central path is not its own
                 outcomes[b] = alone(b)
@@ -975,20 +1000,22 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     return outcomes
 
 
-def _own_columns(x, lam_w, own):
+def _own_columns(x, lam_w, own, pad=0.0):
     """Each problem of a stack on rows of its own (x (B, n, p), penalties
-    lam_w (B, p)) given only the columns it keeps (`own`): the unpenalized
-    ones first, the same for all, then its own penalized ones, then zero
-    columns up to the stack's most, whose penalty 0 marks them as padding
-    for `_DualRows`.  Returns (each problem's columns, its x, its
-    penalties), the last two as stacks (B, n, slots) and (B, slots)."""
-    free = np.flatnonzero(lam_w[0] == 0.0)  # the stack's problems share this pattern
-    kept = [np.r_[free, np.flatnonzero(keep & (row > 0.0))] for keep, row in zip(own, lam_w)]
+    lam_w (B, p)) given only the columns it keeps (`own`): its unpenalized
+    ones first (on the LP route the same for all, as its stacks share their
+    pattern), then its own penalized ones, then zero columns up to the
+    stack's most, at the penalty `pad` (0 marks them as padding for
+    `_DualRows`).  Returns (each problem's columns, its x, its penalties),
+    the last two as stacks (B, n, slots) and (B, slots); only the kept
+    columns are copied."""
+    kept = [np.r_[np.flatnonzero(row == 0.0), np.flatnonzero(keep & (row > 0.0))]
+            for keep, row in zip(own, lam_w)]
     every = np.arange(x.shape[2])
     if all(np.array_equal(cols, every) for cols in kept):
         return kept, x, lam_w
     slots = max(len(cols) for cols in kept)
-    xs, boxes = np.zeros(x.shape[:2] + (slots,)), np.zeros((len(x), slots))
+    xs, boxes = np.zeros(x.shape[:2] + (slots,)), np.full((len(x), slots), pad)
     for b, cols in enumerate(kept):
         xs[b, :, :len(cols)] = x[b][:, cols]
         boxes[b, :len(cols)] = lam_w[b, cols]
@@ -1112,21 +1139,32 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
     """
     count, dim = lam_w.shape
     blocks = _row_blocks(x)
-    grouped = x.ndim == 3  # then x, z and w keep the live problems' rows only
+    # on rows of their own, z and w keep the live problems' rows only, and x
+    # stays the caller's stack, read for the live problems where it is used
+    grouped = x.ndim == 3
 
-    def objective(b, lam, at=slice(None)):
-        xs, zs, ws = (x[at], z[at], w[at]) if grouped else (x, z, w)
-        r = zs - np.matmul(xs, b[:, :, None])[:, :, 0]
+    def live_x(at=None):  # the design rows of the live problems `at` (all of them)
+        if not grouped:
+            return x
+        at = live if at is None else live[at]
+        return x if len(at) == count else x[at]
+
+    def objective(b, lam, at=None):
+        zs, ws = (z, w) if at is None or not grouped else (z[at], w[at])
+        r = zs - np.matmul(live_x(at), b[:, :, None])[:, :, 0]
         asym = np.where(r < 0.0, 1.0 - tau, tau)
         return _row_dot(asym * r * r, ws) + _row_dot(lam, np.abs(b)), r
 
-    def design(rows):  # a block of rows of [x | z], shared or each problem's own
-        return np.concatenate([x[..., rows, :], z[..., rows, None]], axis=-1)
+    def design(rows):  # a block of rows of [x | z], shared or each live problem's own
+        xs = x[..., rows, :]
+        if grouped and len(live) < count:
+            xs = xs[live]
+        return np.concatenate([xs, z[..., rows, None]], axis=-1)
 
     b = np.array(np.broadcast_to(np.asarray(beta, dtype=float), (count, dim)))
     beta_out, steps, converged = b.copy(), np.full(count, int(max_iter)), np.zeros(count, bool)
-    obj, r = objective(b, lam_w)
     live = np.arange(count)
+    obj, r = objective(b, lam_w)
     for step in range(1, int(max_iter) + 1):
         lam = lam_w[live]
         negative = r < 0.0
@@ -1162,7 +1200,7 @@ def _expectile_newton(x, z, w, tau, lam_w, beta, tol, max_iter):
         if not len(live):
             break
         if grouped and done.any():
-            x, z, w = x[~done], z[~done], w[~done]
+            z, w = z[~done], w[~done]
     beta_out[live] = b
     return beta_out, steps, converged
 
@@ -1171,12 +1209,30 @@ def _solve_expectile(x, z, w, loss: LossKind, lam_ws, config: FitConfig, beta_st
     """Fit an expectile / least-squares loss at each row of penalties lam_ws
     (B x p) on shared or own rows, as `_solve_lp_family` takes them, from
     beta_start (one for all, or a row per problem); an intercept is one more
-    column, never penalized (0 on padding).  Problems run in lockstep stacks
-    of about _STACK / n problems (`_expectile_newton`).  Returns, per
-    problem, (beta, intercepts, iterations, None), as `_solve_lp_family`
-    does but without a dual objective, or the NoConvergence it raised."""
-    k = int(config.fit_intercept)
-    start = np.zeros(x.shape[-1]) if beta_start is None else np.asarray(beta_start, dtype=float)
+    column, never penalized (0 on padding).  A column at an infinite penalty
+    (outside the problem's working set, `_fit_path`) is left out: on shared
+    rows every problem fits the columns that some problem keeps, on own rows
+    each its own (`_own_columns`), padded with zero columns whose positive
+    penalty keeps them inactive.  Problems run in lockstep stacks of about
+    _STACK / n problems (`_expectile_newton`).  Returns, per problem, (beta,
+    intercepts, iterations, None, g), as `_solve_lp_family` does but without
+    a dual objective, or the NoConvergence it raised; g, given only to a
+    problem with a column left out, is 2 w_i |tau - 1{r_i < 0}| r_i at its
+    fit, so that a column j left out is optimal at 0 iff |x_j'g| <= lam_j."""
+    k, p = int(config.fit_intercept), x.shape[-1]
+    start = np.zeros(p) if beta_start is None else np.asarray(beta_start, dtype=float)
+    kept = np.isfinite(lam_ws)
+    cols = None  # each problem's columns, when some are left out
+    if not kept.all():
+        start = np.broadcast_to(start, lam_ws.shape)
+        if x.ndim == 2:
+            union = np.flatnonzero(kept.any(axis=0))
+            x, lam_ws, start = x.take(union, axis=1), lam_ws[:, union], start[:, union]
+            cols = [union] * len(lam_ws)
+        else:
+            cols, x, lam_ws = _own_columns(x, lam_ws, kept, pad=1.0)
+            start = np.array([np.r_[s[c], np.zeros(x.shape[2] - len(c))]
+                              for s, c in zip(start, cols)])
     if k:
         # shared rows are active rows, so every w > 0 there
         x = np.concatenate([(w > 0.0).astype(float)[..., None], x], axis=-1)
@@ -1186,12 +1242,24 @@ def _solve_expectile(x, z, w, loss: LossKind, lam_ws, config: FitConfig, beta_st
     outcomes = []
     for at in range(0, len(lam_ws), size):
         stack = slice(at, at + size)
+        xs, zs, ws = _stack_of(x, z, w, stack)
         coefs, steps, converged = _expectile_newton(
-            *_stack_of(x, z, w, stack), loss.tau, lam_ws[stack],
-            start if start.ndim == 1 else start[stack], config.tol, config.max_iter)
-        for coef, count, ok in zip(coefs, steps, converged):
-            outcomes.append((coef[k:], coef[:k], int(count), None) if ok else NoConvergence(
-                f"{loss.label()} fit did not converge ({count} iterations)"))
+            xs, zs, ws, loss.tau, lam_ws[stack], start if start.ndim == 1 else start[stack],
+            config.tol, config.max_iter)
+        if cols is not None:
+            r = zs - np.matmul(xs, coefs[:, :, None])[:, :, 0]
+            grads = 2.0 * ws * np.where(r < 0.0, 1.0 - loss.tau, loss.tau) * r
+        for i, (coef, count, ok) in enumerate(zip(coefs, steps, converged)):
+            if not ok:
+                outcomes.append(NoConvergence(
+                    f"{loss.label()} fit did not converge ({count} iterations)"))
+                continue
+            beta, g = coef[k:], None
+            if cols is not None:
+                used = cols[at + i]
+                beta, g = np.zeros(p), grads[i]
+                beta[used] = coef[k:k + len(used)]
+            outcomes.append((beta, coef[:k], int(count), None, g))
     return outcomes
 
 
@@ -1244,6 +1312,15 @@ def fit_adaptive_lasso(
     sign-pattern Newton steps for expectile.  A point's fit is the same bit
     for bit as its single fit.  Errors of the data themselves (weights,
     beta_tilde) are raised either way.
+
+    Each fit starts on a working set of columns: the _WORKING_SET (8) with
+    the smallest penalties lam * omega_j, plus any unpenalized ones; the
+    others are held at 0.  Each column left out is then checked on the
+    exact optimality condition of its coordinate at 0, |x_j'g| <= lam_j,
+    with g the LP vertex's duals or the expectile loss's derivative; a
+    violator joins the set and the fit is solved again, until none is left.
+    The result is the fit on every column, with the same support and
+    objective up to rounding, and its certificates cover every column.
 
     dataset, weights and beta_tilde may also be equal-length sequences (the
     groups of an aggregated fit, without lams): each group is fitted at
@@ -1327,12 +1404,56 @@ def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     """A fit per row of penalties lam_ws, each its EstimatorResult or the
     CensLassoError it raised, on shared or own rows (`_solve_lp_family`):
     solved in lockstep stacks (`_solve_lp_family`, `_solve_expectile`), then
-    certified as many fits at a time as a stack holds, on views of the rows."""
-    if loss.is_lp_family:
-        solved = _solve_lp_family(x, z, w, loss, lam_ws, config.fit_intercept,
-                                  config.tol, config.max_iter)
-    else:
-        solved = _solve_expectile(x, z, w, loss, lam_ws, config, beta_start)
+    certified as many fits at a time as a stack holds, on views of the rows.
+
+    Each problem is fitted on a working set of its columns (`_working_sets`),
+    the others at an infinite penalty, which holds them at 0.  A column j
+    left out is then checked on the fit's exact optimality condition for it,
+    |x_j'g| <= lam_j, where g is the LP vertex's duals summed over the levels
+    or the expectile loss's derivative in the fitted values; one within
+    rounding of lam_j counts as a violator.  Every violator joins its
+    problem's working set, and only the problems that had one are solved
+    again: on shared rows stacked with the problems that have the same
+    working set, so a path point is its single fit bit for bit (Tibshirani
+    et al. 2012, section 7).  A problem whose fit failed with columns left
+    out is solved again on all of them.  The certificates cover all p
+    columns.
+    """
+    kept = _working_sets(lam_ws)
+    solved = [None] * len(lam_ws)
+    todo = np.arange(len(lam_ws))
+    col_max = None  # the largest |entry| of each design column, once a check needs it
+    while todo.size:
+        batches = {}
+        for b in todo:  # on own rows each problem takes its own columns in one stack
+            batches.setdefault(kept[b].tobytes() if x.ndim == 2 else b"", []).append(b)
+        grown = []
+        for batch in map(np.array, batches.values()):
+            rows = (x, z, w) if x.ndim == 2 or len(batch) == len(lam_ws) else (
+                x[batch], z[batch], w[batch])
+            penalties = np.where(kept[batch], lam_ws[batch], np.inf)
+            if loss.is_lp_family:
+                outcomes = _solve_lp_family(*rows, loss, penalties, config.fit_intercept,
+                                            config.tol, config.max_iter)
+            else:
+                start = beta_start if np.ndim(beta_start) < 2 else beta_start[batch]
+                outcomes = _solve_expectile(*rows, loss, penalties, config, start)
+            for b, outcome in zip(batch, outcomes):
+                solved[b] = outcome
+                if kept[b].all():
+                    continue
+                if isinstance(outcome, CensLassoError):
+                    new = ~kept[b]
+                else:
+                    if col_max is None:
+                        col_max = np.maximum(x.max(axis=-2), -x.min(axis=-2))
+                    g = outcome[4]
+                    new = _violators(g, x if x.ndim == 2 else x[b, :len(g)], lam_ws[b], kept[b],
+                                     col_max if x.ndim == 2 else col_max[b])
+                kept[b] |= new
+                if new.any():
+                    grown.append(b)
+        todo = np.sort(np.array(grown, dtype=int))
     ok = [not isinstance(fit, CensLassoError) for fit in solved]
     if not any(ok):
         return solved
@@ -1348,8 +1469,31 @@ def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
                                      intercepts[at])
         for k, objective, kkt in zip(range(len(solved))[at], *certificates):
             if ok[k]:
-                solved[k] = _attempt(_certified, *solved[k], float(objective), float(kkt))
+                solved[k] = _attempt(_certified, *solved[k][:4], float(objective), float(kkt))
     return solved
+
+
+def _violators(g, x, lam_w, kept, col_max):
+    """The columns j outside `kept` at which |x_j'g| reaches lam_j or comes
+    within rounding of it, _SCREEN_SLACK of the bound max_i |x_ij| sum_i |g_i|
+    on x_j'g, so that the check never decides on rounding."""
+    slack = _SCREEN_SLACK * col_max * np.abs(g).sum()
+    return ~kept & (np.abs(g @ x) > lam_w - slack)
+
+
+def _working_sets(lam_ws):
+    """Each problem's first working set, a row of a (B, p) mask: its
+    unpenalized columns and the _WORKING_SET penalized ones with the
+    smallest penalties, ties by index.  At an unpenalized pilot's optimum
+    x_j'g = 0 for every column, so the pilot's dual point is feasible at
+    every lambda, and from there Celer's priority (Massias, Gramfort &
+    Salmon 2018), lam_j over the column's norm, orders the columns by
+    lam_j: every point of a path starts from the same set, and a pilot
+    keeps every column."""
+    rank = np.empty(lam_ws.shape, dtype=int)
+    np.put_along_axis(rank, np.argsort(lam_ws, axis=1, kind="stable"),
+                      np.arange(lam_ws.shape[1]), axis=1)
+    return rank < np.count_nonzero(lam_ws == 0.0, axis=1, keepdims=True) + _WORKING_SET
 
 
 def _attempt(fn, *args):
@@ -1411,6 +1555,12 @@ def kkt_residual(
     Each level contributes its rows' derivative intervals (`LossLevel.slopes`:
     check-loss residuals within _ZERO_TOL of 0 take their whole interval),
     summed per column.  Intercept coordinates are included without penalty.
+
+    On the expectile route this is the optimality condition itself.  On the
+    LP route it is a necessary condition only: each coordinate's interval
+    lets the kink rows take any slope, while one dual vector must serve
+    every coordinate at once.  There a fit's certificate is the duality gap
+    of its certified vertex; a fit missing a column can read 0 here.
     """
     x, z, w = _active_rows(*_group(dataset, weights))
     lam_w = lam * np.asarray(adaptive_weights_vec, dtype=float)

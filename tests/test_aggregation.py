@@ -352,7 +352,8 @@ def test_stacked_pilot_holds_no_copy_of_the_groups_rows():
     # padded stacks (x alone), measured at seeds 1-7: pilot 2.75-3.16, where
     # it was 3.93-4.17 while certification copied the stack three more
     # times (and 4.95-5.18 before the groups were gathered in place);
-    # penalized 3.36-4.19, one of them the stack of each group's own columns
+    # penalized 1.78-2.15, where it was 3.36-4.19 while each group's own
+    # columns were all its kept ones: now only its working set's are copied
     import tracemalloc
 
     ds = make_problem(20_000, p=50, seed=1)
@@ -371,7 +372,45 @@ def test_stacked_pilot_holds_no_copy_of_the_groups_rows():
     finally:
         tracemalloc.stop()
     assert pilot_peak <= 3.4 * stack_bytes
-    assert penalized_peak <= 4.5 * stack_bytes
+    assert penalized_peak <= min(2.4 * stack_bytes, pilot_peak)
+
+
+def test_stacked_expectile_pilot_peak_does_not_rise_when_groups_finish():
+    # the aggregated expectile(0.3) pilot of 25 groups at n = 2e4, p = 50
+    # (seed 3): the Newton steps read the live groups' rows from the
+    # caller's stack, so the steps after some groups finish peak no higher
+    # than those before.  Measured in padded stacks (x alone) at seeds 1-7:
+    # 3.42-3.43 before the first group finishes, 1.35-3.28 after; when the
+    # live groups' rows were copied at each finish, 4.06 after (seed 3)
+    import tracemalloc
+
+    from censlasso import solvers
+
+    ds = make_problem(20_000, p=50, seed=3)
+    subs = [ds.subset(g) for g in interleaved_split(ds.n, 25).groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    loss = LossKind("expectile", tau=0.3)
+    steps, grams = [], solvers._weighted_grams
+
+    def spy(block, q, dim, blocks):
+        # the peak since the previous step, which ran with steps[-1][0] groups
+        steps.append((len(q), tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        return grams(block, q, dim, blocks)
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_weighted_grams", spy)
+            fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
+        steps.append((0, tracemalloc.get_traced_memory()[1]))
+    finally:
+        tracemalloc.stop()
+    peaks = [(count, peak) for (count, _), (_, peak) in zip(steps, steps[1:])]
+    before = [peak for count, peak in peaks if count == len(subs)]
+    after = [peak for count, peak in peaks if count < len(subs)]
+    assert before and after
+    assert max(after) <= max(before)
 
 
 @pytest.mark.parametrize("loss", [LossKind("median"), LossKind("composite_quantile", n_levels=3)],

@@ -506,8 +506,11 @@ def clipped_path_case(seed=1):
 def test_stack_polish_is_the_per_problem_polish(monkeypatch, loss):
     # each problem is ranked and certified as the stack poses it, clipped
     # boxes included: polishing the stack at once or one problem at a time
-    # from the same interior solution gives the same vertices
+    # from the same interior solution gives the same vertices.  Every column
+    # is in the working set, so the stack keeps the columns that its larger
+    # lambdas screen (with 8 of the 10, composite3's path clips none)
     ds, w, grid = clipped_path_case()
+    monkeypatch.setattr(solvers, "_WORKING_SET", ds.p)
     cfg = FitConfig(loss=loss)
     pilot = fit_unpenalized(ds, w, loss, cfg)
     stacked, seen = polished_path(monkeypatch, True, ds, w, cfg, pilot.beta, grid)
@@ -839,6 +842,192 @@ def test_fit_config_rejects_out_of_range_settings(setting, value):
     # NaN fails every comparison, so the range checks must not pass it
     with pytest.raises(ValueError, match=f"{setting} must be finite"):
         FitConfig(loss=LossKind("median"), **{setting: value})
+
+
+# --- working sets against the unscreened fits -------------------------------
+
+SCREEN_LOSSES = [
+    (LossKind("median"), False),
+    (LossKind("quantile", tau=0.3), False),
+    (LossKind("composite_quantile", n_levels=3), True),
+    (LossKind("expectile", tau=0.35), False),
+    (LossKind("expectile", tau=0.35), True),
+]
+SCREEN_LOSS_IDS = ["median", "quantile0.3", "composite3-intercepts", "expectile",
+                   "expectile-intercept"]
+
+
+def screened_and_unscreened(patch, fit):
+    """fit() with a first working set of one penalized column, and again
+    with every column in it; also whether the route solvers were ever given
+    a problem with more than one penalized column kept (a second round)."""
+    counts = []
+
+    def spy(real):
+        def solve(x, z, w, loss, lam_ws, *args):
+            counts.append(int(np.count_nonzero(np.isfinite(lam_ws) & (lam_ws > 0.0), axis=1).max()))
+            return real(x, z, w, loss, lam_ws, *args)
+        return solve
+
+    with patch.context() as p:
+        p.setattr(solvers, "_WORKING_SET", 1)
+        p.setattr(solvers, "_solve_lp_family", spy(solvers._solve_lp_family))
+        p.setattr(solvers, "_solve_expectile", spy(solvers._solve_expectile))
+        screened = fit()
+    with patch.context() as p:
+        p.setattr(solvers, "_WORKING_SET", 10**9)
+        full = fit()
+    return screened, full, max(counts) > 1
+
+
+def assert_same_fits(screened, full, loss, n):
+    """The same support, objectives within 1e-9 relative and the KKT bound of
+    the route (1e-9 n on the LP route, 1e-6 n on expectile)."""
+    bound = (1e-9 if loss.is_lp_family else 1e-6) * n
+    assert len(screened) == len(full)
+    for k, (got, want) in enumerate(zip(screened, full)):
+        assert got.support == want.support, k
+        assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective)), k
+        assert got.kkt_residual <= bound, (k, got.kkt_residual)
+
+
+@pytest.mark.parametrize("shape", ["single", "groups", "bic-path"])
+@pytest.mark.parametrize("loss, fit_intercept", SCREEN_LOSSES, ids=SCREEN_LOSS_IDS)
+def test_working_set_fits_are_the_unscreened_fits(monkeypatch, loss, fit_intercept, shape):
+    # from one penalized column, every fit must grow its working set to the
+    # unscreened fit's support through the exact check of the columns left
+    # out: single fits, own-row group stacks and BIC paths on shared rows
+    from censlasso.aggregation import interleaved_split
+    from censlasso.tuning import BicConfig, fixed_lambda, select_lambda
+
+    grew = False
+    for seed in range(3):
+        ds, w = random_problem(seed, n=400, p=8, beta=(1.0, -2.0, 0.0, 0.5) + (0.0,) * 4)
+        cfg = FitConfig(loss=loss, fit_intercept=fit_intercept, lam=fixed_lambda(ds.n, 1))
+        if shape == "groups":
+            subs = [ds.subset(g) for g in interleaved_split(ds.n, 4).groups]
+            weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+            tildes = [pilot.beta for pilot in fit_unpenalized(subs, weights, loss, cfg)]
+            screened, full, second = screened_and_unscreened(
+                monkeypatch, lambda: fit_adaptive_lasso(subs, weights, cfg, tildes))
+            assert_same_fits(screened, full, loss, ds.n // 4)
+        elif shape == "single":
+            tilde = fit_unpenalized(ds, w, loss, cfg).beta
+            screened, full, second = screened_and_unscreened(
+                monkeypatch, lambda: [fit_adaptive_lasso(ds, w, cfg, tilde)])
+            assert_same_fits(screened, full, loss, ds.n)
+        else:
+            screened, full, second = screened_and_unscreened(
+                monkeypatch, lambda: select_lambda(ds, w, loss, lambda_grid(ds.n), BicConfig(),
+                                                   fit_config=cfg))
+            assert screened.best.lam == full.best.lam
+            assert_same_fits([e.result for e in screened.entries],
+                             [e.result for e in full.entries], loss, ds.n)
+        grew |= second
+    assert grew
+
+
+def test_working_set_column_enters_through_the_dual_check(monkeypatch):
+    # the `massive-fixed` design at seed 1, median, K = 25, group 16: its
+    # first working set, the 8 columns with the smallest penalties, leaves
+    # out column 33 (the 9th).  The fit on those 8 has a KKT residual of 0
+    # (each coordinate's interval alone admits 0) and passes its own duality
+    # gap, yet its objective is 8.7e-6 above the full fit's: only the vertex
+    # duals, shared by every coordinate, show that |x_33'a| exceeds lam_33
+    from censlasso import data
+    from censlasso.aggregation import interleaved_split
+    from censlasso.tuning import fixed_lambda
+
+    spec = GenerationSpec(n=20_000, p=50, beta0=(1.0, -2.0) + (0.0,) * 48, seed=1)
+    ds, _ = data.generate_with_latents(
+        spec, bound=data.calibrate_censoring_bound(spec, spec.target_censoring_rate))
+    subs = [ds.subset(g) for g in interleaved_split(ds.n, 25).groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    loss = LossKind("median")
+    cfg = FitConfig(loss=loss, lam=fixed_lambda(800, 1))
+    tildes = np.array([pilot.beta for pilot in fit_unpenalized(subs, weights, loss, cfg)])
+    lam_w = cfg.lam * adaptive_weights(tildes[16])
+    assert list(np.argsort(lam_w, kind="stable")).index(33) == 8
+    calls, real = [], solvers._solve_lp_family
+
+    def spy(x, z, w, loss, lam_ws, *args):
+        calls.append(lam_ws.copy())
+        return real(x, z, w, loss, lam_ws, *args)
+
+    monkeypatch.setattr(solvers, "_WORKING_SET", 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_solve_lp_family", spy)
+        fits = fit_adaptive_lasso(subs, weights, cfg, tildes)
+    assert np.isinf(calls[0][16, 33])
+    assert any(np.any(lams[:, 33] == lam_w[33]) for lams in calls[1:])
+    assert 33 in fits[16].support
+    monkeypatch.setattr(solvers, "_WORKING_SET", 10**9)
+    full = fit_adaptive_lasso(subs, weights, cfg, tildes)
+    assert_same_fits(fits, full, loss, 800)
+
+
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("expectile", tau=0.35)],
+                         ids=["median", "expectile"])
+def test_working_set_fit_that_fails_is_solved_on_every_column(monkeypatch, loss):
+    # a fit that fails with columns left out is not given up: it is solved
+    # again on every column, where it is the unscreened fit
+    ds, w = random_problem(2, n=300, p=8)
+    cfg = FitConfig(loss=loss, lam=3.0)
+    tilde = fit_unpenalized(ds, w, loss, cfg).beta
+    name = "_solve_lp_family" if loss.is_lp_family else "_solve_expectile"
+    calls, real = [], getattr(solvers, name)
+
+    def failing(x, z, w_rows, loss, lam_ws, *args):
+        calls.append(lam_ws.copy())
+        return [NoConvergence("synthetic") if np.isinf(row).any() else fit
+                for row, fit in zip(lam_ws, real(x, z, w_rows, loss, lam_ws, *args))]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_WORKING_SET", 2)
+        patch.setattr(solvers, name, failing)
+        fit = fit_adaptive_lasso(ds, w, cfg, tilde)
+    assert len(calls) == 2 and np.isinf(calls[0]).any() and np.isfinite(calls[1]).all()
+    full = fit_adaptive_lasso(ds, w, cfg, tilde)
+    assert np.array_equal(fit.beta, full.beta) and fit.objective == full.objective
+
+
+def test_violators_include_columns_within_rounding_of_their_penalty():
+    # |x_j'g| = (1.25, 0.75, 0.5): a column left out passes only when its
+    # penalty clears |x_j'g| by more than the rounding slack; a kept column
+    # is never a violator
+    x = np.array([[1.0, 2.0, 1.0], [3.0, -1.0, 0.0]])
+    g = np.array([0.5, 0.25])
+    col_max = np.abs(x).max(axis=0)
+    kept = np.array([False, False, True])
+    at = np.array([1.25, 0.75, 0.5])
+    assert solvers._violators(g, x, at, kept, col_max).tolist() == [True, True, False]
+    assert solvers._violators(g, x, at * (1 + 1e-12), kept, col_max).tolist() == [True, True, False]
+    assert not solvers._violators(g, x, at * (1 + 1e-6), kept, col_max).any()
+    assert solvers._violators(g, x, at * (1 - 1e-6), kept, col_max).tolist() == [True, True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60), p=st.integers(2, 6),
+       loss=st.sampled_from(LP_LOSSES + [LossKind("expectile", tau=0.35)]),
+       fit_intercept=st.booleans(), lams=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6))
+def test_working_set_fits_are_the_unscreened_fits_property(seed, n, p, loss, fit_intercept, lams):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(1.0, 1.0, (n, p))
+    z = x @ rng.normal(0.0, 1.5, p) + rng.gumbel(size=n)
+    ds = small_dataset(np.exp(z), np.ones(n, dtype=int), x)
+    w = make_weights(rng.uniform(0.5, 2.0, n))
+    # some pilot coordinates exactly 0: the 1e10 floor's penalties
+    beta_tilde = rng.normal(0.0, 1.0, p) * (rng.uniform(size=p) > 0.25)
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    fits = {}
+    for size in (1, 10**9):
+        with mock.patch.object(solvers, "_WORKING_SET", size):
+            fits[size] = fit_adaptive_lasso(ds, w, cfg, beta_tilde, lams)
+    for got, want in zip(fits[1], fits[10**9]):
+        if isinstance(want, CensLassoError):
+            assert type(got) is type(want)
+            continue
+        assert_same_fits([got], [want], loss, n)
 
 
 # --- adaptive lasso ---------------------------------------------------------
