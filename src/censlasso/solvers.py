@@ -77,6 +77,18 @@ out.  Every column left out is then checked on the fit's exact
 optimality condition |x_j'g| <= lam_j (g the LP vertex's duals summed over
 the levels, or the expectile loss's derivative in the fitted values);
 violators join the set and only their problems are solved again.
+
+Median and quantile fits on at least _GLOB_ROWS shared rows glob their rows
+(`_globbed`; Portnoy & Koenker 1997, section 3).  The interior point runs on
+all rows only to the loose gap _GLOB_GAP; the _GLOB_BAND x m rows with the
+smallest residuals there form the band (m the problem's columns and
+intercept, working set or not), and the rows above and below it
+collapse into one pseudo-row each.  While every collapsed row keeps its sign
+the reduced LP has the full LP's objective and dual objective, so the
+reduced problems are solved on rows of their own through the usual route,
+a collapsed row that crosses the fit joins the band for another round, and
+a fit whose rows still cross after _GLOB_ROUNDS rounds is solved on all its
+rows.  Certificates are taken on the full rows.
 """
 
 from __future__ import annotations
@@ -297,6 +309,32 @@ _WORKING_SET = 8
 # share of the bound max_i |x_ij| sum_i |g_i| on x_j'g within which a
 # column left out of a working set counts as reaching lam_j (`_violators`)
 _SCREEN_SLACK = 1e-9
+# the fewest shared active rows at which a median or quantile fit globs its
+# rows (`_globbed`): on `massive-fixed`'s design (p = 50, seeds 1, 3, 5 and
+# 7, median and quantile, pilot and penalized fit) globbing took 0.16 s
+# against 0.13-0.14 s at about 2000 active rows, tied at about 3000
+# (0.19-0.21 s each), and took 0.22 against 0.25 s at about 4000 and 0.27
+# against 0.38 s at about 6000; `mc-bic`'s fits (about 1500 rows) stay below
+_GLOB_ROWS = 4000
+# relative complementarity gap at which a globbed fit's pass on all rows
+# stops, its residuals then choosing the band: the same fits took 0.56-0.64 s
+# at n = 2e4 and 2.54-2.64 s at n = 1e5 at 0.1, 0.67-0.70 and 2.68-2.74 s
+# at 0.03, and 0.50-0.54 and 4.29-4.37 s at 0.3 (718 iterations at
+# n = 1e5 against 416 at 0.1)
+_GLOB_GAP = 0.1
+# band rows per coordinate of a globbed problem, counting every column
+# and intercept of the problem (a working set's 8 columns would leave 256
+# rows, and 20-point paths at n = 1e5 took 2.7 s instead of 1.65 s in fix-up
+# rounds): the same fits took 0.48-0.50 / 0.51 / 0.53-0.56 / 0.57-0.58 s at
+# n = 2e4 with 16 / 24 / 32 / 48, and 3.42-3.52 / 2.55-2.64 / 2.36-2.47 /
+# 2.14-2.53 s at n = 1e5; 32 lies between the two best
+_GLOB_BAND = 32
+# reduced solves of a globbed problem before one whose collapsed rows still
+# cross the fit is solved on all its rows: no problem needed more than two
+# (K = 1 pilot and penalized fits at n = 2e4, seeds 1-7, and at n = 1e5,
+# seeds 1-7: 49 in one and 7 in two; 20-point median and quantile BIC paths
+# at n = 2e4, seeds 1-3, and at n = 1e5, seeds 1 and 3: 205 in one, 5 in two)
+_GLOB_ROUNDS = 3
 
 
 def _row_blocks(x, stack=1):
@@ -856,7 +894,8 @@ def _polish(lp: _DualRows, live, a, theta):
     return polished
 
 
-def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
+def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter,
+                     glob=True):
     """Fit an LP-family loss at each row of penalties lam_w (B x p):
     interior points on the duals in lockstep, then a vertex per problem.
     The problems share the rows x (n, p), z and w, or each has its own, as
@@ -899,6 +938,16 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     to a problem with a column left out, is its vertex's observation duals
     summed over the levels: the full problem's dual constraint of a column j
     left out is |x_j'g| <= lam_j.
+
+    A median or quantile fit on at least _GLOB_ROWS shared rows is globbed
+    (`glob` False turns this off, for the fits `_globbed` itself makes on
+    all rows and single refits): its stack's interior point stops at the
+    loose gap _GLOB_GAP, where a pass that stops short raises NoConvergence
+    as above, and its problems are solved by `_globbed` from the residuals
+    there, with the band m counting all p columns and the intercept.  Its
+    vertex, dual objective and g are then the reduced problem's, g spread
+    over the full rows, and its iterations count the loose pass and every
+    pass after it, so `max_iter` bounds each pass.
     """
     levels = loss_levels(loss)
     grouped = x.ndim == 3
@@ -916,9 +965,10 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     # overflows at such penalties (a subnormal lam_j, say)
     lam_w = np.where(lam_w < np.finfo(float).eps * reach, 0.0, lam_w)
 
-    def alone(b, tol=tol):  # problem b as a stack of one, on its own rows
+    def alone(b, tol=tol):  # problem b as a stack of one, on its own rows, unglobbed
         rows = (x[b, :n_own[b]], z[b, :n_own[b]], w[b, :n_own[b]]) if grouped else (x, z, w)
-        return _solve_lp_family(*rows, loss, lam_w[b:b + 1], fit_intercept, tol, max_iter)[0]
+        return _solve_lp_family(*rows, loss, lam_w[b:b + 1], fit_intercept, tol, max_iter,
+                                False)[0]
 
     patterns = {}
     for b, row in enumerate(lam_w > 0.0):
@@ -927,13 +977,16 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
         outcomes = [None] * len(lam_w)
         for group in patterns.values():
             rows = (x[group], z[group], w[group]) if grouped else (x, z, w)
-            solved = _solve_lp_family(*rows, loss, lam_w[group], fit_intercept, tol, max_iter)
+            solved = _solve_lp_family(*rows, loss, lam_w[group], fit_intercept, tol, max_iter,
+                                      glob)
             for b, outcome in zip(group, solved):
                 outcomes[b] = outcome
         return outcomes
     p = x.shape[-1]
     has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
     own = lam_w < reach
+    glob = (glob and not grouped and len(levels) == 1 and len(z) >= _GLOB_ROWS
+            and tol < _GLOB_GAP)
     size = max(1, _STACK // (len(levels) * x.shape[-2] + p))
     dependent = None  # on shared rows, found on the first stack with coordinates
     outcomes = [None] * len(lam_w)
@@ -971,11 +1024,25 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
                     lp = _DualRows(np.delete(lp.x, found, axis=1), z, w, levels,
                                    has_intercepts, boxes)
                     normal_u = normal_u[:, kept][:, :, kept]
-            a, theta, steps, failures = _frisch_newton(lp, normal_u, tol, max_iter)
+            a, theta, steps, failures = _frisch_newton(lp, normal_u, _GLOB_GAP if glob else tol,
+                                                       max_iter)
         else:  # every coordinate dropped: the vertex is theta = ()
             a, theta = np.zeros(lp.lo.shape), np.zeros((len(at), 0))
             steps, failures = np.zeros(len(at), dtype=int), [None] * len(at)
         live = np.flatnonzero([failure is None for failure in failures])
+        if glob and lp.m:
+            globbed = {}
+            if live.size:
+                resid = z - lp.fitted(theta[live])[:, :lp.n]
+                globbed = dict(zip(live, _globbed(x, z, w, resid, _GLOB_BAND * (p + lp.m - lp.p),
+                                                  loss, lam_w[at[live]], fit_intercept, tol,
+                                                  max_iter)))
+            for k, b in enumerate(at):
+                outcome = globbed.get(k, NoConvergence(f"{loss.label()} fit {failures[k]}"))
+                if not isinstance(outcome, CensLassoError):
+                    outcome = outcome[:2] + (outcome[2] + int(steps[k]),) + outcome[3:]
+                outcomes[b] = outcome
+            continue
         polished = _polish(lp, live, a, theta)
         for k, b in enumerate(at):
             if failures[k] is not None:
@@ -998,6 +1065,110 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
                     f"{loss.label()} fit: the interior point converged in {steps[k]} "
                     "iterations but no vertex it ranked passed the optimality check")
     return outcomes
+
+
+def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
+    """Median or quantile fits on the shared rows x (n, p), z and w, one per
+    row of penalties lam_w, each solved on a reduced set of rows chosen by
+    its residuals resid (B, n) at a loose interior point (Portnoy & Koenker
+    1997, section 3).
+
+    A problem's band is the `size` rows (at most n) with the smallest
+    |resid|.  The rows outside it above the fit collapse into one pseudo-row,
+    those below into another (`_reduced`), each of weight their weights' sum
+    and with their weighted means as design and response.  While every
+    collapsed row keeps its sign the loss is linear on each side, so the
+    reduced LP has the full LP's objective and dual objective; off that set
+    the reduced loss is the lower of the two, by convexity.  So a reduced
+    optimum at which every collapsed row keeps its sign is a full optimum,
+    and its vertex with the collapsed rows' duals at their box ends is a full
+    dual vertex.  The reduced problems run as one stack on rows of their own,
+    through `_solve_lp_family`'s screening, polish and retries.  A collapsed
+    row whose residual at the reduced fit has the other sign, or is 0 up to
+    rounding, has crossed: it joins its band and only the problems that had
+    one are solved again.  A problem still crossing after _GLOB_ROUNDS
+    solves, or whose reduced fit failed, is solved on all its rows,
+    unglobbed.  Returns, per problem, `_solve_lp_family`'s outcome with the
+    iterations of every solve after the loose pass summed, and g on the full
+    rows: the band rows' reduced duals, a collapsed row's scale tau w_i above
+    the fit and -scale (1 - tau) w_i below it.
+    """
+    (level,) = loss_levels(loss)
+    n = len(z)
+    size = min(size, n)
+    band = np.zeros(resid.shape, dtype=bool)
+    np.put_along_axis(band, np.argpartition(np.abs(resid), size - 1, axis=1)[:, :size], True,
+                      axis=1)
+    above = ~band & (resid > 0.0)
+    below = ~band & ~above
+    outcomes, spent = [None] * len(lam_w), np.zeros(len(lam_w), dtype=int)
+    todo = np.arange(len(lam_w))
+    for _ in range(_GLOB_ROUNDS):
+        if not todo.size:
+            break
+        solved = _solve_lp_family(*_reduced(x, z, w, band[todo], above[todo], below[todo]),
+                                  loss, lam_w[todo], fit_intercept, tol, max_iter)
+        fits = [(k, out) for k, out in zip(todo, solved) if not isinstance(out, CensLassoError)]
+        if not fits:
+            break
+        at, todo = np.array([k for k, _ in fits]), []
+        fitted = np.array([out[0] for _, out in fits]) @ x.T
+        fitted += np.array([out[1][0] if len(out[1]) else 0.0 for _, out in fits])[:, None]
+        r = z - fitted
+        flat = np.abs(r) <= _ROUNDING * (np.abs(z) + np.abs(fitted) + 1.0)
+        crossed = (above[at] & ((r < 0.0) | flat)) | (below[at] & ((r > 0.0) | flat))
+        for i, (k, (beta, intercepts, steps, dual, g)) in enumerate(fits):
+            spent[k] += steps
+            if crossed[i].any():
+                band[k] |= crossed[i]
+                above[k] &= ~crossed[i]
+                below[k] &= ~crossed[i]
+                todo.append(k)
+                continue
+            if g is not None:
+                full = np.where(above[k], level.scale * level.tau * w,
+                                np.where(below[k], -level.scale * (1.0 - level.tau) * w, 0.0))
+                full[band[k]] = g[:np.count_nonzero(band[k])]
+                g = full
+            outcomes[k] = (beta, intercepts, int(spent[k]), dual, g)
+        todo = np.array(todo, dtype=int)
+    left = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if left:
+        for k, outcome in zip(left, _solve_lp_family(x, z, w, loss, lam_w[left], fit_intercept,
+                                                     tol, max_iter, False)):
+            if not isinstance(outcome, CensLassoError):
+                outcome = outcome[:2] + (outcome[2] + int(spent[k]),) + outcome[3:]
+            outcomes[k] = outcome
+    return outcomes
+
+
+def _reduced(x, z, w, band, above, below):
+    """Each problem's reduced rows for `_globbed`, as a stack on rows of its
+    own (x (B, rows, p), z and w (B, rows)): its band rows (a row of the
+    mask band) in order, then one pseudo-row for its rows marked above and
+    one for those marked below, each with the weight sum_i w_i of its rows
+    and their weighted means sum_i w_i x_i / W and sum_i w_i z_i / W as
+    design and response (an empty side adds no row), then zero rows of
+    w = 0 up to the stack's longest."""
+    counts = np.count_nonzero(band, axis=1)
+    sides = []
+    for side in (above, below):
+        weight = np.where(side, w, 0.0)
+        total = weight.sum(axis=1)
+        share = np.divide(1.0, total, out=np.zeros_like(total), where=total > 0.0)
+        sides.append((total, (weight @ x) * share[:, None], (weight @ z) * share))
+    rows = int((counts + sum(total > 0.0 for total, _, _ in sides)).max())
+    xr = np.zeros((len(band), rows, x.shape[1]))
+    zr, wr = np.zeros((len(band), rows)), np.zeros((len(band), rows))
+    for k, count in enumerate(counts):
+        at = np.flatnonzero(band[k])
+        np.take(x, at, axis=0, out=xr[k, :count])
+        zr[k, :count], wr[k, :count] = z[at], w[at]
+        for total, design, resp in sides:
+            if total[k] > 0.0:
+                xr[k, count], zr[k, count], wr[k, count] = design[k], resp[k], total[k]
+                count += 1
+    return xr, zr, wr
 
 
 def _own_columns(x, lam_w, own, pad=0.0):
@@ -1417,7 +1588,9 @@ def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     working set, so a path point is its single fit bit for bit (Tibshirani
     et al. 2012, section 7).  A problem whose fit failed with columns left
     out is solved again on all of them.  The certificates cover all p
-    columns.
+    columns, and on every row: a globbed fit (`_globbed`) passes g on the
+    full rows to the check, and its objective, duality gap and KKT residual
+    are those of the full rows.
     """
     kept = _working_sets(lam_ws)
     solved = [None] * len(lam_ws)

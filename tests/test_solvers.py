@@ -601,7 +601,9 @@ def test_unpolished_fit_is_fitted_again_at_a_tighter_tol(monkeypatch):
     # the full-data median pilot of a 2e4-row design (seed 7): at tol 1e-8
     # the interior point stops with 51 residuals below 5e-7, too close to
     # tell its 50 basic rows, and neither ranking certifies a vertex; the
-    # fit is run again alone at tol 1e-10, which does
+    # fit is run again alone at tol 1e-10, which does.  Its 15,000 active
+    # rows are globbed, and the reduced problem, which keeps those rows,
+    # takes the same retry on its own rows; the rest is the plain route
     from censlasso import data
 
     spec = GenerationSpec(n=20_000, p=50, beta0=(1.0, -2.0) + (0.0,) * 48, seed=7)
@@ -617,11 +619,18 @@ def test_unpolished_fit_is_fitted_again_at_a_tighter_tol(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_frisch_newton", spy)
+        globbed = fit_unpenalized(ds, w, loss)
+    assert tols == [solvers._GLOB_GAP, 1e-8, 1e-10]
+    tols.clear()
+    monkeypatch.setattr(solvers, "_GLOB_ROWS", 10**9)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
         fit = fit_unpenalized(ds, w, loss)
     assert tols == [1e-8, 1e-10]
     tight = fit_unpenalized(ds, w, loss, FitConfig(loss=loss, tol=1e-10))
     assert np.array_equal(fit.beta, tight.beta) and fit.iterations == tight.iterations
     assert fit.kkt_residual <= 1e-9 * ds.n
+    assert np.array_equal(globbed.beta, fit.beta) and globbed.kkt_residual <= 1e-9 * ds.n
     # a fit no tolerance certifies still raises, after one tighter try
     tols.clear()
     with monkeypatch.context() as patch:
@@ -1028,6 +1037,163 @@ def test_working_set_fits_are_the_unscreened_fits_property(seed, n, p, loss, fit
             assert type(got) is type(want)
             continue
         assert_same_fits([got], [want], loss, n)
+
+
+# --- row globbing against the unglobbed fits --------------------------------
+
+GLOB_LOSSES = LP_LOSSES[:3]
+GLOB_LOSS_IDS = LP_LOSS_IDS[:3]
+
+
+def glob_rounds(patch):
+    """A list that gets, for each `_globbed` call while the patch lasts, the
+    number of problems each of its reduced solves took."""
+    rounds, real_globbed, real_reduced = [], solvers._globbed, solvers._reduced
+
+    def globbed(*args):
+        rounds.append([])
+        return real_globbed(*args)
+
+    def reduced(x, z, w, band, *args):
+        rounds[-1].append(len(band))
+        return real_reduced(x, z, w, band, *args)
+
+    patch.setattr(solvers, "_globbed", globbed)
+    patch.setattr(solvers, "_reduced", reduced)
+    return rounds
+
+
+@pytest.mark.parametrize("band", [solvers._GLOB_BAND, 2], ids=["band", "thin-band"])
+@pytest.mark.parametrize("case", ["n60", "n150", "n400", "tied-responses", "duplicated-rows"])
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", GLOB_LOSSES, ids=GLOB_LOSS_IDS)
+def test_globbed_lp_fits_match_primal_lp_oracle(monkeypatch, loss, fit_intercept, case, band):
+    # the oracle cases with every median and quantile fit globbed; a thin
+    # band (2 rows per coordinate) makes collapsed rows cross, so fix-up
+    # rounds run too
+    monkeypatch.setattr(solvers, "_GLOB_ROWS", 0)
+    monkeypatch.setattr(solvers, "_GLOB_BAND", band)
+    rounds = glob_rounds(monkeypatch)
+    for seed in range(10):
+        if case.startswith("n"):
+            ds, w = random_problem(seed, n=int(case[1:]), p=5)
+        else:
+            ds, w = degenerate_case(seed, case)
+        assert_matches_primal_lp(ds, w, loss, fit_intercept)
+    assert rounds and all(rounds)
+
+
+@pytest.mark.parametrize("rounds", [solvers._GLOB_ROUNDS, 1], ids=["rounds", "one-round"])
+def test_globbed_fit_that_crosses_is_fixed_up(monkeypatch, rounds):
+    # a band of one row per coordinate leaves collapsed rows that cross the
+    # reduced fit: they join the band and a second reduced solve runs, or,
+    # with one round allowed, the fit is solved on all its rows.  Either way
+    # the fits are the unglobbed ones
+    loss = LossKind("quantile", tau=0.3)
+    fits, full_passes, newton = {}, [], solvers._frisch_newton
+
+    def spy(lp, normal_u, tol, max_iter):
+        if lp.x.ndim == 2 and lp.n == n_active and tol != solvers._GLOB_GAP:
+            full_passes.append(tol)
+        return newton(lp, normal_u, tol, max_iter)
+
+    for glob in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_GLOB_ROWS", 0 if glob else 10**9)
+            patch.setattr(solvers, "_GLOB_BAND", 1)
+            patch.setattr(solvers, "_GLOB_ROUNDS", rounds)
+            patch.setattr(solvers, "_frisch_newton", spy)
+            solves, full_passes[:] = glob_rounds(patch), []
+            fits[glob] = []
+            for seed in range(3):
+                ds, w = random_problem(seed, n=400, p=5)
+                n_active = int(np.count_nonzero(w.w > 0.0))
+                cfg = FitConfig(loss=loss, lam=ds.n ** 0.4)
+                pilot = fit_unpenalized(ds, w, loss, cfg)
+                fits[glob] += [pilot, fit_adaptive_lasso(ds, w, cfg, pilot.beta)]
+        assert bool(solves) == glob
+        if glob and rounds > 1:
+            assert any(len(solved) > 1 for solved in solves)
+        elif glob:
+            assert full_passes and all(len(solved) == 1 for solved in solves)
+    assert_same_fits(fits[True], fits[False], loss, 400)
+
+
+def globbed_and_unglobbed(patch, fit):
+    """fit() as it runs, and again with globbing off; also the `_globbed`
+    calls of the first run (`glob_rounds`)."""
+    with patch.context() as p:
+        rounds = glob_rounds(p)
+        globbed = fit()
+    with patch.context() as p:
+        p.setattr(solvers, "_GLOB_ROWS", 10**9)
+        unglobbed = fit()
+    return globbed, unglobbed, rounds
+
+
+def large_problem(seed=0):
+    # about 4500 active rows, above _GLOB_ROWS
+    ds, w = random_problem(seed, n=7000, p=8, beta=(1.0, -2.0, 0.0, 0.5) + (0.0,) * 4)
+    assert np.count_nonzero(w.w > 0.0) >= solvers._GLOB_ROWS
+    return ds, w
+
+
+@pytest.mark.parametrize("loss", GLOB_LOSSES[:2], ids=GLOB_LOSS_IDS[:2])
+def test_globbed_working_set_column_enters_through_the_full_row_duals(monkeypatch, loss):
+    # from a working set of one penalized column, the support's other
+    # columns enter through `_violators`, given a g on every active row
+    ds, w = large_problem()
+    n_active = int(np.count_nonzero(w.w > 0.0))
+    cfg = FitConfig(loss=loss, lam=ds.n ** 0.4)
+    tilde = fit_unpenalized(ds, w, loss, cfg).beta
+    checks, real = [], solvers._violators
+
+    def spy(g, x, lam_w, kept, col_max):
+        out = real(g, x, lam_w, kept, col_max)
+        checks.append((len(g), out.copy()))
+        return out
+
+    monkeypatch.setattr(solvers, "_WORKING_SET", 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_violators", spy)
+        fit, unglobbed, rounds = globbed_and_unglobbed(
+            patch, lambda: fit_adaptive_lasso(ds, w, cfg, tilde))
+    assert rounds and checks[0][0] == n_active and checks[0][1].any()
+    assert len(fit.support) > 1
+    monkeypatch.setattr(solvers, "_WORKING_SET", 10**9)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_GLOB_ROWS", 10**9)
+        full = fit_adaptive_lasso(ds, w, cfg, tilde)
+    assert_same_fits([fit, unglobbed], [full, full], loss, ds.n)
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", GLOB_LOSSES[:2], ids=GLOB_LOSS_IDS[:2])
+def test_globbed_bic_path_is_the_unglobbed_path(monkeypatch, loss, fit_intercept):
+    from censlasso.tuning import BicConfig, select_lambda
+
+    ds, w = large_problem(1)
+    cfg = FitConfig(loss=loss, fit_intercept=fit_intercept)
+    got, want, rounds = globbed_and_unglobbed(
+        monkeypatch, lambda: select_lambda(ds, w, loss, lambda_grid(ds.n), BicConfig(),
+                                           fit_config=cfg))
+    assert rounds
+    assert got.best.lam == want.best.lam and got.best.result.support == want.best.result.support
+    for a, b in zip(got.entries, want.entries):
+        assert abs(a.score - b.score) <= 1e-9 * max(1.0, abs(b.score))
+    assert_same_fits([e.result for e in got.entries], [e.result for e in want.entries], loss, ds.n)
+
+
+def test_globbed_fit_stopped_short_raises(monkeypatch):
+    # one iteration cannot reach the loose gap either
+    ds, w = large_problem()
+    loss = LossKind("median")
+    rounds = glob_rounds(monkeypatch)
+    with pytest.raises(NoConvergence):
+        fit_unpenalized(ds, w, loss, FitConfig(loss=loss, max_iter=1))
+    assert not rounds
+    fit = fit_unpenalized(ds, w, loss, FitConfig(loss=loss))
+    assert rounds and fit.duality_gap <= 1e-9 * fit.objective
 
 
 # --- adaptive lasso ---------------------------------------------------------
