@@ -10,19 +10,23 @@ coefficients there (zeros included).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
 import warnings
-# Unused here since the groups run as stacks in the calling thread; it stays
-# bound because the traced benchmark run (perfbench/spans.py) replaces it.
+from concurrent.futures import ProcessPoolExecutor
+# Unused here since no group runs on a thread of its own; it stays bound
+# because the traced benchmark run (perfbench/spans.py) replaces it.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import SurvivalDataset
 from .errors import CensLassoError, DimensionMismatch, InvalidK
 from .kaplan_meier import CensoringSurvivalCurve, fit_censoring_km, ipcw_weights
-from .solvers import EstimatorResult, FitConfig, fit_adaptive_lasso, fit_unpenalized
+from .solvers import (EstimatorResult, FitConfig, _fits_alone, fit_adaptive_lasso,
+                      fit_unpenalized)
 from .tuning import BicConfig, lambda_grid, select_lambda
 
 KM_SCOPES = ("per_group", "global")
@@ -163,11 +167,15 @@ def fit_aggregated(
     uses the fixed level config.lam, and the K groups' pilots are fitted in
     one call of `fit_unpenalized`, then their penalized fits in one call of
     `fit_adaptive_lasso`: each call runs the groups as lockstep stacks, each
-    group on its own rows (large groups one at a time), in the calling
-    thread.  A failing group, one whose fit did not converge included,
-    aborts the whole fit with its own error (the first in group order,
-    pilots before penalized fits).  n_jobs has no effect; it stays for
-    callers that still pass it.
+    group on its own rows (large groups one at a time).  A failing group,
+    one whose fit did not converge included, aborts the whole fit with its
+    own error (the first in group order, pilots before penalized fits).
+
+    With n_jobs > 1, groups that each run one at a time (`_fits_alone`) are
+    fitted on up to n_jobs forked worker processes, one group per task,
+    where the platform forks; every group's fit is then the one it gets in
+    the calling process.  Groups that run as stacks stay in the calling
+    process whatever n_jobs is.
     """
     assignment = interleaved_split(dataset.n, plan.K)
     global_curve: CensoringSurvivalCurve | None = None
@@ -183,16 +191,14 @@ def fit_aggregated(
     subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
     weights = [ipcw_weights(sub, global_curve if global_curve is not None
                             else fit_censoring_km(sub)) for sub in subsets]
-    if bic_config is not None:
-        best = [select_lambda(sub, w, config.loss, lambda_grid(sub.n), bic_config,
-                              fit_config=config).best for sub, w in zip(subsets, weights)]
-        results = tuple(b.result for b in best)
-        lambdas = tuple(b.lam for b in best)
+    workers = min(n_jobs, plan.K)
+    pins = _blas_pins() if workers > 1 and _fits_alone(subsets, weights) else []
+    if pins:
+        pilots, results, lambdas = _pooled(subsets, weights, config, bic_config, workers, pins)
     else:
-        pilots = _group_results(fit_unpenalized(subsets, weights, config.loss, config))
-        results = _group_results(fit_adaptive_lasso(subsets, weights, config,
-                                                    [pilot.beta for pilot in pilots]))
-        lambdas = (config.lam,) * plan.K
+        pilots, results, lambdas = _group_fits(subsets, weights, config, bic_config)
+    _group_results(pilots)
+    results = _group_results(results)
 
     vote_counts = np.zeros(dataset.p, dtype=np.int64)
     for r in results:
@@ -206,6 +212,95 @@ def fit_aggregated(
         vote_counts=vote_counts,
         group_lambdas=lambdas,
     )
+
+
+def _group_fits(subsets, weights, config, bic_config):
+    """(pilots, fits, lambdas) of the groups in order: under bic_config each
+    group's BIC minimizer (no pilots), else the fixed-lambda pilots and,
+    unless a pilot failed, the penalized fits.  A pilot or fit that failed
+    is its error; an error of select_lambda is raised."""
+    if bic_config is not None:
+        best = [select_lambda(sub, w, config.loss, lambda_grid(sub.n), bic_config,
+                              fit_config=config).best for sub, w in zip(subsets, weights)]
+        return (), tuple(b.result for b in best), tuple(b.lam for b in best)
+    pilots = tuple(fit_unpenalized(subsets, weights, config.loss, config))
+    if any(isinstance(pilot, CensLassoError) for pilot in pilots):
+        return pilots, (), ()
+    fits = tuple(fit_adaptive_lasso(subsets, weights, config, [pilot.beta for pilot in pilots]))
+    return pilots, fits, (config.lam,) * len(subsets)
+
+
+# the groups, weights and settings that the forked workers of `_pooled` read
+_POOLED = None
+
+# OpenBLAS's own setters of its thread count, one per naming of its builds
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_pins() -> list:
+    """The thread-count setters of the OpenBLAS libraries loaded in this
+    process, found in /proc/self/maps, or [] where this process cannot fork
+    or they cannot be found.  A forked worker pins them to one thread: the
+    libraries keep their parent's thread count in a worker, and workers that
+    each spin as many threads as there are cores measured slower than
+    serial (median K = 25 at n = 1e5 on 2 cores: 0.61-0.64 s serially,
+    1.9-8.1 s on 2 workers, against 0.44-0.50 s pinned)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return []
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return []
+    pins = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        pins.extend(getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name))
+    return pins
+
+
+def _pinned(pins):
+    """A worker's start: its OpenBLAS runs on one thread."""
+    for pin in pins:
+        pin(1)
+
+
+def _pooled_group(k):
+    subsets, weights, config, bic_config = _POOLED
+    return _group_fits(subsets[k:k + 1], weights[k:k + 1], config, bic_config)
+
+
+def _pooled(subsets, weights, config, bic_config, workers, pins):
+    """`_group_fits` with each group fitted by a task of its own on a pool
+    of forked workers, which inherit the groups rather than receive them,
+    each pinned to one OpenBLAS thread by pins (`_blas_pins`).  Results
+    come back in group order, so the first error in group order is the one
+    raised or returned."""
+    global _POOLED
+    _POOLED = (subsets, weights, config, bic_config)
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_pinned, initargs=(pins,)) as pool:
+            parts = list(pool.map(_pooled_group, range(len(subsets))))
+    finally:
+        _POOLED = None
+    pilots, results, lambdas = (tuple(x for part in parts for x in part[i]) for i in range(3))
+    if any(isinstance(pilot, CensLassoError) for pilot in pilots):
+        return pilots, (), ()
+    return pilots, tuple(map(_unpickled, results)), lambdas
+
+
+def _unpickled(result):
+    """A result back from a worker, its arrays read-only again."""
+    if isinstance(result, CensLassoError):
+        return result
+    return EstimatorResult(**{f.name: getattr(result, f.name) for f in fields(result)})
 
 
 def _group_results(fits) -> tuple[EstimatorResult, ...]:

@@ -347,12 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--km-scope", default=AggregationPlan.km_scope,
                        choices=KM_SCOPES)
     p_agg.add_argument("--output", required=True)
-    # the groups run as lockstep stacks in the calling thread (a thread pool
-    # over single group fits had measured slower than serial); the flag
-    # stays, without effect, until the benchmark's aggregate command line
-    # stops passing it
-    add_threads(p_agg, 1, "accepted for compatibility; has no effect (the groups "
-                          "are fitted as lockstep stacks in one thread)")
+    add_threads(p_agg, 1, "worker processes over groups that are fitted one at a "
+                          "time (groups fitted as lockstep stacks stay in this "
+                          "process; default 1 = serial)")
     p_agg.set_defaults(func=cmd_aggregate, needs_lambda_choice=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study from a config file")

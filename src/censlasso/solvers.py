@@ -16,8 +16,9 @@ carries its KKT residual.  Two solver routes:
   equality per coefficient and intercept, and the adaptive-L1 penalty as one
   pseudo-row per penalized coordinate (response 0, box [-lam_j, lam_j]).
   Each iteration solves one (p + J) x (p + J) system; `max_iter` bounds the
-  iterations and `tol` is the relative complementarity gap at which they
-  stop.  Two kinds of coordinate are set to 0 first: one whose penalty is
+  iterations of each interior-point pass and `tol` is the relative
+  complementarity gap at which they stop (a globbed fit, below, makes
+  several passes, and its `iterations` sums them).  Two kinds of coordinate are set to 0 first: one whose penalty is
   beyond what its dual constraint can reach (0 at every optimum), and an
   unpenalized one whose column depends on the intercepts and earlier
   unpenalized columns (it adds nothing to the fit, so some optimum has it
@@ -80,20 +81,23 @@ violators join the set and only their problems are solved again.
 
 Median and quantile fits on at least _GLOB_ROWS shared rows glob their rows
 (`_globbed`; Portnoy & Koenker 1997, section 3).  The interior point runs on
-all rows only to the loose gap _GLOB_GAP; the _GLOB_BAND x m rows with the
-smallest residuals there form the band (m the problem's columns and
-intercept, working set or not), and the rows above and below it
+all rows only to the loose gap _GLOB_GAP; the rows with the smallest
+residuals there form the band, _GLOB_BAND x m of them (m the problem's
+columns and intercept, working set or not) but at most a share _GLOB_SHARE
+of the rows, and the rows above and below it
 collapse into one pseudo-row each.  While every collapsed row keeps its sign
 the reduced LP has the full LP's objective and dual objective, so the
 reduced problems are solved on rows of their own through the usual route,
 a collapsed row that crosses the fit joins the band for another round, and
 a fit whose rows still cross after _GLOB_ROUNDS rounds is solved on all its
-rows.  Certificates are taken on the full rows.
+rows.  Certificates are taken on the full rows.  Each pass, the loose one
+included, gets `max_iter` iterations.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +116,12 @@ from .losses import LossKind, expectile_grad, pointwise_loss, check_loss
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings shared by the unpenalized and penalized fits."""
+    """Solver settings shared by the unpenalized and penalized fits.
+
+    max_iter bounds each interior-point pass or Newton solve; a fit that
+    makes several (a globbed LP fit, a working set that grows, a retry at a
+    tighter tol) may report more `iterations` than max_iter in all.
+    """
 
     loss: LossKind
     lam: float = 0.0
@@ -311,11 +320,14 @@ _WORKING_SET = 8
 _SCREEN_SLACK = 1e-9
 # the fewest shared active rows at which a median or quantile fit globs its
 # rows (`_globbed`): on `massive-fixed`'s design (p = 50, seeds 1, 3, 5 and
-# 7, median and quantile, pilot and penalized fit) globbing took 0.16 s
-# against 0.13-0.14 s at about 2000 active rows, tied at about 3000
+# 7, median and quantile, pilot and penalized fit) a band of 32 m rows took
+# 0.16 s against 0.13-0.14 s at about 2000 active rows, tied at about 3000
 # (0.19-0.21 s each), and took 0.22 against 0.25 s at about 4000 and 0.27
-# against 0.38 s at about 6000; `mc-bic`'s fits (about 1500 rows) stay below
-_GLOB_ROWS = 4000
+# against 0.38 s at about 6000; with the band capped by _GLOB_SHARE, the
+# median and quantile K = 25 groups at n = 1e5 (about 3000 active rows,
+# fitted one at a time) took 0.48-0.50 and 0.53-0.54 s against 0.62-0.71
+# and 0.67-0.80 s unglobbed; `mc-bic`'s fits (about 1500 rows) stay below
+_GLOB_ROWS = 2500
 # relative complementarity gap at which a globbed fit's pass on all rows
 # stops, its residuals then choosing the band: the same fits took 0.56-0.64 s
 # at n = 2e4 and 2.54-2.64 s at n = 1e5 at 0.1, 0.67-0.70 and 2.68-2.74 s
@@ -329,6 +341,12 @@ _GLOB_GAP = 0.1
 # n = 2e4 with 16 / 24 / 32 / 48, and 3.42-3.52 / 2.55-2.64 / 2.36-2.47 /
 # 2.14-2.53 s at n = 1e5; 32 lies between the two best
 _GLOB_BAND = 32
+# the largest share of a globbed problem's rows in its band: on those K = 25
+# groups (about 345 band rows) 0.08 / 0.115 / 0.15 took 0.47-0.52 /
+# 0.48-0.50 / 0.55-0.74 s (median) and 0.55-0.61 / 0.53-0.54 / 0.56-0.58 s
+# (quantile); the cap lies above 32 m from about 14,200 rows at p = 50, so
+# the K = 1 fits at n = 2e4 and 1e5 keep 32 m
+_GLOB_SHARE = 0.115
 # reduced solves of a globbed problem before one whose collapsed rows still
 # cross the fit is solved on all its rows: no problem needed more than two
 # (K = 1 pilot and penalized fits at n = 2e4, seeds 1-7, and at n = 1e5,
@@ -944,7 +962,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     all rows and single refits): its stack's interior point stops at the
     loose gap _GLOB_GAP, where a pass that stops short raises NoConvergence
     as above, and its problems are solved by `_globbed` from the residuals
-    there, with the band m counting all p columns and the intercept.  Its
+    there, with the band m counting all p columns and the intercept, and
+    capped at the share _GLOB_SHARE of the rows.  Its
     vertex, dual objective and g are then the reduced problem's, g spread
     over the full rows, and its iterations count the loose pass and every
     pass after it, so `max_iter` bounds each pass.
@@ -1034,7 +1053,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             globbed = {}
             if live.size:
                 resid = z - lp.fitted(theta[live])[:, :lp.n]
-                globbed = dict(zip(live, _globbed(x, z, w, resid, _GLOB_BAND * (p + lp.m - lp.p),
+                size = min(_GLOB_BAND * (p + lp.m - lp.p), math.ceil(_GLOB_SHARE * len(z)))
+                globbed = dict(zip(live, _globbed(x, z, w, resid, size,
                                                   loss, lam_w[at[live]], fit_intercept, tol,
                                                   max_iter)))
             for k, b in enumerate(at):
@@ -1539,11 +1559,25 @@ def _fit_groups(rows, loss, lam_ws, config, beta_start=None) -> list:
     time, each group's active rows copied just before its own fit."""
     if len(rows) == 1:  # a single group is its own rows, with no padding
         return _fit_path(*_active_rows(*rows[0]), loss, lam_ws, config, beta_start)
-    if max(np.count_nonzero(keep) for _, _, keep in rows) * rows[0][0].p <= _OWN_STACK:
+    if not _alone(rows):
         return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
     return [fit for k, row in enumerate(rows)
             for fit in _fit_path(*_active_rows(*row), loss, lam_ws[k:k + 1], config,
                                  None if beta_start is None else beta_start[k])]
+
+
+def _alone(rows) -> bool:
+    """Whether `_fit_groups` fits these groups one at a time: some group's
+    design holds more than _OWN_STACK doubles."""
+    return max(np.count_nonzero(keep) for _, _, keep in rows) * rows[0][0].p > _OWN_STACK
+
+
+def _fits_alone(datasets, weights) -> bool:
+    """Whether `fit_unpenalized` and `fit_adaptive_lasso` fit these groups
+    one at a time, each as its single fit, so that a group fitted on its
+    own, anywhere, gets the same result."""
+    rows, _ = _rows_of(datasets, weights)
+    return len(rows) > 1 and _alone(rows)
 
 
 class AdaptiveLassoPath(tuple):

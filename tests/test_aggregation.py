@@ -208,6 +208,84 @@ def test_fit_aggregated_n_jobs_changes_nothing(loss, monkeypatch):
         assert a.iterations == b.iterations
 
 
+# --- groups on worker processes ----------------------------------------------
+
+def counting_pool(monkeypatch):
+    """The worker counts of every process pool fit_aggregated starts."""
+    from censlasso import aggregation
+
+    started, real = [], aggregation.ProcessPoolExecutor
+
+    def pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(aggregation, "ProcessPoolExecutor", pool)
+    return started
+
+
+def same_result(a, b):
+    assert np.array_equal(a.beta, b.beta) and np.array_equal(a.intercepts, b.intercepts)
+    assert (a.objective, a.iterations, a.converged, a.duality_gap, a.kkt_residual) == \
+        (b.objective, b.iterations, b.converged, b.duality_gap, b.kkt_residual)
+
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["fixed", "bic"])
+@pytest.mark.parametrize("loss", [LossKind("expectile", tau=0.4), LossKind("median"),
+                                  LossKind("quantile", tau=0.3)],
+                         ids=["expectile", "median", "quantile"])
+def test_pooled_groups_are_the_serial_groups(loss, tuned, monkeypatch):
+    # groups that run one at a time are fitted on worker processes, each
+    # the fit it gets in the calling process
+    from censlasso import solvers
+
+    monkeypatch.setattr(solvers, "_OWN_STACK", 0)
+    started = counting_pool(monkeypatch)
+    ds = make_problem(400, p=4, seed=5)
+    config = FitConfig(loss=loss, lam=100 ** 0.4)
+    bic = BicConfig() if tuned else None
+    plan = AggregationPlan(K=4, w=2)
+    serial = fit_aggregated(ds, plan, config, bic_config=bic, n_jobs=1)
+    assert started == []
+    pooled = fit_aggregated(ds, plan, config, bic_config=bic, n_jobs=3)
+    assert started == [3]
+    assert np.array_equal(serial.beta_check, pooled.beta_check)
+    assert serial.voted_support == pooled.voted_support
+    assert serial.group_lambdas == pooled.group_lambdas
+    assert np.array_equal(serial.vote_counts, pooled.vote_counts)
+    for a, b in zip(serial.group_results, pooled.group_results):
+        same_result(a, b)
+        assert not b.beta.flags.writeable and not b.intercepts.flags.writeable
+    # no more workers than groups
+    fit_aggregated(ds, AggregationPlan(K=2, w=1), config, bic_config=bic, n_jobs=8)
+    assert started == [3, 2]
+
+
+def test_stacked_groups_stay_in_the_calling_process(monkeypatch):
+    started = counting_pool(monkeypatch)
+    ds = make_problem(400, p=4, seed=5)
+    loss = LossKind("median")
+    fit_aggregated(ds, AggregationPlan(K=4, w=2), FitConfig(loss=loss, lam=4.0), n_jobs=4)
+    assert started == []
+
+
+def test_pooled_group_that_fails_raises_the_serial_error(monkeypatch):
+    # the first failing group in group order, pilots first, as serially
+    from censlasso import solvers
+
+    monkeypatch.setattr(solvers, "_OWN_STACK", 0)
+    started = counting_pool(monkeypatch)
+    ds = make_problem(400, p=4, seed=5)
+    config = FitConfig(loss=LossKind("median"), lam=4.0, max_iter=1)
+    plan = AggregationPlan(K=4, w=2)
+    errors = []
+    for n_jobs in (1, 2):
+        with pytest.raises(NoConvergence) as exc:
+            fit_aggregated(ds, plan, config, n_jobs=n_jobs)
+        errors.append(str(exc.value))
+    assert started == [2] and errors[0] == errors[1]
+
+
 # --- group stacks against groups fitted alone ---------------------------------
 
 STACK_LOSSES = [LossKind("median"), LossKind("quantile", tau=0.3),

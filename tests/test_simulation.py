@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -268,6 +269,21 @@ def test_report_csv_tables(tmp_path):
     devs = (tmp_path / "deviations.csv").read_text().splitlines()
     assert devs[0] == "method,plan,coordinate,replication,deviation"
     assert len(devs) == 1 + 2 * 2  # two active coordinates x two replications
+
+
+def test_timing_benchmark_fits_groups_on_one_worker_per_cpu(monkeypatch):
+    spec = tiny_spec(M=1, methods=[MethodSpec("median")],
+                     plans=[AggregationPlan(K=1, w=1), AggregationPlan(K=2, w=1)])
+    seen = []
+    fit = simulation.fit_aggregated
+
+    def spy(*args, n_jobs=1, **kwargs):
+        seen.append(n_jobs)
+        return fit(*args, n_jobs=n_jobs, **kwargs)
+
+    monkeypatch.setattr(simulation, "fit_aggregated", spy)
+    timing_benchmark(spec)
+    assert seen == [os.cpu_count() or 1] * 2
 
 
 def test_timing_benchmark_rows(tmp_path, monkeypatch):

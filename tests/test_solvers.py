@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -1136,6 +1137,36 @@ def large_problem(seed=0):
     ds, w = random_problem(seed, n=7000, p=8, beta=(1.0, -2.0, 0.0, 0.5) + (0.0,) * 4)
     assert np.count_nonzero(w.w > 0.0) >= solvers._GLOB_ROWS
     return ds, w
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True], ids=["no-intercept", "intercept"])
+@pytest.mark.parametrize("loss", GLOB_LOSSES, ids=GLOB_LOSS_IDS)
+def test_globbed_band_is_capped_by_its_share_of_the_rows(monkeypatch, loss, fit_intercept):
+    # where _GLOB_SHARE of the rows is fewer than _GLOB_BAND x m, the band
+    # is that share, and the fits are still the unglobbed ones
+    ds, w = large_problem(2)
+    n_active = int(np.count_nonzero(w.w > 0.0))
+    cfg = FitConfig(loss=loss, lam=ds.n ** 0.4, fit_intercept=fit_intercept)
+    sizes, real = [], solvers._globbed
+
+    def spy(x, z, w, resid, size, *args):
+        sizes.append(size)
+        return real(x, z, w, resid, size, *args)
+
+    monkeypatch.setattr(solvers, "_GLOB_SHARE", 0.02)
+    monkeypatch.setattr(solvers, "_globbed", spy)
+
+    def fits():
+        pilot = fit_unpenalized(ds, w, loss, cfg)
+        return [pilot, fit_adaptive_lasso(ds, w, cfg, pilot.beta)]
+
+    globbed = fits()
+    assert sizes and set(sizes) == {math.ceil(0.02 * n_active)}
+    assert sizes[0] < solvers._GLOB_BAND * (ds.p + fit_intercept)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_GLOB_ROWS", 10**9)
+        unglobbed = fits()
+    assert_same_fits(globbed, unglobbed, loss, ds.n)
 
 
 @pytest.mark.parametrize("loss", GLOB_LOSSES[:2], ids=GLOB_LOSS_IDS[:2])
