@@ -25,8 +25,7 @@ import numpy as np
 from .data import SurvivalDataset
 from .errors import CensLassoError, DimensionMismatch, InvalidK
 from .kaplan_meier import CensoringSurvivalCurve, fit_censoring_km, ipcw_weights
-from .solvers import (EstimatorResult, FitConfig, _fits_alone, fit_adaptive_lasso,
-                      fit_unpenalized)
+from .solvers import EstimatorResult, FitConfig, _alone, fit_adaptive_lasso, fit_unpenalized
 from .tuning import BicConfig, lambda_grid, select_lambda
 
 KM_SCOPES = ("per_group", "global")
@@ -171,11 +170,12 @@ def fit_aggregated(
     one whose fit did not converge included, aborts the whole fit with its
     own error (the first in group order, pilots before penalized fits).
 
-    With n_jobs > 1, groups that each run one at a time (`_fits_alone`) are
-    fitted on up to n_jobs forked worker processes, one group per task,
-    where the platform forks; every group's fit is then the one it gets in
-    the calling process.  Groups that run as stacks stay in the calling
-    process whatever n_jobs is.
+    With n_jobs > 1, groups that each run one at a time (`_alone`) are
+    fitted on up to n_jobs forked worker processes, one group per task, each
+    task taking its group's rows and censoring curve too, where the platform
+    forks; every group's fit is then the one it gets in the calling process.
+    Groups that run as stacks stay in the calling process whatever n_jobs
+    is.
     """
     assignment = interleaved_split(dataset.n, plan.K)
     global_curve: CensoringSurvivalCurve | None = None
@@ -187,15 +187,18 @@ def fit_aggregated(
         )
         global_curve = fit_censoring_km(used)
 
-    # one group is the whole dataset, which is immutable: no copy
-    subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
-    weights = [ipcw_weights(sub, global_curve if global_curve is not None
-                            else fit_censoring_km(sub)) for sub in subsets]
     workers = min(n_jobs, plan.K)
-    pins = _blas_pins() if workers > 1 and _fits_alone(subsets, weights) else []
+    # an IPCW weight is positive exactly on an event: the events are the
+    # active rows that decide whether the groups run one at a time
+    events = [np.count_nonzero(dataset.delta[g]) for g in assignment.groups]
+    pins = _blas_pins() if workers > 1 and _alone(events, dataset.p) else []
     if pins:
-        pilots, results, lambdas = _pooled(subsets, weights, config, bic_config, workers, pins)
+        pilots, results, lambdas = _pooled(dataset, assignment.groups, global_curve, config,
+                                           bic_config, workers, pins)
     else:
+        # one group is the whole dataset, which is immutable: no copy
+        subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
+        weights = [_weights(sub, global_curve) for sub in subsets]
         pilots, results, lambdas = _group_fits(subsets, weights, config, bic_config)
     _group_results(pilots)
     results = _group_results(results)
@@ -214,6 +217,11 @@ def fit_aggregated(
     )
 
 
+def _weights(sub, global_curve):
+    """A group's IPCW weights, on the full-data curve or its own."""
+    return ipcw_weights(sub, global_curve if global_curve is not None else fit_censoring_km(sub))
+
+
 def _group_fits(subsets, weights, config, bic_config):
     """(pilots, fits, lambdas) of the groups in order: under bic_config each
     group's BIC minimizer (no pilots), else the fixed-lambda pilots and,
@@ -230,7 +238,8 @@ def _group_fits(subsets, weights, config, bic_config):
     return pilots, fits, (config.lam,) * len(subsets)
 
 
-# the groups, weights and settings that the forked workers of `_pooled` read
+# the dataset, groups, censoring curve and settings that the forked
+# workers of `_pooled` read
 _POOLED = None
 
 # OpenBLAS's own setters of its thread count, one per naming of its builds
@@ -271,23 +280,24 @@ def _pinned(pins):
 
 
 def _pooled_group(k):
-    subsets, weights, config, bic_config = _POOLED
-    return _group_fits(subsets[k:k + 1], weights[k:k + 1], config, bic_config)
+    dataset, groups, global_curve, config, bic_config = _POOLED
+    sub = dataset.subset(groups[k])
+    return _group_fits([sub], [_weights(sub, global_curve)], config, bic_config)
 
 
-def _pooled(subsets, weights, config, bic_config, workers, pins):
-    """`_group_fits` with each group fitted by a task of its own on a pool
-    of forked workers, which inherit the groups rather than receive them,
-    each pinned to one OpenBLAS thread by pins (`_blas_pins`).  Results
-    come back in group order, so the first error in group order is the one
-    raised or returned."""
+def _pooled(dataset, groups, global_curve, config, bic_config, workers, pins):
+    """`_group_fits` with each group's rows, weights and fits made by a task
+    of its own on a pool of forked workers, which inherit the dataset rather
+    than receive it, each pinned to one OpenBLAS thread by pins
+    (`_blas_pins`).  Results come back in group order, so the first error in
+    group order is the one raised or returned."""
     global _POOLED
-    _POOLED = (subsets, weights, config, bic_config)
+    _POOLED = (dataset, groups, global_curve, config, bic_config)
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_pinned, initargs=(pins,)) as pool:
-            parts = list(pool.map(_pooled_group, range(len(subsets))))
+            parts = list(pool.map(_pooled_group, range(len(groups))))
     finally:
         _POOLED = None
     pilots, results, lambdas = (tuple(x for part in parts for x in part[i]) for i in range(3))

@@ -1559,25 +1559,19 @@ def _fit_groups(rows, loss, lam_ws, config, beta_start=None) -> list:
     time, each group's active rows copied just before its own fit."""
     if len(rows) == 1:  # a single group is its own rows, with no padding
         return _fit_path(*_active_rows(*rows[0]), loss, lam_ws, config, beta_start)
-    if not _alone(rows):
+    if not _alone([np.count_nonzero(keep) for _, _, keep in rows], rows[0][0].p):
         return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
     return [fit for k, row in enumerate(rows)
             for fit in _fit_path(*_active_rows(*row), loss, lam_ws[k:k + 1], config,
                                  None if beta_start is None else beta_start[k])]
 
 
-def _alone(rows) -> bool:
-    """Whether `_fit_groups` fits these groups one at a time: some group's
-    design holds more than _OWN_STACK doubles."""
-    return max(np.count_nonzero(keep) for _, _, keep in rows) * rows[0][0].p > _OWN_STACK
-
-
-def _fits_alone(datasets, weights) -> bool:
-    """Whether `fit_unpenalized` and `fit_adaptive_lasso` fit these groups
-    one at a time, each as its single fit, so that a group fitted on its
-    own, anywhere, gets the same result."""
-    rows, _ = _rows_of(datasets, weights)
-    return len(rows) > 1 and _alone(rows)
+def _alone(active, p) -> bool:
+    """Whether `fit_unpenalized` and `fit_adaptive_lasso` fit groups with
+    these counts of active rows one at a time, each as its single fit (so
+    a group fitted on its own, anywhere, gets the same result): some
+    group's design holds more than _OWN_STACK doubles."""
+    return max(active) * p > _OWN_STACK
 
 
 class AdaptiveLassoPath(tuple):
