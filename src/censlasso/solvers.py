@@ -18,7 +18,8 @@ carries its KKT residual.  Two solver routes:
   Each iteration solves one (p + J) x (p + J) system; `max_iter` bounds the
   iterations of each interior-point pass and `tol` is the relative
   complementarity gap at which they stop (a globbed fit, below, makes
-  several passes, and its `iterations` sums them).  Two kinds of coordinate are set to 0 first: one whose penalty is
+  several passes, and its `iterations` sums them).  Two kinds of
+  coordinate are set to 0 first: one whose penalty is
   beyond what its dual constraint can reach (0 at every optimum), and an
   unpenalized one whose column depends on the intercepts and earlier
   unpenalized columns (it adds nothing to the fit, so some optimum has it
