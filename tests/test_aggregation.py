@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from censlasso.aggregation import (
     AggregatedResult,
     AggregationPlan,
+    _blas_pins,
     aggregate,
     fit_aggregated,
     interleaved_split,
@@ -224,12 +225,18 @@ def counting_pool(monkeypatch):
     return started
 
 
+# where the platform cannot fork or no OpenBLAS thread setter is loaded,
+# fit_aggregated stays serial: the fallback test covers that path
+needs_pool = pytest.mark.skipif(not _blas_pins(), reason="no fork or no OpenBLAS thread setter")
+
+
 def same_result(a, b):
     assert np.array_equal(a.beta, b.beta) and np.array_equal(a.intercepts, b.intercepts)
     assert (a.objective, a.iterations, a.converged, a.duality_gap, a.kkt_residual) == \
         (b.objective, b.iterations, b.converged, b.duality_gap, b.kkt_residual)
 
 
+@needs_pool
 @pytest.mark.parametrize("tuned", [False, True], ids=["fixed", "bic"])
 @pytest.mark.parametrize("loss", [LossKind("expectile", tau=0.4), LossKind("median"),
                                   LossKind("quantile", tau=0.3)],
@@ -269,6 +276,23 @@ def test_stacked_groups_stay_in_the_calling_process(monkeypatch):
     assert started == []
 
 
+def test_groups_stay_serial_without_a_blas_thread_setter(monkeypatch):
+    from censlasso import aggregation, solvers
+
+    monkeypatch.setattr(solvers, "_OWN_STACK", 0)
+    monkeypatch.setattr(aggregation, "_blas_pins", lambda: [])
+    started = counting_pool(monkeypatch)
+    ds = make_problem(400, p=4, seed=5)
+    config = FitConfig(loss=LossKind("median"), lam=4.0)
+    plan = AggregationPlan(K=4, w=2)
+    serial = fit_aggregated(ds, plan, config, n_jobs=1)
+    other = fit_aggregated(ds, plan, config, n_jobs=3)
+    assert started == []
+    for a, b in zip(serial.group_results, other.group_results):
+        same_result(a, b)
+
+
+@needs_pool
 def test_pooled_group_that_fails_raises_the_serial_error(monkeypatch):
     # the first failing group in group order, pilots first, as serially
     from censlasso import solvers
