@@ -6,6 +6,13 @@ curve.  Each group gets its own pilot and adaptive-LASSO fit; a coordinate
 enters the voted support when at least w groups select it, and the aggregated
 coefficient on the voted support is the plain average of the group
 coefficients there (zeros included).
+
+`fit_aggregated` is the one place that schedules the group fits.  It plans
+them as blocks: all K groups in one block when they run as lockstep stacks,
+one block per group when some group is too large to gain from a stack
+(`solvers._alone`).  One task per block builds its groups' rows and IPCW
+weights and fits them; the tasks run in the calling process, or on a pool
+of forked workers (`_mapped`).
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 # Unused here since no group runs on a thread of its own; it stays bound
 # because the traced benchmark run (perfbench/spans.py) replaces it.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -163,19 +171,17 @@ def fit_aggregated(
 
     The penalty rule is the bic_config: given one, each group scans its own
     BIC grid under it and config.lam is not used.  Given None, every group
-    uses the fixed level config.lam, and the K groups' pilots are fitted in
-    one call of `fit_unpenalized`, then their penalized fits in one call of
-    `fit_adaptive_lasso`: each call runs the groups as lockstep stacks, each
-    group on its own rows (large groups one at a time).  A failing group,
-    one whose fit did not converge included, aborts the whole fit with its
-    own error (the first in group order, pilots before penalized fits).
+    uses the fixed level config.lam.  A failing group, one whose fit did not
+    converge included, aborts the whole fit with its own error (the first
+    in group order, pilots before penalized fits).
 
-    With n_jobs > 1, groups that each run one at a time (`_alone`) are
-    fitted on up to n_jobs forked worker processes, one group per task, each
-    task taking its group's rows and censoring curve too, where the platform
-    forks; every group's fit is then the one it gets in the calling process.
-    Groups that run as stacks stay in the calling process whatever n_jobs
-    is.
+    The groups are fitted in blocks, a task each that builds its groups'
+    rows and IPCW weights just before fitting them: all K groups in one
+    block, run as lockstep stacks, unless some group is too large to gain
+    from one (`_alone`), then one block per group, each fitted as its single
+    fit.  With n_jobs > 1 and several blocks the tasks run on up to n_jobs
+    forked workers (`_mapped`), each group's fit the one it gets in the
+    calling process.
     """
     assignment = interleaved_split(dataset.n, plan.K)
     global_curve: CensoringSurvivalCurve | None = None
@@ -187,21 +193,17 @@ def fit_aggregated(
         )
         global_curve = fit_censoring_km(used)
 
-    workers = min(n_jobs, plan.K)
     # an IPCW weight is positive exactly on an event: the events are the
     # active rows that decide whether the groups run one at a time
     events = [np.count_nonzero(dataset.delta[g]) for g in assignment.groups]
-    pins = _blas_pins() if workers > 1 and _alone(events, dataset.p) else []
-    if pins:
-        pilots, results, lambdas = _pooled(dataset, assignment.groups, global_curve, config,
-                                           bic_config, workers, pins)
-    else:
-        # one group is the whole dataset, which is immutable: no copy
-        subsets = [dataset] if plan.K == 1 else [dataset.subset(g) for g in assignment.groups]
-        weights = [_weights(sub, global_curve) for sub in subsets]
-        pilots, results, lambdas = _group_fits(subsets, weights, config, bic_config)
-    _group_results(pilots)
-    results = _group_results(results)
+    ks = range(plan.K)
+    blocks = [[k] for k in ks] if _alone(events, dataset.p) else [list(ks)]
+    task = partial(_block_fits, dataset, assignment.groups, global_curve, config, bic_config)
+    parts = _mapped(task, blocks, min(n_jobs, len(blocks)))
+    pilots, results, lambdas = (tuple(x for part in parts for x in part[i]) for i in range(3))
+    for fit in pilots + results:  # the first error in group order, pilots first
+        if isinstance(fit, CensLassoError):
+            raise fit
 
     vote_counts = np.zeros(dataset.p, dtype=np.int64)
     for r in results:
@@ -217,9 +219,14 @@ def fit_aggregated(
     )
 
 
-def _weights(sub, global_curve):
-    """A group's IPCW weights, on the full-data curve or its own."""
-    return ipcw_weights(sub, global_curve if global_curve is not None else fit_censoring_km(sub))
+def _block_fits(dataset, groups, global_curve, config, bic_config, block):
+    """`_group_fits` of the groups `block` (indices into groups), on the
+    full-data curve or each group's own."""
+    # one group is the whole dataset, which is immutable: no copy
+    subsets = [dataset] if len(groups) == 1 else [dataset.subset(groups[k]) for k in block]
+    weights = [ipcw_weights(sub, global_curve if global_curve is not None
+                            else fit_censoring_km(sub)) for sub in subsets]
+    return _group_fits(subsets, weights, config, bic_config)
 
 
 def _group_fits(subsets, weights, config, bic_config):
@@ -238,9 +245,8 @@ def _group_fits(subsets, weights, config, bic_config):
     return pilots, fits, (config.lam,) * len(subsets)
 
 
-# the dataset, groups, censoring curve and settings that the forked
-# workers of `_pooled` read
-_POOLED = None
+# the task that a forked worker of `_mapped` runs, set as it starts
+_TASK = None
 
 # OpenBLAS's own setters of its thread count, one per naming of its builds
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -273,49 +279,28 @@ def _blas_pins() -> list:
     return pins
 
 
-def _pinned(pins):
-    """A worker's start: its OpenBLAS runs on one thread."""
+def _started(pins, task):
+    """A worker's start: its OpenBLAS runs on one thread, and it keeps the
+    task it runs, inherited through the fork rather than pickled."""
+    global _TASK
+    _TASK = task
     for pin in pins:
         pin(1)
 
 
-def _pooled_group(k):
-    dataset, groups, global_curve, config, bic_config = _POOLED
-    sub = dataset.subset(groups[k])
-    return _group_fits([sub], [_weights(sub, global_curve)], config, bic_config)
+def _run_task(block):
+    return _TASK(block)
 
 
-def _pooled(dataset, groups, global_curve, config, bic_config, workers, pins):
-    """`_group_fits` with each group's rows, weights and fits made by a task
-    of its own on a pool of forked workers, which inherit the dataset rather
-    than receive it, each pinned to one OpenBLAS thread by pins
-    (`_blas_pins`).  Results come back in group order, so the first error in
-    group order is the one raised or returned."""
-    global _POOLED
-    _POOLED = (dataset, groups, global_curve, config, bic_config)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_pinned, initargs=(pins,)) as pool:
-            parts = list(pool.map(_pooled_group, range(len(groups))))
-    finally:
-        _POOLED = None
-    pilots, results, lambdas = (tuple(x for part in parts for x in part[i]) for i in range(3))
-    if any(isinstance(pilot, CensLassoError) for pilot in pilots):
-        return pilots, (), ()
-    return pilots, tuple(map(_unpickled, results)), lambdas
+def _mapped(task, blocks, workers) -> list:
+    """[task(block) for block in blocks], in order.  With more than one
+    worker, and where this process forks and its OpenBLAS thread setters are
+    found (`_blas_pins`), on a pool of that many forked workers, each pinned
+    to one OpenBLAS thread; else with the builtin map in this process."""
+    pins = _blas_pins() if workers > 1 else []
+    if not pins:
+        return list(map(task, blocks))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_started, initargs=(pins, task)) as pool:
+        return list(pool.map(_run_task, blocks))
 
-
-def _unpickled(result):
-    """A result back from a worker, its arrays read-only again."""
-    if isinstance(result, CensLassoError):
-        return result
-    return EstimatorResult(**{f.name: getattr(result, f.name) for f in fields(result)})
-
-
-def _group_results(fits) -> tuple[EstimatorResult, ...]:
-    """The groups' results in order; the first group's error is raised."""
-    for fit in fits:
-        if isinstance(fit, CensLassoError):
-            raise fit
-    return tuple(fits)

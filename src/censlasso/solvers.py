@@ -44,8 +44,9 @@ carries its KKT residual.  Two solver routes:
   stacks too, each problem on rows of its own: x (B, n, p), each group's
   rows padded with inert zero rows up to the stack's longest (`_padded`),
   and each group with its own columns, padded with zero columns
-  (`_own_columns`); groups too large to gain from it (`_OWN_STACK`) run one
-  at a time.  A fit whose iterations stop short raises `NoConvergence`.  A
+  (`_own_columns`); `fit_aggregated` fits groups too large to gain from it
+  (`_alone`, `_OWN_STACK`) one at a time instead, each as its single fit.
+  A fit whose iterations stop short raises `NoConvergence`.  A
   fit the polish leaves without a certified vertex is fitted again alone:
   one whose stack clipped its penalties (its central path is the stack's,
   not its own) as it is, any other at tol / 100 (down to 1e-10), as its
@@ -99,7 +100,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -163,6 +164,11 @@ class EstimatorResult:
         self.intercepts.setflags(write=False)
         if not np.isfinite(self.objective):
             raise SolverError("non-finite objective in fit result")
+
+    def __reduce__(self):
+        # through the constructor, so that an unpickled result's arrays are
+        # read-only again
+        return EstimatorResult, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def support(self) -> frozenset[int]:
@@ -1010,9 +1016,9 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     size = max(1, _STACK // (len(levels) * x.shape[-2] + p))
     dependent = None  # on shared rows, found on the first stack with coordinates
     outcomes = [None] * len(lam_w)
-    for start in range(0, len(lam_w), size):
-        at = np.arange(start, min(start + size, len(lam_w)))
-        xs, zs, ws = _stack_of(x, z, w, slice(start, start + len(at)))
+    for stack in [slice(start, start + size) for start in range(0, len(lam_w), size)]:
+        at = np.arange(len(lam_w))[stack]
+        xs, zs, ws = _stack_of(x, z, w, stack)
         if grouped:
             kept, xs, boxes = _own_columns(xs, lam_w[at], own[at])
             cols = dict(zip(at, kept))
@@ -1054,8 +1060,8 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
             globbed = {}
             if live.size:
                 resid = z - lp.fitted(theta[live])[:, :lp.n]
-                size = min(_GLOB_BAND * (p + lp.m - lp.p), math.ceil(_GLOB_SHARE * len(z)))
-                globbed = dict(zip(live, _globbed(x, z, w, resid, size,
+                band = min(_GLOB_BAND * (p + lp.m - lp.p), math.ceil(_GLOB_SHARE * len(z)))
+                globbed = dict(zip(live, _globbed(x, z, w, resid, band,
                                                   loss, lam_w[at[live]], fit_intercept, tol,
                                                   max_iter)))
             for k, b in enumerate(at):
@@ -1470,9 +1476,10 @@ def fit_unpenalized(
 
     dataset and weights may also be equal-length sequences (the groups of an
     aggregated fit): every group is then fitted on its own rows, all in
-    lockstep stacks as a path's points are, and the groups' fits come back
-    in order as an `AdaptiveLassoPath`, each its EstimatorResult or the
-    error it raised.
+    lockstep stacks as a path's points are, whatever their size, and the
+    groups' fits come back in order as an `AdaptiveLassoPath`, each its
+    EstimatorResult or the error it raised.  (`fit_aggregated` passes groups
+    too large to gain from a stack, `_alone`, one at a time.)
     """
     if config is None:
         config = FitConfig(loss=loss if loss is not None else LossKind(LossKind.MEDIAN))
@@ -1516,9 +1523,10 @@ def fit_adaptive_lasso(
 
     dataset, weights and beta_tilde may also be equal-length sequences (the
     groups of an aggregated fit, without lams): each group is fitted at
-    config.lam on its own rows with its own pilot, all in lockstep stacks,
-    and the groups' fits come back in order as an `AdaptiveLassoPath`.  A
-    group's fit is its single fit up to rounding.
+    config.lam on its own rows with its own pilot, all in lockstep stacks
+    whatever their size (as in `fit_unpenalized`), and the groups' fits come
+    back in order as an `AdaptiveLassoPath`.  A group's fit is its single
+    fit up to rounding.
     """
     single = lams is None
     lams = np.asarray([config.lam] if single else lams, dtype=float)
@@ -1555,22 +1563,15 @@ def _rows_of(dataset, weights):
 def _fit_groups(rows, loss, lam_ws, config, beta_start=None) -> list:
     """`_fit_path` for each row of penalties lam_ws: all on the one
     `_group`'s active rows, or each on its own group's (rows[k], and
-    beta_start[k] if given).  Groups run as one `_padded` stack while every
-    group's design holds at most _OWN_STACK doubles, else one group at a
-    time, each group's active rows copied just before its own fit."""
+    beta_start[k] if given), the groups as one `_padded` stack."""
     if len(rows) == 1:  # a single group is its own rows, with no padding
         return _fit_path(*_active_rows(*rows[0]), loss, lam_ws, config, beta_start)
-    if not _alone([np.count_nonzero(keep) for _, _, keep in rows], rows[0][0].p):
-        return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
-    return [fit for k, row in enumerate(rows)
-            for fit in _fit_path(*_active_rows(*row), loss, lam_ws[k:k + 1], config,
-                                 None if beta_start is None else beta_start[k])]
+    return _fit_path(*_padded(rows), loss, lam_ws, config, beta_start)
 
 
 def _alone(active, p) -> bool:
-    """Whether `fit_unpenalized` and `fit_adaptive_lasso` fit groups with
-    these counts of active rows one at a time, each as its single fit (so
-    a group fitted on its own, anywhere, gets the same result): some
+    """Whether `fit_aggregated` fits groups with these counts of active rows
+    one at a time, each as its single fit, rather than as one stack: some
     group's design holds more than _OWN_STACK doubles."""
     return max(active) * p > _OWN_STACK
 

@@ -268,6 +268,61 @@ def test_pooled_groups_are_the_serial_groups(loss, tuned, monkeypatch):
     assert started == [3, 2]
 
 
+def test_groups_too_large_to_stack_are_their_single_fits(monkeypatch):
+    # groups whose designs pass _OWN_STACK doubles run one at a time, each on
+    # its own rows with no padding: 25 shared-row problems of one each, the
+    # pilots' and then the penalized fits', each its single fit bit for bit
+    from censlasso import solvers
+
+    ds = make_problem(2500, p=5, seed=2)
+    subs = [ds.subset(g) for g in interleaved_split(ds.n, 25).groups]
+    weights = [ipcw_weights(sub, fit_censoring_km(sub)) for sub in subs]
+    active = [int(np.count_nonzero(w.w)) for w in weights]
+    seen, real = [], solvers._frisch_newton
+
+    def spy(lp, *args):
+        seen.append((len(lp.lo), lp.real is not None))
+        return real(lp, *args)
+
+    loss = LossKind("median")
+    config = FitConfig(loss=loss, lam=4.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_frisch_newton", spy)
+        patch.setattr(solvers, "_OWN_STACK", max(active) * ds.p - 1)
+        agg = fit_aggregated(ds, AggregationPlan(K=25, w=5), config)
+    assert seen == [(1, False)] * 50
+    for sub, w, fit in zip(subs, weights, agg.group_results):
+        pilot = fit_unpenalized(sub, w, loss, config)
+        same_result(fit, fit_adaptive_lasso(sub, w, config, pilot.beta))
+
+
+def test_groups_fitted_one_at_a_time_build_their_rows_in_turn(monkeypatch):
+    # each group's rows are built just before its own fits, so that only
+    # one group's copy is held at a time
+    from censlasso import solvers
+
+    steps, subset, fit_path = [], SurvivalDataset.subset, solvers._fit_path
+
+    def subset_spy(self, indices):
+        steps.append("subset")
+        return subset(self, indices)
+
+    def fit_spy(*args, **kwargs):
+        steps.append("fit")
+        return fit_path(*args, **kwargs)
+
+    monkeypatch.setattr(SurvivalDataset, "subset", subset_spy)
+    monkeypatch.setattr(solvers, "_fit_path", fit_spy)
+    ds = make_problem(400, p=4, seed=5)
+    plan, config = AggregationPlan(K=4, w=2), FitConfig(loss=LossKind("median"), lam=4.0)
+    fit_aggregated(ds, plan, config)
+    assert steps == ["subset"] * 4 + ["fit"] * 2  # one stack
+    steps.clear()
+    monkeypatch.setattr(solvers, "_OWN_STACK", 0)
+    fit_aggregated(ds, plan, config)
+    assert steps == ["subset", "fit", "fit"] * 4
+
+
 def test_stacked_groups_stay_in_the_calling_process(monkeypatch):
     started = counting_pool(monkeypatch)
     ds = make_problem(400, p=4, seed=5)
@@ -374,7 +429,7 @@ def test_group_stack_fits_are_the_groups_fitted_alone(loss, fit_intercept, seed,
 def test_group_stacks_pad_and_split(monkeypatch):
     # 25 groups of different active-row counts: padding is used, and the
     # groups split into stacks of _STACK // (rows + p), rows being the
-    # longest group's active-row count; groups too large to stack run apart
+    # longest group's active-row count
     from censlasso import solvers
 
     ds = make_problem(2500, p=5, seed=2)
@@ -395,17 +450,6 @@ def test_group_stacks_pad_and_split(monkeypatch):
         patch.setattr(solvers, "_STACK", 10 * (max(active) + 5))
         fits = fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
     assert [count for count, _ in seen] == [10, 10, 5] and all(padded for _, padded in seen)
-    # groups whose designs pass _OWN_STACK doubles run one at a time, each on
-    # its own rows with no padding: its single fit bit for bit
-    seen.clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_frisch_newton", spy)
-        patch.setattr(solvers, "_OWN_STACK", min(w.w.astype(bool).sum() for w in weights) * 5 - 1)
-        apart = fit_unpenalized(subs, weights, loss, FitConfig(loss=loss))
-    assert seen == [(1, False)] * 25
-    for sub, w, fit in zip(subs, weights, apart):
-        alone = fit_unpenalized(sub, w, loss)
-        assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
     for sub, w, fit in zip(subs, weights, fits):
         alone = fit_unpenalized(sub, w, loss)
         assert fit.support == alone.support
@@ -556,10 +600,8 @@ def test_failing_group_polish_leaves_the_other_groups_as_they_were(failing, loss
 
 
 @pytest.mark.parametrize("call", ["pilot", "penalized"])
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "one-at-a-time"])
-def test_group_checks_come_before_any_fit(call, stacked, monkeypatch):
-    # every group is checked before the first group is fitted, also when
-    # groups too large to stack are fitted, and their rows built, one at a time
+def test_group_checks_come_before_any_fit(call, monkeypatch):
+    # every group is checked before the groups' stack is fitted
     from censlasso import solvers
 
     ds = make_problem(300, p=4, seed=3)
@@ -574,8 +616,6 @@ def test_group_checks_come_before_any_fit(call, stacked, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "_fit_path", spy)
-    if not stacked:
-        monkeypatch.setattr(solvers, "_OWN_STACK", 0)
     loss = LossKind("median")
     config = FitConfig(loss=loss, lam=1.0)
 
@@ -595,7 +635,7 @@ def test_group_checks_come_before_any_fit(call, stacked, monkeypatch):
             fit(datasets, wts)
     assert fitted == []
     fit(subs, weights)
-    assert len(fitted) == (1 if stacked else 3)
+    assert len(fitted) == 1
 
 
 def test_fit_aggregated_km_scopes_both_run():

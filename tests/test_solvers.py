@@ -742,6 +742,38 @@ def test_expectile_active_set_route_is_the_cd_route(seed, n, p, tau, fit_interce
         assert got.kkt_residual <= 1e-6 * n, lam
 
 
+def test_expectile_step_that_does_not_descend_is_halved(monkeypatch):
+    # heavy-tailed weights at an extreme tau: a Newton target that changes
+    # the residual signs without lowering the objective is backtracked (3
+    # halvings here), and the fit still converges to its KKT bound.  Each
+    # objective evaluation takes two `_row_dot`s: one at the start, one per
+    # Newton step and one per halving
+    rng = np.random.default_rng(49)
+    x = rng.normal(size=(10, 2))
+    y = np.exp(x @ np.array([1.0, -1.0]) + rng.standard_t(2, size=10))
+    ds, w = small_dataset(y, np.ones(10), x), make_weights(rng.pareto(1.0, size=10) + 0.01)
+    loss = LossKind("expectile", tau=0.05)
+    halvings, dots = [], []
+    newton, row_dot = solvers._expectile_newton, solvers._row_dot
+
+    def dot_spy(u, v):
+        dots.append(1)
+        return row_dot(u, v)
+
+    def newton_spy(*args):
+        dots.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_row_dot", dot_spy)
+            out = newton(*args)
+        halvings.append(len(dots) // 2 - 1 - int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(solvers, "_expectile_newton", newton_spy)
+    fit = fit_unpenalized(ds, w, loss, FitConfig(loss=loss))
+    assert halvings == [3]
+    assert fit.converged and fit.kkt_residual <= 1e-6 * ds.n
+
+
 def test_expectile_square_design_interpolates():
     # as many rows as columns: the fit interpolates, so its residuals are 0
     # up to rounding and their signs flip from one Newton step to the next;
@@ -1213,6 +1245,31 @@ def test_globbed_bic_path_is_the_unglobbed_path(monkeypatch, loss, fit_intercept
     for a, b in zip(got.entries, want.entries):
         assert abs(a.score - b.score) <= 1e-9 * max(1.0, abs(b.score))
     assert_same_fits([e.result for e in got.entries], [e.result for e in want.entries], loss, ds.n)
+
+
+def test_globbed_path_solves_each_point_once(monkeypatch):
+    # the loose passes of a globbed 20-point path on its shared rows take
+    # each point once, in stacks of at most _STACK // (n + p) points; the
+    # band's size is not the stacks'
+    ds, w = large_problem(1)
+    n_active = int(np.count_nonzero(w.w > 0.0))
+    loss = LossKind("median")
+    cfg = FitConfig(loss=loss)
+    tilde = fit_unpenalized(ds, w, loss, cfg).beta
+    size = solvers._STACK // (n_active + ds.p)
+    assert 20 > 2 * size  # three stacks or more
+    loose, real = [], solvers._frisch_newton
+
+    def spy(lp, normal_u, tol, max_iter):
+        if lp.real is None and tol == solvers._GLOB_GAP:
+            loose.append(len(lp.lo))
+        return real(lp, normal_u, tol, max_iter)
+
+    rounds = glob_rounds(monkeypatch)
+    monkeypatch.setattr(solvers, "_frisch_newton", spy)
+    path = fit_adaptive_lasso(ds, w, cfg, tilde, lams=lambda_grid(ds.n))
+    assert path.converged and len(rounds) == len(loose)
+    assert sum(loose) == 20 and max(loose) <= size
 
 
 def test_globbed_fit_stopped_short_raises(monkeypatch):
