@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .aggregation import KM_SCOPES, AggregationPlan, fit_aggregated
-from .data import GenerationSpec, load_csv
+from .data import GenerationSpec, load_csv, write_text
 from .errors import CensLassoError, ConfigError, InputError
 from .kaplan_meier import fit_censoring_km, ipcw_weights
 from .losses import LossKind
@@ -96,9 +96,7 @@ def cmd_fit(args) -> int:
     payload = result.to_dict()
     payload["lambda"] = lam
     payload["method"] = method.label()
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text({args.output: (json.dumps(payload, indent=2, sort_keys=True), "\n")})
     print(f"fit: method={method.label()} lambda={lam:g} "
           f"support={sorted(result.support)} -> {args.output}")
     return EXIT_OK
@@ -137,9 +135,7 @@ def cmd_aggregate(args) -> int:
     plan = AggregationPlan(K=args.K, w=_parse_vote_rule(args.w), km_scope=args.km_scope)
     agg = fit_aggregated(dataset, plan, _fit_config(args, loss),
                          bic_config=_bic_config(args), n_jobs=args.threads)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(agg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text({args.output: (json.dumps(agg.to_dict(), indent=2, sort_keys=True), "\n")})
     print(f"aggregate: K={plan.K} w={plan.resolved_w} "
           f"support={sorted(agg.voted_support)} -> {args.output}")
     return EXIT_OK
@@ -203,7 +199,7 @@ def load_simulation_spec(path, overrides=()) -> SimulationSpec:
     """
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             cfg.read_file(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -249,11 +245,8 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     report = run_study(spec, n_jobs=args.threads)
     report_path = os.path.join(args.output_dir, "report.json")
-    fh = open(report_path, "w", encoding="utf-8")
+    write_text({report_path: (report.to_json(), "\n")})
     try:
-        with fh:
-            fh.write(report.to_json())
-            fh.write("\n")
         # a failed table write removes its own tables; the report goes here
         report.write_csv_tables(args.output_dir)
     except BaseException:

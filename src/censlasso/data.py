@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -88,7 +90,10 @@ class SurvivalDataset:
         return int(self.delta.sum())
 
     def subset(self, indices) -> "SurvivalDataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        """The rows at the integer positions `indices`, in their order."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":  # a cast would read a mask as rows 0 and 1
+            raise ValueError(f"subset takes integer positions, not {idx.dtype} values")
         return SurvivalDataset(self.y[idx], self.delta[idx], self.x[idx])
 
     def __eq__(self, other):
@@ -281,10 +286,11 @@ def load_csv(path) -> SurvivalDataset:
     table that `SurvivalDataset` rejects, is read again by the row parser,
     which accepts the rest of Python's float syntax and names ``path:line``
     in its errors; an input that cannot be read twice (a pipe) goes to the
-    row parser alone.  A file that is not UTF-8 text is an input error.
+    row parser alone.  A file that is not UTF-8 text is an input error; a
+    leading UTF-8 byte-order mark is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             p = _read_header(reader, path)
             if fh.seekable():
@@ -373,17 +379,35 @@ def _parse_rows(reader, path, p) -> SurvivalDataset:
     return SurvivalDataset(np.array(ys), np.array(deltas), x)
 
 
-def write_rows(fh, row_format, *columns) -> None:
-    """Write the rows of the column-stacked arrays, each through row_format."""
+def write_text(files) -> list:
+    """Write each path of the mapping `files` from its iterable of text
+    chunks, drawn as they are written, as UTF-8 with "\\n" line ends; the
+    paths written.  A failed open, write or chunk removes every file this
+    call opened and raises."""
+    opened = []
+    try:
+        for path, chunks in files.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                fh.writelines(chunks)
+    except BaseException:
+        for path in opened:
+            os.unlink(path)
+        raise
+    return opened
+
+
+def row_blocks(row_format, *columns):
+    """The rows of the column-stacked arrays, each through row_format, as
+    one string per _ROW_BLOCK rows."""
     for start in range(0, len(columns[0]), _ROW_BLOCK):
         block = np.column_stack([c[start:start + _ROW_BLOCK] for c in columns])
-        fh.write("".join([row_format % tuple(row) for row in block.tolist()]))
+        yield "".join([row_format % tuple(row) for row in block.tolist()])
 
 
 def write_csv(dataset: SurvivalDataset, path) -> None:
     """Write a dataset as CSV; floats carry 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ["y", "delta"] + [f"x{j}" for j in range(1, dataset.p + 1)]
-        fh.write(",".join(header) + "\n")
-        row_format = "%.17g,%d," + ",".join(["%.17g"] * dataset.p) + "\n"
-        write_rows(fh, row_format, dataset.y, dataset.delta, dataset.x)
+    header = ",".join(["y", "delta"] + [f"x{j}" for j in range(1, dataset.p + 1)]) + "\n"
+    row_format = "%.17g,%d," + ",".join(["%.17g"] * dataset.p) + "\n"
+    rows = row_blocks(row_format, dataset.y, dataset.delta, dataset.x)
+    write_text({path: itertools.chain([header], rows)})

@@ -10,11 +10,12 @@ inverse-probability-of-censoring weights.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, write_rows
+from .data import SurvivalDataset, row_blocks, write_text
 from .errors import DegenerateWeights
 
 
@@ -40,10 +41,8 @@ class CensoringSurvivalCurve:
 
     def to_csv(self, path) -> None:
         """Two-column CSV (time, survival) including the origin."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,survival\n")
-            fh.write("0,1\n")
-            write_rows(fh, "%.17g,%.17g\n", self.jump_times, self.values)
+        rows = row_blocks("%.17g,%.17g\n", self.jump_times, self.values)
+        write_text({path: itertools.chain(["time,survival\n0,1\n"], rows)})
 
 
 @dataclass(frozen=True, eq=False)

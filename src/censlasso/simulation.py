@@ -15,6 +15,7 @@ at a time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import AggregationPlan, fit_aggregated
-from .data import GenerationSpec, calibrate_censoring_bound, generate_with_latents
+from .data import GenerationSpec, calibrate_censoring_bound, generate_with_latents, write_text
 from .errors import (
     CensLassoError,
     ConfigError,
@@ -193,58 +194,33 @@ class SimulationReport:
     def write_csv_tables(self, directory) -> list[str]:
         """Flat CSV exports: selection metrics, timings, deviations, normality,
         BIC minimizers.  A failed write removes the tables already written."""
-        written = []
-
-        def _open(name):
-            path = os.path.join(directory, name)
-            fh = open(path, "w", encoding="utf-8", newline="\n")
-            written.append(path)
-            return fh
-
-        try:
-            with _open("selection_metrics.csv") as fh:
-                fh.write(
-                    "method,plan,replications_used,false_zero_pct,"
-                    "false_nonzero_pct,l1_bias_active\n"
-                )
-                for e in self.entries:
-                    fh.write(
-                        f"{e.method},{e.plan},{e.replications_used},"
-                        f"{e.false_zero_pct:.17g},{e.false_nonzero_pct:.17g},"
-                        f"{e.l1_bias_active:.17g}\n"
-                    )
+        entries = self.entries
+        tables = {
+            "selection_metrics.csv": itertools.chain(
+                ["method,plan,replications_used,false_zero_pct,false_nonzero_pct,l1_bias_active\n"],
+                (f"{e.method},{e.plan},{e.replications_used},{e.false_zero_pct:.17g},"
+                 f"{e.false_nonzero_pct:.17g},{e.l1_bias_active:.17g}\n" for e in entries)),
             # wall-clock means live in their own file so every other export is
             # a deterministic function of the simulation spec
-            with _open("timings.csv") as fh:
-                fh.write("method,plan,mean_fit_seconds\n")
-                for e in self.entries:
-                    fh.write(f"{e.method},{e.plan},{e.mean_fit_seconds:.6f}\n")
-            with _open("deviations.csv") as fh:
-                fh.write("method,plan,coordinate,replication,deviation\n")
-                for e in self.entries:
-                    for j, values in sorted(e.deviations.items()):
-                        for m, v in enumerate(values):
-                            fh.write(f"{e.method},{e.plan},{j},{m},{v:.17g}\n")
-            with _open("normality.csv") as fh:
-                fh.write("method,plan,coordinate,std_dev,ad_statistic,p_value\n")
-                for e in self.entries:
-                    for j, stats in sorted(e.normality.items()):
-                        fh.write(
-                            f"{e.method},{e.plan},{j},{stats['std_dev']:.17g},"
-                            f"{stats['ad_statistic']:.17g},{stats['p_value']:.17g}\n"
-                        )
-            with _open("bic_minimizers.csv") as fh:
-                fh.write("method,plan,grid_index,count\n")
-                for e in self.entries:
-                    if e.bic_minimizer_counts is None:
-                        continue
-                    for j, count in enumerate(e.bic_minimizer_counts, start=1):
-                        fh.write(f"{e.method},{e.plan},{j},{count}\n")
-        except BaseException:
-            for path in written:
-                os.unlink(path)
-            raise
-        return written
+            "timings.csv": itertools.chain(
+                ["method,plan,mean_fit_seconds\n"],
+                (f"{e.method},{e.plan},{e.mean_fit_seconds:.6f}\n" for e in entries)),
+            "deviations.csv": itertools.chain(
+                ["method,plan,coordinate,replication,deviation\n"],
+                (f"{e.method},{e.plan},{j},{m},{v:.17g}\n" for e in entries
+                 for j, values in sorted(e.deviations.items()) for m, v in enumerate(values))),
+            "normality.csv": itertools.chain(
+                ["method,plan,coordinate,std_dev,ad_statistic,p_value\n"],
+                (f"{e.method},{e.plan},{j},{stats['std_dev']:.17g},"
+                 f"{stats['ad_statistic']:.17g},{stats['p_value']:.17g}\n" for e in entries
+                 for j, stats in sorted(e.normality.items()))),
+            "bic_minimizers.csv": itertools.chain(
+                ["method,plan,grid_index,count\n"],
+                (f"{e.method},{e.plan},{j},{count}\n" for e in entries
+                 if e.bic_minimizer_counts is not None
+                 for j, count in enumerate(e.bic_minimizer_counts, start=1))),
+        }
+        return write_text({os.path.join(directory, name): text for name, text in tables.items()})
 
 
 def metric_false_zeros(estimates, active_set) -> float:
@@ -488,7 +464,5 @@ def timing_benchmark(spec: SimulationSpec) -> list[dict]:
 
 
 def timing_rows_to_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("K,phase,seconds\n")
-        for row in rows:
-            fh.write(f"{row['K']},{row['phase']},{row['seconds']:.6f}\n")
+    write_text({path: itertools.chain(["K,phase,seconds\n"], (
+        f"{row['K']},{row['phase']},{row['seconds']:.6f}\n" for row in rows))})

@@ -436,10 +436,10 @@ class _DualRows:
     k: design (x_i, e_k), response z_i, box scale * w_i * [tau_k - 1, tau_k].
     Then one pseudo-row per penalized coordinate j: design e_j, response 0,
     box [-lam_j, lam_j].  Problems that differ only in their penalties form
-    a stack: lam_w is (p,) for one problem and then lo and hi are vectors,
-    or (B, p) for B problems that penalize the same coordinates and then lo
-    and hi have one row per problem.  Problems on rows of their own (the
-    groups of an aggregated fit) give x as (B, n, p) and z, w as (B, n):
+    a stack: lam_w is (B, p) for B problems that penalize the same
+    coordinates (a single fit is a stack of one), and lo and hi have one
+    row per problem.  Problems on rows of their own (the groups of an
+    aggregated fit) give x as (B, n, p) and z, w as (B, n):
     resp, col_reach and the products are then per problem, and a problem
     with fewer rows than n is padded with zero rows of w = 0.  A padded row
     of M is zero, intercept columns included, with response 0.  A problem
@@ -1508,9 +1508,11 @@ def fit_adaptive_lasso(
     lams (config.lam is not used) as one `AdaptiveLassoPath`.  Those fits
     share their rows, so they run in lockstep stacks: interior points for
     the LP family, each with its own vertex and certificates, and
-    sign-pattern Newton steps for expectile.  A point's fit is the same bit
-    for bit as its single fit.  Errors of the data themselves (weights,
-    beta_tilde) are raised either way.
+    sign-pattern Newton steps for expectile.  A point's coefficients,
+    intercepts, objective and iterations are its single fit's bit for bit;
+    its duality gap and KKT residual agree to rounding, as the products
+    behind them round by the number of problems in the stack.  Errors of
+    the data themselves (weights, beta_tilde) are raised either way.
 
     Each fit starts on a working set of columns: the _WORKING_SET (8) with
     the smallest penalties lam * omega_j, plus any unpenalized ones; the
@@ -1615,9 +1617,10 @@ def _fit_path(x, z, w, loss, lam_ws, config, beta_start=None) -> list:
     rounding of lam_j counts as a violator.  Every violator joins its
     problem's working set, and only the problems that had one are solved
     again: on shared rows stacked with the problems that have the same
-    working set, so a path point is its single fit bit for bit (Tibshirani
-    et al. 2012, section 7).  A problem whose fit failed with columns left
-    out is solved again on all of them.  The certificates cover all p
+    working set, so a path point's fit is its single fit's bit for bit, its
+    certificates up to rounding (Tibshirani et al. 2012, section 7).  A
+    problem whose fit failed with columns left out is solved again on all
+    of them.  The certificates cover all p
     columns, and on every row: a globbed fit (`_globbed`) passes g on the
     full rows to the check, and its objective, duality gap and KKT residual
     are those of the full rows.

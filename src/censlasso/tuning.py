@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, write_text
 from .errors import CensLassoError, SolverError, ZeroNormalizer
 from .kaplan_meier import IpcwWeights
 from .losses import LossKind
@@ -64,12 +64,14 @@ class BicPath:
         return self.entries[self.best_index]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("lambda,score,support_size\n")
+        def lines():
+            yield "lambda,score,support_size\n"
             for e in self.entries:
                 score = "" if e.score is None else f"{e.score:.17g}"
                 size = "" if e.support_size is None else str(e.support_size)
-                fh.write(f"{e.lam:.17g},{score},{size}\n")
+                yield f"{e.lam:.17g},{score},{size}\n"
+
+        write_text({path: lines()})
 
 
 def lambda_grid(n: int) -> np.ndarray:

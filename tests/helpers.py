@@ -5,6 +5,8 @@ Everything here recomputes quantities by the most literal route available
 the solver code paths it is used to check.
 """
 
+import errno
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -226,3 +228,16 @@ def check_loss_primal_lp(x, z, w, levels, intercepts, lam_w):
     beta = v[:p] - v[p:2 * p]
     b = v[2 * p:2 * p + J] - v[2 * p + J:2 * p + 2 * J]
     return beta, b, res.eqlin.marginals
+
+
+def disk_full_after_first(chunks):
+    """The first of chunks, then the error of a full disk."""
+    yield next(iter(chunks))
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def disk_full_writer(write_text):
+    """write_text, with the text of each file cut off by a full disk after
+    its first chunk."""
+    return lambda files: write_text({path: disk_full_after_first(chunks)
+                                     for path, chunks in files.items()})

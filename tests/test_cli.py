@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from censlasso import cli, errors
+from censlasso import cli, errors, kaplan_meier, simulation, tuning
 from censlasso.aggregation import AggregationPlan
 from censlasso.cli import main
-from censlasso.data import GenerationSpec, generate_dataset, write_csv
+from censlasso.data import GenerationSpec, generate_dataset, write_csv, write_text
 from censlasso.simulation import MethodSpec, SimulationSpec
+
+from helpers import disk_full_writer
 
 CONFIG_TEXT = """\
 [generation]
@@ -330,6 +332,30 @@ def test_simulate_failed_write_leaves_no_partial_outputs(tmp_path):
     assert sorted(os.listdir(outdir)) == ["timings.csv"]
 
 
+@pytest.mark.parametrize("writer, argv", [
+    (kaplan_meier, ["km"]),
+    (tuning, ["tune", "--method", "expectile:0.3"]),
+    (cli, ["fit", "--method", "median", "--lambda", "5"]),
+    (cli, ["aggregate", "--method", "median", "--lambda", "5", "--K", "2"]),
+    (simulation, ["bench"]),
+    (cli, ["simulate"]),
+], ids=["km", "tune", "fit", "aggregate", "bench", "simulate"])
+def test_a_failed_write_leaves_no_output(writer, argv, dataset_csv, tmp_path, monkeypatch):
+    # the write fails after its first chunk of text: what it wrote is removed
+    cfg = tmp_path / "study.ini"
+    cfg.write_text(CONFIG_TEXT)
+    out = tmp_path / "out"
+    if argv[0] in ("simulate", "bench"):
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + ["--data", dataset_csv]
+    argv += ["--output-dir", str(out)] if argv[0] == "simulate" else ["--output", str(out)]
+    monkeypatch.setattr(writer, "write_text", disk_full_writer(write_text))
+    with pytest.raises(OSError):
+        main(argv)
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_simulate_invalid_replications_exits_4(tmp_path):
     cfg = tmp_path / "study.ini"
     cfg.write_text(CONFIG_TEXT)
@@ -508,6 +534,13 @@ def test_generation_seed_is_not_read(tmp_path):
         outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))
                         if name != "timings.csv"})
     assert outputs[0] == outputs[1]
+
+
+def test_study_config_may_start_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_text(CONFIG_TEXT, encoding="utf-8")
+    marked.write_text(CONFIG_TEXT, encoding="utf-8-sig")
+    assert cli.load_simulation_spec(marked) == cli.load_simulation_spec(plain)
 
 
 def test_study_keys_left_out_take_the_defaults_of_their_types(tmp_path):

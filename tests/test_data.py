@@ -30,7 +30,7 @@ from censlasso.errors import (
     RaggedRow,
 )
 
-from helpers import gumbel_censoring_rate
+from helpers import disk_full_after_first, disk_full_writer, gumbel_censoring_rate
 
 PAPER_BETA = (1.0, -2.0) + (0.0,) * 8
 
@@ -270,6 +270,39 @@ def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
     assert str(info.value).startswith(f"{path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("name", ["clean", "underscore"], ids=["numpy-path", "row-parser-path"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, name):
+    # a spreadsheet's "CSV UTF-8" starts with a BOM; an underscore number
+    # sends the file back to the row parser, which reads it again from the start
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(CSV_CORPUS[name].encode("utf-8"))
+    marked.write_bytes(CSV_CORPUS[name].encode("utf-8-sig"))
+    assert outcome(load_csv, marked) == outcome(load_csv, plain)
+    assert load_csv(marked).n == 4
+
+
+def test_write_text_removes_every_file_it_opened(tmp_path):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    with pytest.raises(OSError):
+        data.write_text({first: ["a\n"], second: disk_full_after_first(["b\n", "c\n"])})
+    assert os.listdir(tmp_path) == []
+    # a path that cannot be opened is left as it was
+    second.mkdir()
+    with pytest.raises(IsADirectoryError):
+        data.write_text({first: ["a\n"], second: ["b\n"]})
+    assert os.listdir(tmp_path) == ["b.txt"] and second.is_dir()
+    assert data.write_text({first: ["a\r\n", "b\n"]}) == [first]
+    assert first.read_bytes() == b"a\r\nb\n"
+
+
+def test_failed_write_csv_leaves_no_file(tmp_path, monkeypatch):
+    ds = generate_dataset(paper_spec(20), bound=math.inf)
+    monkeypatch.setattr(data, "write_text", disk_full_writer(data.write_text))
+    with pytest.raises(OSError):
+        write_csv(ds, tmp_path / "d.csv")
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_csv_format_is_pinned(tmp_path):
     ds = SurvivalDataset(
         y=np.array([0.1, 1e-300, 2**53 + 1.0]),
@@ -461,6 +494,15 @@ def test_dataset_stores_a_binary_delta_as_int8():
     for delta in ([0.0, 1.0], [False, True], np.array([0, 1], dtype=np.int64)):
         ds = SurvivalDataset(np.array([1.0, 2.0]), delta, np.ones((2, 1)))
         assert ds.delta.dtype == np.int8 and ds.delta.tolist() == [0, 1]
+
+
+def test_subset_takes_integer_positions_only():
+    ds = SurvivalDataset(np.arange(1.0, 6.0), np.array([1, 0, 1, 1, 0]), np.ones((5, 1)))
+    assert ds.subset(np.array([3, 0], dtype=np.intp)).y.tolist() == [4.0, 1.0]
+    # a cast would read the mask as rows [0, 1, 0, 1, 1] and 2.7 as row 2
+    for bad in ([False, True, False, True, True], [0.0, 2.7]):
+        with pytest.raises(ValueError, match="integer positions"):
+            ds.subset(bad)
 
 
 def test_dataset_immutable():

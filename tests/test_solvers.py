@@ -679,6 +679,52 @@ def test_singular_system_is_damped_for_its_own_problem_only():
     assert np.array_equal(d[2], np.zeros(2))
 
 
+def safety_path():
+    """A 3-point median path whose points share one interior-point stack,
+    two of them one batch of `_vertices`; and its unforced fits."""
+    ds, w = random_problem(3, n=150, p=5)
+    cfg = FitConfig(loss=LossKind("median"))
+    pilot = fit_unpenalized(ds, w, cfg.loss, cfg)
+    run = lambda: fit_adaptive_lasso(ds, w, cfg, pilot.beta, [2.0, 3.0, 4.0])
+    return run, run()
+
+
+def test_a_system_still_singular_after_damping_stops_its_point(monkeypatch):
+    run, free = safety_path()
+    solve_stack, forced = solvers._solve_stack, []
+
+    def singular_once(normal, rhs):
+        d, singular = solve_stack(normal, rhs)
+        if len(normal) == 3 and not forced:
+            forced.append(1)
+            d[1], singular = 0.0, [1]
+        return d, singular
+
+    monkeypatch.setattr(solvers, "_solve_stack", singular_once)
+    fits = run()
+    assert forced
+    assert isinstance(fits[1], NoConvergence)
+    assert "median fit hit a singular system after 0 iterations" in str(fits[1])
+    # the stack sizes change, so the other points agree to rounding only
+    assert_same_fits([fits[0], fits[2]], [free[0], free[2]], LossKind("median"), 150)
+
+
+def test_a_singular_batch_of_vertices_is_retried_one_problem_at_a_time(monkeypatch):
+    run, free = safety_path()
+    vertices, sizes = solvers._vertices, []
+
+    def raises_once_on_a_batch(lp, basic, a):
+        sizes.append(len(basic))
+        if len(basic) > 1 and sizes.count(len(basic)) == 1:
+            raise np.linalg.LinAlgError("singular batch")
+        return vertices(lp, basic, a)
+
+    monkeypatch.setattr(solvers, "_vertices", raises_once_on_a_batch)
+    fits = run()
+    assert sizes == [1, 2, 1, 1]
+    assert_same_fits(fits, free, LossKind("median"), 150)
+
+
 def test_expectile_path_is_its_per_point_fits():
     # the expectile route fits a path as one lockstep stack; a problem stops
     # once it converges and every product is its own, so each point is its
@@ -691,6 +737,28 @@ def test_expectile_path_is_its_per_point_fits():
     for lam, fit in zip(lams, fit_adaptive_lasso(ds, w, cfg, pilot.beta, lams)):
         alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
         assert np.array_equal(fit.beta, alone.beta) and fit.objective == alone.objective
+
+
+@pytest.mark.parametrize("loss", [LossKind("median"), LossKind("expectile", tau=0.35)],
+                         ids=["median", "expectile"])
+def test_path_points_are_their_single_fits_at_a_real_size(loss):
+    # the fit itself is the single fit's bit for bit; its certificates come
+    # from 2-d matmuls whose rounding depends on the number of problems in
+    # the stack, so they agree to rounding only
+    for seed in (1, 2):
+        ds, w = random_problem(seed, n=1500, p=50, beta=(1.0, -2.0) + (0.0,) * 48)
+        cfg = FitConfig(loss=loss)
+        pilot = fit_unpenalized(ds, w, loss, cfg)
+        grid = lambda_grid(ds.n)
+        for lam, fit in zip(grid, fit_adaptive_lasso(ds, w, cfg, pilot.beta, grid)):
+            alone = fit_adaptive_lasso(ds, w, cfg.replace(lam=lam), pilot.beta)
+            assert np.array_equal(fit.beta, alone.beta), (seed, lam)
+            assert np.array_equal(fit.intercepts, alone.intercepts), (seed, lam)
+            assert fit.objective == alone.objective, (seed, lam)
+            scale = 1e-12 * max(1.0, abs(alone.objective))
+            assert abs(fit.kkt_residual - alone.kkt_residual) <= scale, (seed, lam)
+            if loss.is_lp_family:
+                assert abs(fit.duality_gap - alone.duality_gap) <= scale, (seed, lam)
 
 
 def test_expectile_stack_fits_do_not_depend_on_the_row_blocks(monkeypatch):
