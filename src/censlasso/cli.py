@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CensLassoError as exc:
         error, group = exc, type(exc)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:  # a file that cannot be read or written
         error, group = exc, InputError
     except (ValueError, KeyError, configparser.Error) as exc:
         error, group = exc, ConfigError

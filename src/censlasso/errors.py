@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error belongs to one of three groups, and each group carries the exit
-code and the message prefix the command line reports it with: input (2),
-solver (3) and configuration (4).
+code and the message prefix the command line reports it with: input (2; the
+command line adds any OSError), solver (3) and configuration (4).
 """
 
 
@@ -14,7 +14,8 @@ class CensLassoError(Exception):
 
 
 class InputError(CensLassoError):
-    """An input file cannot be read as a dataset."""
+    """An input file cannot be parsed as a dataset (or, from the command line,
+    any file cannot be read or written)."""
 
     exit_code = 2
     prefix = "input error"

@@ -46,12 +46,9 @@ carries its KKT residual.  Two solver routes:
   and each group with its own columns, padded with zero columns
   (`_own_columns`); `fit_aggregated` fits groups too large to gain from it
   (`_alone`, `_OWN_STACK`) one at a time instead, each as its single fit.
-  A fit whose iterations stop short raises `NoConvergence`.  A
-  fit the polish leaves without a certified vertex is fitted again alone:
-  one whose stack clipped its penalties (its central path is the stack's,
-  not its own) as it is, any other at tol / 100 (down to 1e-10), as its
-  iterations stopped too far from a near-degenerate optimum to tell its
-  basic rows; if that fails too it raises `NoConvergence`.
+  A fit whose iterations stop short raises `NoConvergence`; one the
+  polish leaves without a certified vertex is fitted again alone, as
+  `_solve_lp_family`'s ladder sets out, and raises if that fails too.
 
 * expectile / least squares: Newton steps on the residual-sign pattern.
   The loss is piecewise quadratic, so with the signs frozen the fit is a
@@ -90,10 +87,9 @@ of the rows, and the rows above and below it
 collapse into one pseudo-row each.  While every collapsed row keeps its sign
 the reduced LP has the full LP's objective and dual objective, so the
 reduced problems are solved on rows of their own through the usual route,
-a collapsed row that crosses the fit joins the band for another round, and
-a fit whose rows still cross after _GLOB_ROUNDS rounds is solved on all its
-rows.  Certificates are taken on the full rows.  Each pass, the loose one
-included, gets `max_iter` iterations.
+and a collapsed row that crosses the fit joins the band for another round.
+The ladder in `_solve_lp_family` orders these passes and their fallbacks.
+Certificates are taken on the full rows.
 """
 
 from __future__ import annotations
@@ -121,8 +117,8 @@ class FitConfig:
     """Solver settings shared by the unpenalized and penalized fits.
 
     max_iter bounds each interior-point pass or Newton solve; a fit that
-    makes several (a globbed LP fit, a working set that grows, a retry at a
-    tighter tol) may report more `iterations` than max_iter in all.
+    makes several (a working set that grows, or the LP ladder's globbed
+    passes, `_solve_lp_family`) may report more `iterations` than max_iter.
     """
 
     loss: LossKind
@@ -919,8 +915,7 @@ def _polish(lp: _DualRows, live, a, theta):
     return polished
 
 
-def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter,
-                     glob=True):
+def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, max_iter):
     """Fit an LP-family loss at each row of penalties lam_w (B x p):
     interior points on the duals in lockstep, then a vertex per problem.
     The problems share the rows x (n, p), z and w, or each has its own, as
@@ -933,164 +928,169 @@ def _solve_lp_family(x, z, w, loss: LossKind, lam_w, fit_intercept: bool, tol, m
     A penalty below eps reach_j, the rounding of x_j'a, is fitted as 0.
     Problems run in lockstep stacks of about _STACK doubles per stacked
     vector (padded rows included), and a stack keeps the union of its
-    problems' columns.  Where
-    a problem screens a column of the union, its penalty is clipped to twice
-    the stack's largest reach_j: that coordinate's dual constraint is then
-    slack at every feasible a, so it is 0 at every optimum and the problem's
-    optimum set is its screened problem's (this also keeps the pilot-zero
-    floor's huge penalties out of the iterations).  `_polish` then ranks and
-    certifies such a problem as it is posed: a vertex with every observation
-    dual in its box has |x_j'a| <= reach_j, so any vertex it certifies is
-    optimal for the screened problem too.  An unpenalized coordinate whose
-    column depends on the others (`_dependent_columns`: duplicated
-    covariates, a constant one beside an intercept, fewer active rows than
-    coordinates) is dropped.  On shared rows only intercepts and unpenalized
-    columns enter that test, so the first stack answers for all; a problem
-    on rows of its own that has such a column is fitted alone.  Problems
-    that penalize different coordinates (a lambda of 0 beside positive
-    ones) run apart, since a pseudo-row's box cannot be empty.
+    problems' columns.  Where a problem screens a column of the union, its
+    penalty is clipped to twice the stack's largest reach_j: that
+    coordinate's dual constraint is then slack at every feasible a, so it is
+    0 at every optimum and the problem's optimum set is its screened
+    problem's (this also keeps the pilot-zero floor's huge penalties out of
+    the iterations).  `_polish` then ranks and certifies such a problem as
+    it is posed: a vertex with every observation dual in its box has
+    |x_j'a| <= reach_j, so any vertex it certifies is optimal for the
+    screened problem too.  An unpenalized coordinate whose column depends on
+    the others (`_dependent_columns`: duplicated covariates, a constant one
+    beside an intercept, fewer active rows than coordinates) is dropped.  On
+    shared rows only intercepts and unpenalized columns enter that test, so
+    a rung's first stack answers for all its stacks.
 
-    Each stack's vertices are polished at once (`_polish`).  With clipped
-    columns the stack's central path is not the problem's own, and at a
-    degenerate optimum its duals can stop too far from their box ends for
-    the vertex check; such a problem that the polish leaves is fitted again
-    alone.  Any other problem it leaves stopped too far from a
-    near-degenerate optimum to tell its basic rows (a row off the vertex
-    with a residual of 1e-7, say), and is fitted again alone at tol / 100,
-    down to _RETRY_TOL.  Returns, per problem, (beta, intercepts,
-    iterations, dual objective, g), or the NoConvergence it raised because
-    its iterations stopped short or no vertex was certified.  g, given only
-    to a problem with a column left out, is its vertex's observation duals
-    summed over the levels: the full problem's dual constraint of a column j
-    left out is |x_j'g| <= lam_j.
+    The problems climb one ladder: a work list of rungs (rows, problems,
+    tol, glob), each run in stacks through one body (columns and clip, the
+    dependent-column test, the interior point, then `_polish` or, on a glob
+    rung, `_globbed`) that closes each problem or hands it to a later rung:
+    1. first, one rung per pattern of positive penalties, on the given rows
+       at tol (a lambda of 0 beside positive ones runs apart, as a
+       pseudo-row's box cannot be empty);
+    2. glob: a first rung of median or quantile fits on at least _GLOB_ROWS
+       shared rows stops its interior point at the loose gap _GLOB_GAP, and
+       `_globbed` solves its problems on rows chosen by the residuals there
+       (a band of _GLOB_BAND x m rows, m counting all p columns and the
+       intercept, at most the share _GLOB_SHARE of the rows); its vertex,
+       dual objective and g are the reduced problem's, g on the full rows;
+    3. plain: the problems that one `_globbed` call leaves open (rows still
+       crossing after _GLOB_ROUNDS reduced solves, or a failed reduced
+       solve), as one unglobbed stack on the shared rows;
+    4. alone: one problem as a stack of one on its own rows, unglobbed, at
+       the rung's tol: one on rows of its own with a dependent unpenalized
+       column, and one whose stack clipped its penalties that the polish
+       leaves (the stack's central path is not its own, and at a degenerate
+       optimum its duals can stop too far from their box ends for the
+       vertex check);
+    5. alone at max(tol / 100, _RETRY_TOL), down to _RETRY_TOL: any other
+       problem the polish leaves, whose iterations stopped too far from a
+       near-degenerate optimum to tell its basic rows (a row off the vertex
+       with a residual of 1e-7, say).
+    A pass that stops short, or a problem that no rung certifies, raises
+    NoConvergence.  A fit's iterations are the pass that closed it plus the
+    loose and reduced passes of the rungs before it (a pass retried alone
+    does not count), so `max_iter` bounds each pass.
 
-    A median or quantile fit on at least _GLOB_ROWS shared rows is globbed
-    (`glob` False turns this off, for the fits `_globbed` itself makes on
-    all rows and single refits): its stack's interior point stops at the
-    loose gap _GLOB_GAP, where a pass that stops short raises NoConvergence
-    as above, and its problems are solved by `_globbed` from the residuals
-    there, with the band m counting all p columns and the intercept, and
-    capped at the share _GLOB_SHARE of the rows.  Its
-    vertex, dual objective and g are then the reduced problem's, g spread
-    over the full rows, and its iterations count the loose pass and every
-    pass after it, so `max_iter` bounds each pass.
+    Returns, per problem, (beta, intercepts, iterations, dual objective, g),
+    or the NoConvergence it raised because its iterations stopped short or
+    no vertex was certified.  g, given only to a problem with a column left
+    out, is its vertex's observation duals summed over the levels: the full
+    problem's dual constraint of a column j left out is |x_j'g| <= lam_j.
     """
     levels = loss_levels(loss)
-    grouped = x.ndim == 3
     widest = w * sum(lv.scale * max(lv.tau, 1.0 - lv.tau) for lv in levels)
 
     def reach_of(x, widest):
         return sum(np.abs(x[rows]).T @ widest[rows] for rows in _row_blocks(x))
 
-    if grouped:
+    if x.ndim == 3:
         n_own = np.count_nonzero(w > 0.0, axis=1)  # each problem's own rows come first
         reach = np.array([reach_of(x[b, :n], widest[b, :n]) for b, n in enumerate(n_own)])
     else:
-        reach = reach_of(x, widest)
+        reach = np.broadcast_to(reach_of(x, widest), lam_w.shape)
     # the interior point divides by the width of a pseudo-row's box, which
     # overflows at such penalties (a subnormal lam_j, say)
     lam_w = np.where(lam_w < np.finfo(float).eps * reach, 0.0, lam_w)
+    p = x.shape[-1]
+    has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
+    own = lam_w < reach
+    outcomes, spent = [None] * len(lam_w), np.zeros(len(lam_w), dtype=int)
 
-    def alone(b, tol=tol):  # problem b as a stack of one, on its own rows, unglobbed
-        rows = (x[b, :n_own[b]], z[b, :n_own[b]], w[b, :n_own[b]]) if grouped else (x, z, w)
-        return _solve_lp_family(*rows, loss, lam_w[b:b + 1], fit_intercept, tol, max_iter,
-                                False)[0]
+    def close(b, outcome):
+        if not isinstance(outcome, CensLassoError):
+            outcome = outcome[:2] + (outcome[2] + int(spent[b]),) + outcome[3:]
+        outcomes[b] = outcome
+
+    def alone(b, tol):
+        rows = (x[b, :n_own[b]], z[b, :n_own[b]], w[b, :n_own[b]]) if x.ndim == 3 else (x, z, w)
+        return rows, np.array([b]), tol, False
 
     patterns = {}
     for b, row in enumerate(lam_w > 0.0):
         patterns.setdefault(row.tobytes(), []).append(b)
-    if len(patterns) > 1:
-        outcomes = [None] * len(lam_w)
-        for group in patterns.values():
-            rows = (x[group], z[group], w[group]) if grouped else (x, z, w)
-            solved = _solve_lp_family(*rows, loss, lam_w[group], fit_intercept, tol, max_iter,
-                                      glob)
-            for b, outcome in zip(group, solved):
-                outcomes[b] = outcome
-        return outcomes
-    p = x.shape[-1]
-    has_intercepts = fit_intercept or loss.family == LossKind.COMPOSITE_QUANTILE
-    own = lam_w < reach
-    glob = (glob and not grouped and len(levels) == 1 and len(z) >= _GLOB_ROWS
-            and tol < _GLOB_GAP)
-    size = max(1, _STACK // (len(levels) * x.shape[-2] + p))
-    dependent = None  # on shared rows, found on the first stack with coordinates
-    outcomes = [None] * len(lam_w)
-    for stack in [slice(start, start + size) for start in range(0, len(lam_w), size)]:
-        at = np.arange(len(lam_w))[stack]
-        xs, zs, ws = _stack_of(x, z, w, stack)
-        if grouped:
-            kept, xs, boxes = _own_columns(xs, lam_w[at], own[at])
-            cols = dict(zip(at, kept))
-        else:
-            cols = np.flatnonzero(own[at].any(axis=0))
-            if dependent is not None:
-                cols = np.setdiff1d(cols, dependent)
-            boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[cols])
-            xs = xs if len(cols) == p else xs.take(cols, axis=-1)
-        lp = _DualRows(xs, zs, ws, levels, has_intercepts, boxes)
-        if lp.m:
-            normal_u = lp.normal(lp.hi - lp.lo)
+    glob = x.ndim == 2 and len(levels) == 1 and len(z) >= _GLOB_ROWS and tol < _GLOB_GAP
+    ladder = [(None, np.array(group), tol, glob) for group in patterns.values()]
+    for rows, problems, tol, glob in ladder:
+        if rows is None:  # a first rung, whose rows are gathered as it runs
+            whole = x.ndim == 2 or len(problems) == len(lam_w)
+            rows = (x, z, w) if whole else (x[problems], z[problems], w[problems])
+        grouped = rows[0].ndim == 3
+        size = max(1, _STACK // (len(levels) * rows[0].shape[-2] + p))
+        dependent = None  # on shared rows, found on the rung's first stack with coordinates
+        for stack in [slice(start, start + size) for start in range(0, len(problems), size)]:
+            at = problems[stack]
+            xs, zs, ws = _stack_of(*rows, stack)
             if grouped:
-                apart = [k for k, found in enumerate(_dependent_columns(lp, normal_u))
-                         if found.size]
-                for k in apart:
-                    outcomes[at[k]] = alone(at[k])
-                if apart:
-                    stay = np.delete(np.arange(len(at)), apart)
-                    at, lp, normal_u = at[stay], lp.take(stay), normal_u[stay]
-                    if not len(at):
-                        continue
-            elif dependent is None:
-                found = _dependent_columns(lp.take([0]), normal_u[:1])[0]
-                dependent = cols[found]
-                if found.size:
-                    kept = np.delete(np.arange(lp.m), found)
-                    cols, boxes = np.delete(cols, found), np.delete(boxes, found, axis=1)
-                    lp = _DualRows(np.delete(lp.x, found, axis=1), z, w, levels,
-                                   has_intercepts, boxes)
-                    normal_u = normal_u[:, kept][:, :, kept]
-            a, theta, steps, failures = _frisch_newton(lp, normal_u, _GLOB_GAP if glob else tol,
-                                                       max_iter)
-        else:  # every coordinate dropped: the vertex is theta = ()
-            a, theta = np.zeros(lp.lo.shape), np.zeros((len(at), 0))
-            steps, failures = np.zeros(len(at), dtype=int), [None] * len(at)
-        live = np.flatnonzero([failure is None for failure in failures])
-        if glob and lp.m:
-            globbed = {}
-            if live.size:
-                resid = z - lp.fitted(theta[live])[:, :lp.n]
-                band = min(_GLOB_BAND * (p + lp.m - lp.p), math.ceil(_GLOB_SHARE * len(z)))
-                globbed = dict(zip(live, _globbed(x, z, w, resid, band,
-                                                  loss, lam_w[at[live]], fit_intercept, tol,
-                                                  max_iter)))
-            for k, b in enumerate(at):
-                outcome = globbed.get(k, NoConvergence(f"{loss.label()} fit {failures[k]}"))
-                if not isinstance(outcome, CensLassoError):
-                    outcome = outcome[:2] + (outcome[2] + int(steps[k]),) + outcome[3:]
-                outcomes[b] = outcome
-            continue
-        polished = _polish(lp, live, a, theta)
-        for k, b in enumerate(at):
-            if failures[k] is not None:
-                outcomes[b] = NoConvergence(f"{loss.label()} fit {failures[k]}")
-            elif k in polished:
-                coef, dual_objective, duals = polished[k]
-                beta = np.zeros(p)
-                used = cols[b] if grouped else cols
-                beta[used] = coef[:len(used)]
-                # a column left out at an infinite penalty is checked on x_j'g
-                g = lp._row_sums(duals) if np.isinf(lam_w[b]).any() else None
-                outcomes[b] = (beta, coef[lp.p:], int(steps[k]), dual_objective, g)
-            elif not grouped and not own[b, cols].all():
-                # clipped: the stack's central path is not its own
-                outcomes[b] = alone(b)
-            elif tol > _RETRY_TOL:  # stopped too far from a near-degenerate vertex
-                outcomes[b] = alone(b, max(tol * 1e-2, _RETRY_TOL))
+                kept, xs, boxes = _own_columns(xs, lam_w[at], own[at])
+                cols = dict(zip(at, kept))
             else:
-                outcomes[b] = NoConvergence(
-                    f"{loss.label()} fit: the interior point converged in {steps[k]} "
-                    "iterations but no vertex it ranked passed the optimality check")
+                cols = np.flatnonzero(own[at].any(axis=0))
+                if dependent is not None:
+                    cols = np.setdiff1d(cols, dependent)
+                boxes = np.where(own[at][:, cols], lam_w[at][:, cols], 2.0 * reach[at[0], cols])
+                xs = xs if len(cols) == p else xs.take(cols, axis=-1)
+            lp = _DualRows(xs, zs, ws, levels, has_intercepts, boxes)
+            if lp.m:
+                normal_u = lp.normal(lp.hi - lp.lo)
+                if grouped:
+                    apart = [k for k, found in enumerate(_dependent_columns(lp, normal_u))
+                             if found.size]
+                    ladder += [alone(at[k], tol) for k in apart]
+                    if apart:
+                        stay = np.delete(np.arange(len(at)), apart)
+                        at, lp, normal_u = at[stay], lp.take(stay), normal_u[stay]
+                        if not len(at):
+                            continue
+                elif dependent is None:
+                    found = _dependent_columns(lp.take([0]), normal_u[:1])[0]
+                    dependent = cols[found]
+                    if found.size:
+                        kept = np.delete(np.arange(lp.m), found)
+                        cols, boxes = np.delete(cols, found), np.delete(boxes, found, axis=1)
+                        lp = _DualRows(np.delete(lp.x, found, axis=1), zs, ws, levels,
+                                       has_intercepts, boxes)
+                        normal_u = normal_u[:, kept][:, :, kept]
+                a, theta, steps, failures = _frisch_newton(lp, normal_u,
+                                                           _GLOB_GAP if glob else tol, max_iter)
+            else:  # every coordinate dropped: the vertex is theta = ()
+                a, theta = np.zeros(lp.lo.shape), np.zeros((len(at), 0))
+                steps, failures = np.zeros(len(at), dtype=int), [None] * len(at)
+            live = np.flatnonzero([failure is None for failure in failures])
+            for k in np.flatnonzero([failure is not None for failure in failures]):
+                close(at[k], NoConvergence(f"{loss.label()} fit {failures[k]}"))
+            if glob and lp.m:
+                if not live.size:
+                    continue
+                resid = zs - lp.fitted(theta[live])[:, :lp.n]
+                band = min(_GLOB_BAND * (p + lp.m - lp.p), math.ceil(_GLOB_SHARE * len(zs)))
+                solved, passes = _globbed(*rows, resid, band, loss, lam_w[at[live]],
+                                          fit_intercept, tol, max_iter)
+                spent[at[live]] += steps[live] + passes
+                for b, outcome in zip(at[live], solved):
+                    if outcome is not None:
+                        close(b, outcome)
+                ladder.append((rows, at[live][[out is None for out in solved]], tol, False))
+                continue
+            polished = _polish(lp, live, a, theta)
+            for k, b in zip(live, at[live]):
+                if k in polished:
+                    coef, dual_objective, duals = polished[k]
+                    beta = np.zeros(p)
+                    used = cols[b] if grouped else cols
+                    beta[used] = coef[:len(used)]
+                    # a column left out at an infinite penalty is checked on x_j'g
+                    g = lp._row_sums(duals) if np.isinf(lam_w[b]).any() else None
+                    close(b, (beta, coef[lp.p:], int(steps[k]), dual_objective, g))
+                elif not grouped and not own[b, cols].all():
+                    ladder.append(alone(b, tol))  # clipped: the stack's central path is not its own
+                elif tol > _RETRY_TOL:  # stopped too far from a near-degenerate vertex
+                    ladder.append(alone(b, max(tol * 1e-2, _RETRY_TOL)))
+                else:
+                    close(b, NoConvergence(
+                        f"{loss.label()} fit: the interior point converged in {steps[k]} "
+                        "iterations but no vertex it ranked passed the optimality check"))
     return outcomes
 
 
@@ -1098,7 +1098,7 @@ def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
     """Median or quantile fits on the shared rows x (n, p), z and w, one per
     row of penalties lam_w, each solved on a reduced set of rows chosen by
     its residuals resid (B, n) at a loose interior point (Portnoy & Koenker
-    1997, section 3).
+    1997, section 3): the glob rung of `_solve_lp_family`'s ladder.
 
     A problem's band is the `size` rows (at most n) with the smallest
     |resid|.  The rows outside it above the fit collapse into one pseudo-row,
@@ -1110,15 +1110,16 @@ def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
     optimum at which every collapsed row keeps its sign is a full optimum,
     and its vertex with the collapsed rows' duals at their box ends is a full
     dual vertex.  The reduced problems run as one stack on rows of their own,
-    through `_solve_lp_family`'s screening, polish and retries.  A collapsed
-    row whose residual at the reduced fit has the other sign, or is 0 up to
-    rounding, has crossed: it joins its band and only the problems that had
-    one are solved again.  A problem still crossing after _GLOB_ROUNDS
-    solves, or whose reduced fit failed, is solved on all its rows,
-    unglobbed.  Returns, per problem, `_solve_lp_family`'s outcome with the
-    iterations of every solve after the loose pass summed, and g on the full
-    rows: the band rows' reduced duals, a collapsed row's scale tau w_i above
-    the fit and -scale (1 - tau) w_i below it.
+    through `_solve_lp_family`'s own ladder.  A collapsed row whose residual
+    at the reduced fit has the other sign, or is 0 up to rounding, has
+    crossed: it joins its band and only the problems that had one are solved
+    again, for at most _GLOB_ROUNDS solves.  Returns (outcomes, passes): per
+    problem, the outcome of the reduced solve that closed it, with g on the
+    full rows (the band rows' reduced duals, a collapsed row's scale tau w_i
+    above the fit and -scale (1 - tau) w_i below it), or None for one still
+    crossing or whose reduced solve failed, which the caller's plain rung
+    takes; and the iterations of its reduced solves that came back and did
+    not close it.
     """
     (level,) = loss_levels(loss)
     n = len(z)
@@ -1128,7 +1129,7 @@ def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
                       axis=1)
     above = ~band & (resid > 0.0)
     below = ~band & ~above
-    outcomes, spent = [None] * len(lam_w), np.zeros(len(lam_w), dtype=int)
+    outcomes, passes = [None] * len(lam_w), np.zeros(len(lam_w), dtype=int)
     todo = np.arange(len(lam_w))
     for _ in range(_GLOB_ROUNDS):
         if not todo.size:
@@ -1145,8 +1146,8 @@ def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
         flat = np.abs(r) <= _ROUNDING * (np.abs(z) + np.abs(fitted) + 1.0)
         crossed = (above[at] & ((r < 0.0) | flat)) | (below[at] & ((r > 0.0) | flat))
         for i, (k, (beta, intercepts, steps, dual, g)) in enumerate(fits):
-            spent[k] += steps
             if crossed[i].any():
+                passes[k] += steps
                 band[k] |= crossed[i]
                 above[k] &= ~crossed[i]
                 below[k] &= ~crossed[i]
@@ -1157,16 +1158,9 @@ def _globbed(x, z, w, resid, size, loss, lam_w, fit_intercept, tol, max_iter):
                                 np.where(below[k], -level.scale * (1.0 - level.tau) * w, 0.0))
                 full[band[k]] = g[:np.count_nonzero(band[k])]
                 g = full
-            outcomes[k] = (beta, intercepts, int(spent[k]), dual, g)
+            outcomes[k] = (beta, intercepts, steps, dual, g)
         todo = np.array(todo, dtype=int)
-    left = [k for k, outcome in enumerate(outcomes) if outcome is None]
-    if left:
-        for k, outcome in zip(left, _solve_lp_family(x, z, w, loss, lam_w[left], fit_intercept,
-                                                     tol, max_iter, False)):
-            if not isinstance(outcome, CensLassoError):
-                outcome = outcome[:2] + (outcome[2] + int(spent[k]),) + outcome[3:]
-            outcomes[k] = outcome
-    return outcomes
+    return outcomes, passes
 
 
 def _reduced(x, z, w, band, above, below):

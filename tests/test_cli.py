@@ -340,7 +340,8 @@ def test_simulate_failed_write_leaves_no_partial_outputs(tmp_path):
     (simulation, ["bench"]),
     (cli, ["simulate"]),
 ], ids=["km", "tune", "fit", "aggregate", "bench", "simulate"])
-def test_a_failed_write_leaves_no_output(writer, argv, dataset_csv, tmp_path, monkeypatch):
+def test_a_failed_write_leaves_no_output(writer, argv, dataset_csv, tmp_path, monkeypatch,
+                                         capsys):
     # the write fails after its first chunk of text: what it wrote is removed
     cfg = tmp_path / "study.ini"
     cfg.write_text(CONFIG_TEXT)
@@ -351,9 +352,18 @@ def test_a_failed_write_leaves_no_output(writer, argv, dataset_csv, tmp_path, mo
         argv = argv + ["--data", dataset_csv]
     argv += ["--output-dir", str(out)] if argv[0] == "simulate" else ["--output", str(out)]
     monkeypatch.setattr(writer, "write_text", disk_full_writer(write_text))
-    with pytest.raises(OSError):
-        main(argv)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "censlasso: input error: " in err and "No space left on device" in err
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_output_under_a_regular_file_exits_2(dataset_csv, capsys):
+    # NotADirectoryError, like every OSError, is an input error
+    out = os.path.join(dataset_csv, "km.csv")
+    assert main(["km", "--data", dataset_csv, "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("censlasso: input error: ") and "Not a directory" in err
 
 
 def test_simulate_invalid_replications_exits_4(tmp_path):

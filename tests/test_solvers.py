@@ -1220,6 +1220,93 @@ def test_globbed_fit_that_crosses_is_fixed_up(monkeypatch, rounds):
     assert_same_fits(fits[True], fits[False], loss, 400)
 
 
+@pytest.mark.parametrize("rounds", [solvers._GLOB_ROUNDS, 1], ids=["rounds", "one-round"])
+def test_globbed_fit_iterations_count_the_passes_that_came_back(monkeypatch, rounds):
+    # a globbed fit's iterations are its loose pass on all rows, every
+    # reduced solve whose fit came back, and the pass on all rows of a fit
+    # that falls back to them (a band of one row per coordinate makes rows
+    # cross, so with one round allowed some fits fall back)
+    loss = LossKind("quantile", tau=0.3)
+    newton, solve = solvers._frisch_newton, solvers._solve_lp_family
+    passes = {"loose": [], "full": [], "reduced": []}
+
+    def newton_spy(lp, normal_u, tol, max_iter):
+        out = newton(lp, normal_u, tol, max_iter)
+        if lp.x.ndim == 2 and lp.n == n_active:
+            passes["loose" if tol == solvers._GLOB_GAP else "full"] += list(out[2])
+        return out
+
+    def solve_spy(x, z, w, loss, lam_ws, *args):
+        out = solve(x, z, w, loss, lam_ws, *args)
+        if x.ndim == 3:  # the reduced solves
+            passes["reduced"] += [fit[2] for fit in out if not isinstance(fit, CensLassoError)]
+        return out
+
+    monkeypatch.setattr(solvers, "_GLOB_ROWS", 0)
+    monkeypatch.setattr(solvers, "_GLOB_BAND", 1)
+    monkeypatch.setattr(solvers, "_GLOB_ROUNDS", rounds)
+    monkeypatch.setattr(solvers, "_frisch_newton", newton_spy)
+    monkeypatch.setattr(solvers, "_solve_lp_family", solve_spy)
+    seen = {"several reduced": 0, "fell back": 0}
+
+    def counted(fit):
+        for kind in passes.values():
+            kind.clear()
+        result = fit()
+        assert len(passes["loose"]) == 1 and len(passes["full"]) <= 1
+        assert result.iterations == sum(passes["loose"] + passes["reduced"] + passes["full"])
+        seen["several reduced"] += len(passes["reduced"]) > 1
+        seen["fell back"] += len(passes["full"])
+        return result
+
+    for seed in range(3):
+        ds, w = random_problem(seed, n=400, p=5)
+        n_active = int(np.count_nonzero(w.w > 0.0))
+        cfg = FitConfig(loss=loss, lam=ds.n ** 0.4)
+        pilot = counted(lambda: fit_unpenalized(ds, w, loss, cfg))
+        counted(lambda: fit_adaptive_lasso(ds, w, cfg, pilot.beta))
+    assert seen["several reduced"] if rounds > 1 else seen["fell back"]
+
+
+def test_globbed_fit_whose_reduced_solves_all_fail_is_solved_on_all_rows(monkeypatch):
+    # every reduced pass fails: the pilot and the penalized fit are the
+    # unglobbed ones, and their iterations are the loose pass plus the pass
+    # on all rows, without the failed reduced pass
+    ds, w = large_problem(0)
+    n_active = int(np.count_nonzero(w.w > 0.0))
+    loss = LossKind("median")
+    cfg = FitConfig(loss=loss, lam=ds.n ** 0.4)
+    newton = solvers._frisch_newton
+
+    def spy(lp, normal_u, tol, max_iter):
+        a, theta, steps, failures = newton(lp, normal_u, tol, max_iter)
+        if lp.n < n_active:
+            passes["reduced"] += list(steps)
+            failures = ["did not converge (a synthetic failure)"] * len(failures)
+        else:
+            passes["loose" if tol == solvers._GLOB_GAP else "full"] += list(steps)
+        return a, theta, steps, failures
+
+    tilde = fit_unpenalized(ds, w, loss, cfg).beta
+    for fit_it in (lambda: fit_unpenalized(ds, w, loss, cfg),
+                   lambda: fit_adaptive_lasso(ds, w, cfg, tilde)):
+        passes = {"loose": [], "full": [], "reduced": []}
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_frisch_newton", spy)
+            rounds = glob_rounds(patch)
+            fit = fit_it()
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_GLOB_ROWS", 10**9)
+            unglobbed = fit_it()
+        assert rounds == [[1]]
+        assert len(passes["loose"]) == len(passes["full"]) == 1 and passes["reduced"]
+        assert np.array_equal(fit.beta, unglobbed.beta)
+        assert fit.objective == unglobbed.objective
+        assert fit.duality_gap == unglobbed.duality_gap
+        assert fit.iterations == passes["loose"][0] + passes["full"][0]
+        assert fit.iterations == passes["loose"][0] + unglobbed.iterations
+
+
 def globbed_and_unglobbed(patch, fit):
     """fit() as it runs, and again with globbing off; also the `_globbed`
     calls of the first run (`glob_rounds`)."""
